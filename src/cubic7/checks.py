@@ -15,11 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import (
-    count_representations,
-    union_space_count,
-    value_histogram,
-)
+from .counting import count_representations, union_space_count, value_histogram
 from .density import density_ladder, slab_volume
 from .errors import DegenerateBlockError, InvalidFormError
 from .expsums import s_block, series_tail_profile, singular_series
@@ -27,7 +23,6 @@ from .forms import (
     CubicForm,
     adjoint_matrix,
     block_invariants,
-    block_value,
     box_range,
     form_from_dict,
     form_to_dict,
@@ -35,6 +30,14 @@ from .forms import (
     transform_block,
 )
 from .local import block_local_case, local_report
+from .oracles import (
+    adjugate_brute,
+    apply_unimodular,
+    block_sum_brute,
+    random_unimodular,
+    representation_counts_brute,
+    union_membership_brute,
+)
 from .audits import (
     divisor_slice_count,
     power_congruence_count,
@@ -78,15 +81,11 @@ def _check_rejects_invalid(form: CubicForm) -> CheckResult:
 
 def _check_discriminant_identity(form: CubicForm) -> CheckResult:
     rng = random.Random(11)
-    worst = 0
     for _ in range(200):
         l, q = _rand_block(rng)
         if all(c == 0 for c in l):
             continue
-        try:
-            inv = block_invariants(l, q)
-        except DegenerateBlockError:
-            continue
+        inv = block_invariants(l, q)
         Ap, Bp, Cp, _, _ = inv.primed
         piv = l[inv.order[0]]
         lhs = Bp * Bp - 4 * Ap * Cp
@@ -94,7 +93,6 @@ def _check_discriminant_identity(form: CubicForm) -> CheckResult:
         if lhs != rhs:
             return CheckResult("discriminant-identity", False,
                                f"B'^2-4A'C'={lhs} vs a^2*Delta={rhs}")
-        worst = max(worst, abs(lhs))
     return CheckResult("discriminant-identity", True,
                        "200 random blocks, exact equality")
 
@@ -104,25 +102,12 @@ def _check_adjoint_adjugate(form: CubicForm) -> CheckResult:
     for _ in range(100):
         _, q = _rand_block(rng)
         A1, A2, A3, B1, B2, B3 = q
-        g = [[2 * A1, B3, B2],
-             [B3, 2 * A2, B1],
-             [B2, B1, 2 * A3]]
-
-        def minor(i, j):
-            r = [k for k in range(3) if k != i]
-            c = [k for k in range(3) if k != j]
-            return (g[r[0]][c[0]] * g[r[1]][c[1]]
-                    - g[r[0]][c[1]] * g[r[1]][c[0]])
-
-        adj = [[(-1) ** (i + j) * minor(j, i) for j in range(3)]
-               for i in range(3)]
-        M = adjoint_matrix(q)
-        for i in range(3):
-            for j in range(3):
-                if M[i][j] != -adj[i][j]:
-                    return CheckResult(
-                        "adjoint-vs-adjugate", False,
-                        f"entry ({i},{j}): {M[i][j]} vs {-adj[i][j]}")
+        gram = [[2 * A1, B3, B2], [B3, 2 * A2, B1], [B2, B1, 2 * A3]]
+        want = [[-v for v in row] for row in adjugate_brute(gram)]
+        got = [list(row) for row in adjoint_matrix(q)]
+        if got != want:
+            return CheckResult("adjoint-vs-adjugate", False,
+                               f"Q = {q}: {got} vs {want}")
     return CheckResult("adjoint-vs-adjugate", True,
                        "matches negated adjugate of the Gram matrix, "
                        "100 random blocks")
@@ -186,29 +171,9 @@ def _check_histogram(form: CubicForm) -> CheckResult:
                        f"block mass = {m}^3 and sym parity hold at P = {P}")
 
 
-def _enumerate_counts(form: CubicForm, P: int) -> dict:
-    pts = np.array(box_range(form.box, P), dtype=np.int64)
-    grids = np.meshgrid(*([pts] * 7), indexing="ij")
-    X = [g.reshape(-1) for g in grids]
-    a = form.a
-    L1 = a[0] * X[0] + a[1] * X[1] + a[2] * X[2]
-    L2 = a[3] * X[3] + a[4] * X[4] + a[5] * X[5]
-
-    def quad(q, x, y, z):
-        A1, A2, A3, B1, B2, B3 = q
-        return (A1 * x * x + A2 * y * y + A3 * z * z
-                + B1 * y * z + B2 * x * z + B3 * x * y)
-
-    vals = (L1 * quad(form.q1, X[0], X[1], X[2])
-            + L2 * quad(form.q2, X[3], X[4], X[5])
-            + a[6] * X[6] ** 3)
-    uniq, cnt = np.unique(vals, return_counts=True)
-    return {int(v): int(c) for v, c in zip(uniq, cnt)}
-
-
 def _check_convolution(form: CubicForm) -> CheckResult:
     P = 2
-    table = _enumerate_counts(form, P)
+    table = representation_counts_brute(form, P)
     for N in range(-6, 7):
         got = count_representations(form, N, P)
         want = table.get(N, 0)
@@ -220,40 +185,16 @@ def _check_convolution(form: CubicForm) -> CheckResult:
 
 
 def _check_union_membership(form: CubicForm) -> CheckResult:
-    if form.box != "sym":
-        base = dataclasses.replace(form, box="sym")
-    else:
-        base = form
+    base = dataclasses.replace(form, box="sym")
     P = 2
     spaces = linear_spaces(base)
     got = union_space_count(spaces, "sym", P)
-    pts = np.arange(-P, P + 1, dtype=np.int64)
-    grids = np.meshgrid(*([pts] * 7), indexing="ij")
-    X = np.stack([g.reshape(-1) for g in grids])
-    on_union = np.zeros(X.shape[1], dtype=bool)
-    for sp in spaces:
-        on_sp = np.ones(X.shape[1], dtype=bool)
-        for cov in sp.covectors:
-            on_sp &= (np.tensordot(np.array(cov, dtype=np.int64), X, 1) == 0)
-        on_union |= on_sp
-    want = int(on_union.sum())
+    want = union_membership_brute(base, [sp.covectors for sp in spaces], P)
     if got != want:
         return CheckResult("union-count-vs-membership", False,
                            f"{got} vs brute {want}")
     return CheckResult("union-count-vs-membership", True,
                        f"P = 2 membership scan agrees: {want} points")
-
-
-def _naive_block_sum(l, q, modulus: int, a: int) -> complex:
-    tot = 0.0 + 0.0j
-    w = 2.0 * math.pi / modulus
-    for x in range(modulus):
-        for y in range(modulus):
-            for z in range(modulus):
-                v = block_value(l, q, x, y, z)
-                ang = w * ((a * v) % modulus)
-                tot += complex(math.cos(ang), math.sin(ang))
-    return tot
 
 
 def _check_block_sum_naive(form: CubicForm) -> CheckResult:
@@ -264,7 +205,7 @@ def _check_block_sum_naive(form: CubicForm) -> CheckResult:
                 if math.gcd(a, modulus) != 1:
                     continue
                 got = s_block(l, q, modulus, a)
-                want = _naive_block_sum(l, q, modulus, a)
+                want = block_sum_brute(l, q, modulus, a)
                 worst = max(worst, abs(got - want) / modulus ** 3)
     if worst > 1e-10:
         return CheckResult("block-sum-vs-naive", False,
@@ -322,39 +263,6 @@ def _check_series_tail(form: CubicForm) -> CheckResult:
                        f"fitted tail decay {slope:.3f}")
 
 
-def _random_unimodular(rng: random.Random):
-    while True:
-        U = [[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)]
-        d = (U[0][0] * (U[1][1] * U[2][2] - U[1][2] * U[2][1])
-             - U[0][1] * (U[1][0] * U[2][2] - U[1][2] * U[2][0])
-             + U[0][2] * (U[1][0] * U[2][1] - U[1][1] * U[2][0]))
-        if d in (1, -1):
-            return U
-
-
-def _apply_unimodular(l, q, U):
-    # x -> U x: L(Ux) and Q(Ux), coefficients pulled out exactly.
-    lU = tuple(sum(l[i] * U[i][j] for i in range(3)) for j in range(3))
-    A1, A2, A3, B1, B2, B3 = q
-
-    def qval(x, y, z):
-        return (A1 * x * x + A2 * y * y + A3 * z * z
-                + B1 * y * z + B2 * z * x + B3 * x * y)
-
-    cols = [tuple(U[i][j] for i in range(3)) for j in range(3)]
-    AU = tuple(qval(*cols[j]) for j in range(3))
-
-    def bil(u, v):
-        return (2 * A1 * u[0] * v[0] + 2 * A2 * u[1] * v[1]
-                + 2 * A3 * u[2] * v[2]
-                + B1 * (u[1] * v[2] + u[2] * v[1])
-                + B2 * (u[0] * v[2] + u[2] * v[0])
-                + B3 * (u[0] * v[1] + u[1] * v[0]))
-
-    BU = (bil(cols[1], cols[2]), bil(cols[0], cols[2]), bil(cols[0], cols[1]))
-    return lU, (*AU, *BU)
-
-
 def _check_gamma_invariance(form: CubicForm) -> CheckResult:
     rng = random.Random(23)
     # Known representatives of the two special residue classes.
@@ -365,8 +273,8 @@ def _check_gamma_invariance(form: CubicForm) -> CheckResult:
     for p, l, q in cases:
         base = block_local_case(l, q, p)
         for _ in range(20):
-            U = _random_unimodular(rng)
-            lU, qU = _apply_unimodular(l, q, U)
+            U = random_unimodular(rng)
+            lU, qU = apply_unimodular(l, q, U)
             got = block_local_case(lU, qU, p)
             if (got.case, got.gamma, got.gamma_prime) != (
                     base.case, base.gamma, base.gamma_prime):

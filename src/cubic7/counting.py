@@ -18,13 +18,12 @@ import numpy as np
 from . import lattice
 from .arith import icbrt_exact
 from .errors import DomainError, ResourceLimitError
-from .forms import CubicForm, box_interval, box_range
+from .forms import CubicForm, block_slabs, block_value, box_interval, box_range
 
 P_CAP = 512
 _GRID_CAP = 68_000_000  # lattice points per block enumeration
 _GRID_CAP_BIG = 2_000_000  # same, on the exact big-integer fallback path
 _DENSE_CAP = 200_000_000  # dense convolution window width
-_SLAB = 1 << 22  # grid entries processed per slab
 _INT64_SAFE = 1 << 62
 
 
@@ -84,13 +83,6 @@ def _merge_unique(v1, c1, v2, c2):
     return v[starts], np.add.reduceat(c, starts)
 
 
-def _block_bounds(l, q, lo: int, hi: int) -> tuple[int, int]:
-    m = max(abs(lo), abs(hi))
-    linmax = sum(abs(c) for c in l) * m
-    quadmax = sum(abs(c) for c in q) * m * m
-    return linmax, quadmax
-
-
 @functools.lru_cache(maxsize=16)
 def value_histogram(l, q, box: str, P: int) -> BlockHistogram:
     """Histogram of L*Q over the box of radius P (exact multiplicities)."""
@@ -102,39 +94,19 @@ def value_histogram(l, q, box: str, P: int) -> BlockHistogram:
     m = hi - lo + 1
     if m ** 3 > _GRID_CAP:
         raise ResourceLimitError(f"block grid {m}^3 exceeds the cap {_GRID_CAP}")
-    linmax, quadmax = _block_bounds(l, q, lo, hi)
-    if linmax * quadmax >= _INT64_SAFE:
+    # |L*Q| <= sum|l| * R * sum|q| * R^2 with R the largest |coordinate|.
+    R = max(abs(lo), abs(hi))
+    if sum(map(abs, l)) * sum(map(abs, q)) * R ** 3 >= _INT64_SAFE:
         if m ** 3 > _GRID_CAP_BIG:
             raise ResourceLimitError(
                 "coefficients too large for the int64 path at this P"
             )
-        hist = Counter()
-        a1, a2, a3 = l
-        A1, A2, A3, B1, B2, B3 = q
-        rng = range(lo, hi + 1)
-        for x, y, z in itertools.product(rng, rng, rng):
-            lin = a1 * x + a2 * y + a3 * z
-            quad = (
-                A1 * x * x + A2 * y * y + A3 * z * z
-                + B1 * y * z + B2 * z * x + B3 * x * y
-            )
-            hist[lin * quad] += 1
-        return BlockHistogram(big=dict(hist))
-    r = np.arange(lo, hi + 1, dtype=np.int64)
-    a1, a2, a3 = (int(c) for c in l)
-    A1, A2, A3, B1, B2, B3 = (int(c) for c in q)
-    slab = max(1, _SLAB // (m * m))
+        pts = itertools.product(range(lo, hi + 1), repeat=3)
+        return BlockHistogram(big=dict(Counter(block_value(l, q, *x) for x in pts)))
     vals = np.empty(0, dtype=np.int64)
     cnts = np.empty(0, dtype=np.int64)
-    Y = r[None, :, None]
-    Z = r[None, None, :]
-    base = A2 * Y * Y + A3 * Z * Z + B1 * Y * Z
-    liny = a2 * Y + a3 * Z
-    for s in range(0, m, slab):
-        X = r[s : s + slab][:, None, None]
-        lin = a1 * X + liny
-        quad = base + A1 * X * X + B2 * Z * X + B3 * X * Y
-        u, c = np.unique((lin * quad).ravel(), return_counts=True)
+    for _, v in block_slabs(l, q, np.arange(lo, hi + 1, dtype=np.int64)):
+        u, c = np.unique(v, return_counts=True)
         vals, cnts = _merge_unique(vals, cnts, u, c)
     return BlockHistogram(vals=vals, cnts=cnts)
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .forms import CubicForm
+from .forms import CubicForm, block_value
 
 BLOCK = 1 << 19
 _MASK64 = (1 << 64) - 1
@@ -34,20 +34,14 @@ def box_volume(box: str) -> float:
 
 def _evaluate(form: CubicForm, u: np.ndarray) -> np.ndarray:
     a = [float(v) for v in form.a]
-    A1, A2, A3, B1, B2, B3 = (float(v) for v in form.q1)
-    C1, C2, C3, D1, D2, D3 = (float(v) for v in form.q2)
-    x1, x2, x3, x4, x5, x6, x7 = (u[:, i] for i in range(7))
-    l1 = a[0] * x1 + a[1] * x2 + a[2] * x3
-    q1 = (
-        A1 * x1 * x1 + A2 * x2 * x2 + A3 * x3 * x3
-        + B1 * x2 * x3 + B2 * x3 * x1 + B3 * x1 * x2
+    q1 = [float(v) for v in form.q1]
+    q2 = [float(v) for v in form.q2]
+    x = [u[:, i] for i in range(7)]
+    return (
+        block_value(a[0:3], q1, x[0], x[1], x[2])
+        + block_value(a[3:6], q2, x[3], x[4], x[5])
+        + a[6] * x[6] * x[6] * x[6]
     )
-    l2 = a[3] * x4 + a[4] * x5 + a[5] * x6
-    q2 = (
-        C1 * x4 * x4 + C2 * x5 * x5 + C3 * x6 * x6
-        + D1 * x5 * x6 + D2 * x6 * x4 + D3 * x4 * x5
-    )
-    return l1 * q1 + l2 * q2 + a[6] * x7 * x7 * x7
 
 
 def _block_stats(form: CubicForm, theta: float, eps_levels, seed: int,

@@ -20,10 +20,9 @@ import numpy as np
 
 from .arith import content, primes_up_to
 from .errors import DomainError, ResourceLimitError
-from .forms import CubicForm
+from .forms import CubicForm, block_slabs
 
 MOD_CAP = 4096
-_SLAB = 1 << 22
 
 
 @functools.lru_cache(maxsize=64)
@@ -39,22 +38,9 @@ def mod_histogram(l, q, m: int) -> np.ndarray:
         raise DomainError("modulus must be positive")
     if m > MOD_CAP:
         raise ResourceLimitError(f"modulus {m} exceeds the cap {MOD_CAP}")
-    a1, a2, a3 = (int(v) % m for v in l)
-    A1, A2, A3, B1, B2, B3 = (int(v) % m for v in q)
-    r = np.arange(m, dtype=np.int64)
-    Y = r[None, :, None]
-    Z = r[None, None, :]
-    # Coefficients are reduced first, so every int64 product stays far
-    # below overflow for m <= 4096.
-    liny = (a2 * Y + a3 * Z) % m
-    base = (A2 * Y * Y + A3 * Z * Z + B1 * Y * Z) % m
     counts = np.zeros(m, dtype=np.int64)
-    slab = max(1, _SLAB // (m * m))
-    for s in range(0, m, slab):
-        X = r[s : s + slab][:, None, None]
-        lin = (a1 * X + liny) % m
-        quad = (base + A1 * X * X + B2 * Z * X + B3 * X * Y) % m
-        counts += np.bincount(((lin * quad) % m).ravel(), minlength=m)
+    for _, v in block_slabs(l, q, np.arange(m, dtype=np.int64), m):
+        counts += np.bincount(v, minlength=m)
     return counts
 
 
@@ -178,16 +164,17 @@ def singular_series(form: CubicForm, N: int, Qmax: int) -> SeriesEstimate:
     Qmax/2, Qmax, a direct view of how fast the partial sums settle.
     """
     terms = singular_series_terms(form, N, Qmax)
-    prefix = [0.0]
-    run = []
-    for q in range(1, Qmax + 1):
-        run.append(terms[q])
-        prefix.append(math.fsum(run))
+    prefix = _partial_sums(terms)
     tails = []
     for qp in (Qmax // 4, Qmax // 2, Qmax):
         if qp >= 2:
             tails.append((qp, abs(prefix[qp] - prefix[qp // 2])))
     return SeriesEstimate(prefix[Qmax], Qmax, tuple(terms), tuple(tails))
+
+
+def _partial_sums(terms) -> list[float]:
+    """prefix[Q] = fsum(terms[1..Q]), correctly rounded; prefix[0] = 0."""
+    return [0.0] + [math.fsum(terms[1 : q + 1]) for q in range(1, len(terms))]
 
 
 def singular_series_terms(form: CubicForm, N: int, Qmax: int) -> list[float]:
@@ -243,10 +230,5 @@ def prime_power_profile(form: CubicForm, N: int, Qmax: int) -> list[dict]:
 def series_tail_profile(form: CubicForm, N: int, q_points) -> list[tuple[int, float]]:
     """[(Q, |series(2Q) - series(Q)|)] for the requested checkpoints."""
     qmax = 2 * max(q_points)
-    terms = singular_series_terms(form, N, qmax)
-    prefix = [0.0] * (qmax + 1)
-    run = []
-    for q in range(1, qmax + 1):
-        run.append(terms[q])
-        prefix[q] = math.fsum(run)
+    prefix = _partial_sums(singular_series_terms(form, N, qmax))
     return [(Q, abs(prefix[2 * Q] - prefix[Q])) for Q in q_points]

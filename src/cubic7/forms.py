@@ -14,6 +14,8 @@ import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import lattice
 from .arith import content, icbrt_exact, isqrt_exact
 from .errors import DegenerateBlockError, DomainError, InvalidFormError
@@ -41,8 +43,11 @@ def box_range(box: str, P: int) -> range:
     return range(lo, hi + 1)
 
 
-def block_value(l, q, x: int, y: int, z: int) -> int:
-    """Value of the ternary block L(x,y,z) * Q(x,y,z)."""
+_SLAB = 1 << 22  # grid cells per slab of block_slabs
+
+
+def block_value(l, q, x, y, z):
+    """Value of the ternary block L(x,y,z) * Q(x,y,z); broadcasts over arrays."""
     a1, a2, a3 = l
     A1, A2, A3, B1, B2, B3 = q
     lin = a1 * x + a2 * y + a3 * z
@@ -50,6 +55,46 @@ def block_value(l, q, x: int, y: int, z: int) -> int:
         A1 * x * x + A2 * y * y + A3 * z * z + B1 * y * z + B2 * z * x + B3 * x * y
     )
     return lin * quad
+
+
+def block_slabs(l, q, r, m=None):
+    """Yield (first flat index, L*Q values) over the grid r^3 in x-slabs.
+
+    r is an int64 coordinate array and (r[i], r[j], r[k]) has flat index
+    (i * n + j) * n + k.  With a modulus m every partial value is reduced
+    mod m, which keeps residue grids exact in int64 for m <= 4096.  The
+    yielded array is overwritten by the next slab: two slab buffers are
+    reused throughout, so no slab costs a fresh allocation.
+    """
+    n = len(r)
+    if m is not None:
+        l = [int(v) % m for v in l]
+        q = [int(v) % m for v in q]
+    a1, a2, a3 = (int(v) for v in l)
+    A1, A2, A3, B1, B2, B3 = (int(v) for v in q)
+    Y, Z = r[None, :, None], r[None, None, :]
+    liny = a2 * Y + a3 * Z
+    base = A2 * Y * Y + A3 * Z * Z + B1 * Y * Z
+    if m is not None:
+        liny %= m
+        base %= m
+    step = max(1, _SLAB // (n * n))
+    vbuf = np.empty((min(step, n), n, n), dtype=np.int64)
+    lbuf = np.empty_like(vbuf)
+    for s in range(0, n, step):
+        X = r[s : s + step][:, None, None]
+        v, lin = vbuf[: len(X)], lbuf[: len(X)]
+        np.add(a1 * X, liny, out=lin)
+        np.add(base, A1 * X * X, out=v)
+        v += B2 * Z * X
+        v += B3 * X * Y
+        if m is not None:
+            lin %= m
+            v %= m
+        v *= lin
+        if m is not None:
+            v %= m
+        yield s * n * n, v.ravel()
 
 
 @dataclass(frozen=True)

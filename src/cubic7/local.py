@@ -27,11 +27,12 @@ import numpy as np
 
 from .arith import crt_pair, factorize, inverse_mod, is_prime, v_p
 from .errors import DegenerateBlockError, DomainError, ResourceLimitError
-from .forms import CubicForm, _permute_block, _primed, content_decomposition
+from .forms import (
+    CubicForm, _permute_block, _primed, block_slabs, content_decomposition,
+)
 
 _EXHAUSTIVE_CAP = 360  # prime powers up to this are decided by full search
 _MODULUS_CAP = 10 ** 8
-_SLAB = 1 << 22
 
 # Degree-3 monomials in the fixed order used for orbit membership tests.
 _MONOMIALS = (
@@ -262,23 +263,11 @@ def gammas(form: CubicForm) -> dict[int, tuple[int, int]]:
 @functools.lru_cache(maxsize=64)
 def _block_reach(l, q, m: int):
     """(achievable bool array, witness flat index) for L*Q mod m."""
-    a1, a2, a3 = (int(v) % m for v in l)
-    A1, A2, A3, B1, B2, B3 = (int(v) % m for v in q)
-    r = np.arange(m, dtype=np.int64)
-    Y = r[None, :, None]
-    Z = r[None, None, :]
-    liny = (a2 * Y + a3 * Z) % m
-    base = (A2 * Y * Y + A3 * Z * Z + B1 * Y * Z) % m
     wit = np.full(m, -1, dtype=np.int64)
-    slab = max(1, _SLAB // (m * m))
-    for s in range(0, m, slab):
-        X = r[s : s + slab][:, None, None]
-        lin = (a1 * X + liny) % m
-        quad = (base + A1 * X * X + B2 * Z * X + B3 * X * Y) % m
-        vals = ((lin * quad) % m).ravel()
-        uv, first = np.unique(vals, return_index=True)
+    for first, v in block_slabs(l, q, np.arange(m, dtype=np.int64), m):
+        uv, idx = np.unique(v, return_index=True)
         sel = wit[uv] < 0
-        wit[uv[sel]] = first[sel] + s * m * m
+        wit[uv[sel]] = idx[sel] + first
     return wit >= 0, wit
 
 
@@ -286,27 +275,32 @@ def _decode(idx: int, m: int) -> tuple[int, int, int]:
     return (int(idx) // (m * m), (int(idx) // m) % m, int(idx) % m)
 
 
-def _solve_exhaustive(form: CubicForm, N: int, m: int):
+def _exhaustive_points(form: CubicForm, N: int, m: int, limit: int):
+    """Up to `limit` solutions of f = N (mod m), in (x7, block-1 residue) order."""
     can1, wit1 = _block_reach(form.l1, form.q1, m)
     can2, wit2 = _block_reach(form.l2, form.q2, m)
-    can2rev = can2[::-1]
     x = np.arange(m, dtype=np.int64)
     cube = (form.a7 % m) * ((x * x % m) * x % m) % m
     nm = N % m
+    out = []
     for x7 in range(m):
         s = int((nm - cube[x7]) % m)
-        both = can1 & np.roll(can2rev, (s + 1) % m)
-        if not both.any():
-            continue
-        r1 = int(np.argmax(both))
-        r2 = (s - r1) % m
-        w1 = _decode(wit1[r1], m)
-        w2 = _decode(wit2[r2], m)
-        return True, (*w1, *w2, x7)
-    return False, None
+        # both[r1]: block 1 reaches r1 and block 2 reaches s - r1.
+        both = can1 & np.roll(can2[::-1], (s + 1) % m)
+        for r1 in np.flatnonzero(both)[: limit - len(out)].tolist():
+            r2 = (s - r1) % m
+            out.append((*_decode(wit1[r1], m), *_decode(wit2[r2], m), x7))
+        if len(out) >= limit:
+            break
+    return out
 
 
 def _f_mod_p_batch(form: CubicForm, xs: np.ndarray, p: int) -> np.ndarray:
+    """f(x) mod p for each row of xs, reducing after every product.
+
+    Not block_slabs: p goes up to _MODULUS_CAP = 10^8, and unreduced terms
+    such as A1 * x * x overflow int64 once p passes about 1.2 * 10^6.
+    """
     a = [v % p for v in form.a]
     q1 = [v % p for v in form.q1]
     q2 = [v % p for v in form.q2]
@@ -327,28 +321,9 @@ def _f_mod_p_batch(form: CubicForm, xs: np.ndarray, p: int) -> np.ndarray:
 
 def _base_points_mod_p(form: CubicForm, N: int, p: int, limit: int):
     """Up to `limit` solutions of f = N (mod p), exact for small p."""
-    out = []
     if p <= _EXHAUSTIVE_CAP:
-        can1, wit1 = _block_reach(form.l1, form.q1, p)
-        can2, wit2 = _block_reach(form.l2, form.q2, p)
-        x = np.arange(p, dtype=np.int64)
-        cube = (form.a7 % p) * ((x * x % p) * x % p) % p
-        nm = N % p
-        idx2 = [int(w) for w in wit2]
-        for x7 in range(p):
-            s = (nm - int(cube[x7])) % p
-            for r1 in range(p):
-                if not can1[r1]:
-                    continue
-                r2 = (s - r1) % p
-                if not can2[r2]:
-                    continue
-                w1 = _decode(int(wit1[r1]), p)
-                w2 = _decode(idx2[r2], p)
-                out.append((*w1, *w2, x7))
-                if len(out) >= limit:
-                    return out
-        return out
+        return _exhaustive_points(form, N, p, limit)
+    out = []
     rng = np.random.Generator(np.random.Philox(key=[20240, p]))
     nm = N % p
     for _ in range(128):
@@ -405,7 +380,8 @@ def _solve_prime_power(form: CubicForm, N: int, p: int, k: int):
     """(decided, witness) for f = N mod p^k; raises when undecidable."""
     m = p ** k
     if m <= _EXHAUSTIVE_CAP:
-        return _solve_exhaustive(form, N, m)
+        pts = _exhaustive_points(form, N, m, 1)
+        return (True, pts[0]) if pts else (False, None)
     base = _base_points_mod_p(form, N, p, limit=500)
     if not base:
         if p <= _EXHAUSTIVE_CAP:

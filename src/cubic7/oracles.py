@@ -1,34 +1,48 @@
-"""Independent reference implementations used to freeze expected values.
+"""Independent reference implementations behind `verify` and the tests.
 
 Everything here recomputes from raw coefficients with the dumbest correct
 method available (full enumeration, direct triple sums, textbook minors).
-Nothing imports the modules under test except the CubicForm container.
+Nothing here imports the kernels it checks: only the CubicForm container
+and the box interval come from the package, and L*Q is evaluated by the
+private `_block` below.
 """
+
+from __future__ import annotations
 
 import cmath
 import itertools
+import math
 
 import numpy as np
 
-from cubic7.forms import CubicForm, box_interval
+from .forms import CubicForm, box_interval
+
+
+def _quad(q, x, y, z):
+    A1, A2, A3, B1, B2, B3 = q
+    return A1 * x * x + A2 * y * y + A3 * z * z + B1 * y * z + B2 * z * x + B3 * x * y
+
+
+def _block(l, q, x, y, z):
+    return (l[0] * x + l[1] * y + l[2] * z) * _quad(q, x, y, z)
+
+
+def _form_value(form: CubicForm, x):
+    return (
+        _block(form.l1, form.q1, x[0], x[1], x[2])
+        + _block(form.l2, form.q2, x[3], x[4], x[5])
+        + form.a7 * x[6] ** 3
+    )
 
 
 def block_values_brute(l, q, box: str, P: int) -> dict:
     """Histogram of L(x,y,z) * Q(x,y,z) by a plain triple loop."""
-    a1, a2, a3 = l
-    A1, A2, A3, B1, B2, B3 = q
     lo, hi = box_interval(box, P)
+    rng = range(lo, hi + 1)
     hist: dict = {}
-    for x in range(lo, hi + 1):
-        for y in range(lo, hi + 1):
-            for z in range(lo, hi + 1):
-                lin = a1 * x + a2 * y + a3 * z
-                quad = (
-                    A1 * x * x + A2 * y * y + A3 * z * z
-                    + B1 * y * z + B2 * z * x + B3 * x * y
-                )
-                v = lin * quad
-                hist[v] = hist.get(v, 0) + 1
+    for x, y, z in itertools.product(rng, rng, rng):
+        v = _block(l, q, x, y, z)
+        hist[v] = hist.get(v, 0) + 1
     return hist
 
 
@@ -37,21 +51,7 @@ def representation_counts_brute(form: CubicForm, P: int) -> dict:
     lo, hi = box_interval(form.box, P)
     r = np.arange(lo, hi + 1, dtype=np.int64)
     g = np.meshgrid(r, r, r, r, r, r, r, indexing="ij")
-    x = [c.ravel() for c in g]
-    a = form.a
-    A1, A2, A3, B1, B2, B3 = form.q1
-    C1, C2, C3, D1, D2, D3 = form.q2
-    l1 = a[0] * x[0] + a[1] * x[1] + a[2] * x[2]
-    q1 = (
-        A1 * x[0] ** 2 + A2 * x[1] ** 2 + A3 * x[2] ** 2
-        + B1 * x[1] * x[2] + B2 * x[2] * x[0] + B3 * x[0] * x[1]
-    )
-    l2 = a[3] * x[3] + a[4] * x[4] + a[5] * x[5]
-    q2 = (
-        C1 * x[3] ** 2 + C2 * x[4] ** 2 + C3 * x[5] ** 2
-        + D1 * x[4] * x[5] + D2 * x[5] * x[3] + D3 * x[3] * x[4]
-    )
-    vals = l1 * q1 + l2 * q2 + a[6] * x[6] ** 3
+    vals = _form_value(form, [c.ravel() for c in g])
     uniq, counts = np.unique(vals, return_counts=True)
     return dict(zip(uniq.tolist(), counts.tolist()))
 
@@ -70,19 +70,10 @@ def union_membership_brute(form: CubicForm, cov_sets, P: int) -> int:
 
 def block_sum_brute(l, q, modulus: int, mult: int) -> complex:
     """Direct triple sum of e(mult * L*Q / modulus) over residues."""
-    a1, a2, a3 = l
-    A1, A2, A3, B1, B2, B3 = q
     total = 0j
     w = 2j * cmath.pi / modulus
-    for x in range(modulus):
-        for y in range(modulus):
-            for z in range(modulus):
-                lin = a1 * x + a2 * y + a3 * z
-                quad = (
-                    A1 * x * x + A2 * y * y + A3 * z * z
-                    + B1 * y * z + B2 * z * x + B3 * x * y
-                )
-                total += cmath.exp(w * (mult * lin * quad % modulus))
+    for x, y, z in itertools.product(range(modulus), repeat=3):
+        total += cmath.exp(w * (mult * _block(l, q, x, y, z) % modulus))
     return total
 
 
@@ -96,8 +87,6 @@ def cube_sum_brute(a7: int, modulus: int, mult: int) -> complex:
 
 def singular_term_brute(form: CubicForm, q: int, N: int) -> float:
     """S(q; N) from the three brute sums, no multiplicative shortcuts."""
-    import math
-
     if q == 1:
         return 1.0
     total = 0j
@@ -124,6 +113,33 @@ def adjugate_brute(m) -> list:
     return [[(-1) ** (i + j) * minor(j, i) for j in range(3)] for i in range(3)]
 
 
+def random_unimodular(rng):
+    """A random 3x3 integer matrix with entries in [-2, 2] and det +-1."""
+    while True:
+        u = [[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)]
+        det = (
+            u[0][0] * (u[1][1] * u[2][2] - u[1][2] * u[2][1])
+            - u[0][1] * (u[1][0] * u[2][2] - u[1][2] * u[2][0])
+            + u[0][2] * (u[1][0] * u[2][1] - u[1][1] * u[2][0])
+        )
+        if det in (1, -1):
+            return u
+
+
+def apply_unimodular(l, q, u):
+    """Coefficients of (L o U) and (Q o U) for the change x -> U x."""
+    cols = [tuple(u[i][j] for i in range(3)) for j in range(3)]
+    lu = tuple(sum(l[i] * c[i] for i in range(3)) for c in cols)
+    nA = [_quad(q, *c) for c in cols]
+    # Polarization: for columns u1, u2, u3 of U, the y*z coefficient of
+    # Q(Ux) is Q(u2 + u3) - Q(u2) - Q(u3), and likewise for zx and xy.
+    nB = [
+        _quad(q, *(a + b for a, b in zip(cols[j], cols[k]))) - nA[j] - nA[k]
+        for j, k in ((1, 2), (2, 0), (0, 1))
+    ]
+    return lu, (*nA, *nB)
+
+
 def power_count_brute(k: int, q: int, m: int) -> int:
     return sum(1 for x in range(1, q + 1) if pow(x, k, q) == m % q)
 
@@ -141,7 +157,6 @@ def surface_count_brute(A: int, N: int, P: int) -> int:
 
 def achievable_residues_brute(form: CubicForm, m: int) -> set:
     """All residues of f mod m, by scanning the full residue grid."""
-    out = set()
-    for x in itertools.product(range(m), repeat=7):
-        out.add(form.value(x) % m)
-    return out
+    return {
+        _form_value(form, x) % m for x in itertools.product(range(m), repeat=7)
+    }

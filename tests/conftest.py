@@ -1,9 +1,4 @@
-import os
-import sys
-
 import pytest
-
-sys.path.insert(0, os.path.dirname(__file__))
 
 from cubic7.forms import CubicForm
 

@@ -2,10 +2,10 @@
 
 Run with `pytest -v -s tests/test_acceptance.py` to see the lines as they
 complete.  Each check recomputes its expected values from first principles
-(oracles in oracles.py) or pins published tolerances; nothing here trusts
-the library's own fast paths.  Known-red checks are asserted anyway: the
-printed line carries the measured numbers, and notes/decisions.md in the
-workspace root records the analysis.
+(the brute-force oracles in cubic7.oracles) or pins published tolerances;
+nothing here trusts the library's own fast paths.  Known-red checks are
+asserted anyway: the printed line carries the measured numbers, and the
+"Tests" section of README.md records the analysis.
 """
 
 import math
@@ -20,6 +20,7 @@ from cubic7.audits import (
 )
 from cubic7.counting import count_representations, count_zeros, union_space_count
 from cubic7.density import singular_integral
+from cubic7.experiment import P_SCHEDULE
 from cubic7.expsums import (
     block_sum_any,
     series_tail_profile,
@@ -29,9 +30,7 @@ from cubic7.expsums import (
 from cubic7.fit import fit_loglog, fit_offset_inverse
 from cubic7.forms import block_invariants, linear_spaces
 from cubic7.local import block_local_case, congruence_solvable, local_data
-from oracles import representation_counts_brute, union_membership_brute
-
-P_SCHEDULE = (8, 12, 16, 24, 32, 48, 64)
+from cubic7.oracles import representation_counts_brute, union_membership_brute
 
 
 def _report(n: int, ok: bool, detail: str) -> None:

@@ -13,7 +13,7 @@ from cubic7.audits import (
 )
 from cubic7.counting import value_histogram
 from cubic7.errors import DomainError, ResourceLimitError
-from oracles import power_count_brute, surface_count_brute
+from cubic7.oracles import power_count_brute, surface_count_brute
 
 
 def test_power_congruence_count_vs_brute():

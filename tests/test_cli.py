@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 import subprocess
 import sys
 
@@ -161,10 +162,11 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["count"] == 4
+    if shutil.which("cubic7") is None:
+        pytest.skip("console script not on PATH")
     proc = subprocess.run(
         ["cubic7", "count", "--N", "5", "--P", "1"],
         capture_output=True, text=True,
     )
-    if proc.returncode != 0:  # PATH may not expose the entry point
-        pytest.skip("console script not on PATH")
+    assert proc.returncode == 0
     assert json.loads(proc.stdout)["count"] == 4

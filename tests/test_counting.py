@@ -14,7 +14,7 @@ from cubic7.counting import (
 )
 from cubic7.errors import DomainError, ResourceLimitError
 from cubic7.forms import COEFF_CAP, CubicForm, linear_spaces
-from oracles import (
+from cubic7.oracles import (
     block_values_brute,
     representation_counts_brute,
     union_membership_brute,

@@ -43,6 +43,12 @@ def test_ladder_extrapolation_identity(f_star):
     assert d["value"] == res.value and d["hits"] == list(res.hits)
 
 
+def test_ladder_hits_pinned(f_fac1):
+    # Pinned hit counts: a change in float evaluation order shows here.
+    res = density_ladder(f_fac1, 1.0, samples=100_000, seed=9)
+    assert res.hits == (2791, 1420, 692)
+
+
 def test_determinism_across_threads_and_runs(f_star):
     a = density_ladder(f_star, 0.0, samples=120_000, seed=7, threads=1)
     b = density_ladder(f_star, 0.0, samples=120_000, seed=7, threads=3)

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubic7.errors import DomainError, ResourceLimitError
 from cubic7.expsums import (
@@ -17,7 +19,22 @@ from cubic7.expsums import (
     singular_series_terms,
     singular_term,
 )
-from oracles import block_sum_brute, cube_sum_brute, singular_term_brute
+from cubic7.oracles import (
+    apply_unimodular,
+    block_sum_brute,
+    block_values_brute,
+    cube_sum_brute,
+    random_unimodular,
+    singular_term_brute,
+)
+
+
+def _residue_counts(l, q, m):
+    """Counts of L*Q mod m over the residue cube, from the brute histogram."""
+    counts = [0] * m
+    for v, c in block_values_brute(l, q, "nonneg", m - 1).items():
+        counts[v % m] += c
+    return counts
 
 
 def test_mod_histogram_vs_brute(f_star):
@@ -31,18 +48,26 @@ def test_mod_histogram_vs_brute(f_star):
         blocks.append((l, q))
     for m in (2, 3, 5, 6, 8):
         for l, q in blocks:
-            h = mod_histogram(l, q, m)
-            brute = [0] * m
-            for x in range(m):
-                for y in range(m):
-                    for z in range(m):
-                        lin = l[0] * x + l[1] * y + l[2] * z
-                        quad = (
-                            q[0] * x * x + q[1] * y * y + q[2] * z * z
-                            + q[3] * y * z + q[4] * z * x + q[5] * x * y
-                        )
-                        brute[lin * quad % m] += 1
-            assert h.tolist() == brute
+            assert mod_histogram(l, q, m).tolist() == _residue_counts(l, q, m)
+
+
+_coeff = st.integers(-6, 6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    l=st.tuples(*[_coeff] * 3),
+    q=st.tuples(*[_coeff] * 6),
+    m=st.integers(1, 12),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_mod_histogram_unimodular_invariance(l, q, m, seed):
+    # x -> U x permutes the residue cube when det U = +-1, so the residue
+    # histogram of L*Q cannot change.
+    l2, q2 = apply_unimodular(l, q, random_unimodular(random.Random(seed)))
+    h = mod_histogram(l, q, m).tolist()
+    assert h == _residue_counts(l, q, m)
+    assert mod_histogram(l2, q2, m).tolist() == h
 
 
 def test_block_sum_vs_brute(f_star):

@@ -23,7 +23,7 @@ from cubic7.forms import (
     load_form,
     transform_block,
 )
-from oracles import adjugate_brute
+from cubic7.oracles import adjugate_brute
 
 
 def _rand_block(rng):
@@ -85,11 +85,8 @@ def test_adjoint_matrix_vs_adjugate_oracle():
         q = tuple(rng.randint(-6, 6) for _ in range(6))
         A1, A2, A3, B1, B2, B3 = q
         gram = [[2 * A1, B3, B2], [B3, 2 * A2, B1], [B2, B1, 2 * A3]]
-        adj = adjugate_brute(gram)
-        m = adjoint_matrix(q)
-        for i in range(3):
-            for j in range(3):
-                assert m[i][j] == -adj[i][j]
+        want = [[-v for v in row] for row in adjugate_brute(gram)]
+        assert [list(row) for row in adjoint_matrix(q)] == want
 
 
 def test_delta_zero_for_running_example(f_star):

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from cubic7.errors import DomainError, ResourceLimitError
@@ -14,9 +15,14 @@ from cubic7.local import (
     local_data,
     local_report,
     product_cubic_coeffs,
+    _f_mod_p_batch,
     _MONOMIALS,
 )
-from oracles import achievable_residues_brute
+from cubic7.oracles import (
+    achievable_residues_brute,
+    apply_unimodular,
+    random_unimodular,
+)
 
 
 def test_product_cubic_coeffs_reproduce_values():
@@ -66,49 +72,14 @@ def test_case_invariance_under_unimodular_changes():
     for p, l, q in cases:
         ref = block_local_case(l, q, p)
         for _ in range(10):
-            u = _random_unimodular(rng)
-            l2, q2 = _apply_unimodular(l, q, u)
+            u = random_unimodular(rng)
+            l2, q2 = apply_unimodular(l, q, u)
             d = block_local_case(l2, q2, p)
             assert (d.case, d.gamma, d.gamma_prime) == (
                 ref.case,
                 ref.gamma,
                 ref.gamma_prime,
             )
-
-
-def _random_unimodular(rng):
-    while True:
-        u = [[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)]
-        det = (
-            u[0][0] * (u[1][1] * u[2][2] - u[1][2] * u[2][1])
-            - u[0][1] * (u[1][0] * u[2][2] - u[1][2] * u[2][0])
-            + u[0][2] * (u[1][0] * u[2][1] - u[1][1] * u[2][0])
-        )
-        if det in (1, -1):
-            return u
-
-
-def _apply_unimodular(l, q, u):
-    # New coefficients of (L o U) and (Q o U).
-    a1 = sum(l[i] * u[i][0] for i in range(3))
-    a2 = sum(l[i] * u[i][1] for i in range(3))
-    a3 = sum(l[i] * u[i][2] for i in range(3))
-    A1, A2, A3, B1, B2, B3 = q
-
-    def quad(x, y, z):
-        return (
-            A1 * x * x + A2 * y * y + A3 * z * z
-            + B1 * y * z + B2 * z * x + B3 * x * y
-        )
-
-    cols = [tuple(u[i][j] for i in range(3)) for j in range(3)]
-    nA = [quad(*c) for c in cols]
-    nB = [
-        quad(*(a + b for a, b in zip(cols[1], cols[2]))) - nA[1] - nA[2],
-        quad(*(a + b for a, b in zip(cols[2], cols[0]))) - nA[2] - nA[0],
-        quad(*(a + b for a, b in zip(cols[0], cols[1]))) - nA[0] - nA[1],
-    ]
-    return (a1, a2, a3), (*nA, *nB)
 
 
 def test_gammas_and_moduli(f_star, f_content2, f_iii):
@@ -185,6 +156,18 @@ def test_newton_lifting_large_power(f_star):
     # base-point collection and Newton lifting path.
     ok, w = congruence_solvable(f_star, 10, 3 ** 7)
     assert ok and (f_star.value(w) - 10) % 3 ** 7 == 0
+
+
+def test_congruence_large_prime_random_base_points(f_iii):
+    # 1300021 is prime and above 1.2 * 10^6, where unreduced int64 block
+    # values overflow: base points come from the random search, whose
+    # batch evaluator must reduce every product mod p.
+    p = 1_300_021
+    ok, w = congruence_solvable(f_iii, 10, p)
+    assert ok and (f_iii.value(w) - 10) % p == 0
+    xs = np.random.default_rng(0).integers(0, p, size=(200, 7))
+    want = [f_iii.value(x) % p for x in xs.tolist()]
+    assert _f_mod_p_batch(f_iii, xs, p).tolist() == want
 
 
 def test_gradient_euler_identity(f_iii):
