@@ -16,11 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lattice
-from .arith import icbrt_exact
+from .arith import icbrt, icbrt_exact
 from .errors import DomainError, ResourceLimitError
 from .forms import CubicForm, block_slabs, block_value, box_interval, box_range
 
-P_CAP = 512
 _GRID_CAP = 68_000_000  # lattice points per block enumeration
 _GRID_CAP_BIG = 2_000_000  # same, on the exact big-integer fallback path
 _DENSE_CAP = 200_000_000  # dense convolution window width
@@ -88,12 +87,15 @@ def value_histogram(l, q, box: str, P: int) -> BlockHistogram:
     """Histogram of L*Q over the box of radius P (exact multiplicities)."""
     if P < 1:
         raise DomainError("P must be at least 1")
-    if P > P_CAP:
-        raise ResourceLimitError(f"P={P} exceeds the enumeration cap {P_CAP}")
     lo, hi = box_interval(box, P)
     m = hi - lo + 1
     if m ** 3 > _GRID_CAP:
-        raise ResourceLimitError(f"block grid {m}^3 exceeds the cap {_GRID_CAP}")
+        side = icbrt(_GRID_CAP)
+        pmax = max(p for p in range(1, side + 1) if len(box_range(box, p)) <= side)
+        raise ResourceLimitError(
+            f"block grid {m}^3 = {m ** 3} cells exceeds the cap {_GRID_CAP}; "
+            f"the {box} box allows P <= {pmax}"
+        )
     # |L*Q| <= sum|l| * R * sum|q| * R^2 with R the largest |coordinate|.
     R = max(abs(lo), abs(hi))
     if sum(map(abs, l)) * sum(map(abs, q)) * R ** 3 >= _INT64_SAFE:

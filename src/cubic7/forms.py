@@ -97,6 +97,29 @@ def block_slabs(l, q, r, m=None):
         yield s * n * n, v.ravel()
 
 
+def block_frame(l, q):
+    """(V, L o V, Q o V) for the unimodular V of integer_kernel's reduction.
+
+    V (rows of a 3x3 integer matrix, det +-1) has first column w with
+    L.w = +-content(L) and the kernel basis of L as its other columns, so
+    L o V = (+-content(L), 0, 0) and the block becomes g*X1*Q'(X1, X2, X3).
+    Q' = Q o V comes from the bilinear form of the Gram matrix of 2Q on the
+    columns of V.  For L = 0, V is the identity.
+    """
+    a, v, _ = lattice._column_reduce([tuple(int(c) for c in l)])
+    A1, A2, A3, B1, B2, B3 = (int(c) for c in q)
+    gram = ((2 * A1, B3, B2), (B3, 2 * A2, B1), (B2, B1, 2 * A3))
+    cols = list(zip(*v))
+
+    def pair(s, t):
+        return sum(s[i] * gram[i][j] * t[j] for i in range(3) for j in range(3))
+
+    qv = tuple(pair(c, c) // 2 for c in cols) + tuple(
+        pair(cols[j], cols[k]) for j, k in ((1, 2), (2, 0), (0, 1))
+    )
+    return tuple(map(tuple, v)), tuple(a[0]), qv
+
+
 @dataclass(frozen=True)
 class CubicForm:
     """Integer coefficients (a1..a7, Q1, Q2) plus the box kind."""

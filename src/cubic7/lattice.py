@@ -17,6 +17,18 @@ def integer_kernel(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     Column reduction by a unimodular matrix, so the result spans *all*
     integer solutions (the kernel lattice is saturated by construction).
     """
+    _, u, rank = _column_reduce(rows)
+    n = len(u)
+    return [tuple(u[t][k] for t in range(n)) for k in range(rank, n)]
+
+
+def _column_reduce(rows):
+    """(a, u, rank) with a = rows * u and u an integer n x n matrix of det +-1.
+
+    Only the first `rank` columns of a are nonzero, so the last n - rank
+    columns of u span the integer kernel.  For a single nonzero row L the
+    first column w of u has L.w = a[0][0] = +-content(L).
+    """
     if not rows:
         raise ValueError("need at least one covector")
     n = len(rows[0])
@@ -52,7 +64,7 @@ def integer_kernel(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
         if nz:
             col_swap(nz[0], col)
             col += 1
-    return [tuple(u[t][k] for t in range(n)) for k in range(col, n)]
+    return a, u, col
 
 
 def echelon_lattice_basis(basis: list[tuple[int, ...]]) -> list[tuple[int, ...]]:

@@ -113,16 +113,20 @@ def adjugate_brute(m) -> list:
     return [[(-1) ** (i + j) * minor(j, i) for j in range(3)] for i in range(3)]
 
 
+def det3(u) -> int:
+    """Determinant of a 3x3 integer matrix by cofactor expansion."""
+    return (
+        u[0][0] * (u[1][1] * u[2][2] - u[1][2] * u[2][1])
+        - u[0][1] * (u[1][0] * u[2][2] - u[1][2] * u[2][0])
+        + u[0][2] * (u[1][0] * u[2][1] - u[1][1] * u[2][0])
+    )
+
+
 def random_unimodular(rng):
     """A random 3x3 integer matrix with entries in [-2, 2] and det +-1."""
     while True:
         u = [[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)]
-        det = (
-            u[0][0] * (u[1][1] * u[2][2] - u[1][2] * u[2][1])
-            - u[0][1] * (u[1][0] * u[2][2] - u[1][2] * u[2][0])
-            + u[0][2] * (u[1][0] * u[2][1] - u[1][1] * u[2][0])
-        )
-        if det in (1, -1):
+        if det3(u) in (1, -1):
             return u
 
 

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from cubic7.counting import (
-    P_CAP,
     chi,
     count_representations,
     count_zeros,
@@ -61,8 +60,8 @@ def test_histogram_sym_parity(f_star):
 def test_histogram_guards(f_star):
     with pytest.raises(DomainError):
         value_histogram(f_star.l1, f_star.q1, "sym", 0)
-    with pytest.raises(ResourceLimitError):
-        value_histogram(f_star.l1, f_star.q1, "sym", P_CAP + 1)
+    with pytest.raises(ResourceLimitError, match=r"1083206683 cells .* P <= 203"):
+        value_histogram(f_star.l1, f_star.q1, "sym", 513)
 
 
 def test_histogram_big_integer_path():

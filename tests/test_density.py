@@ -84,3 +84,27 @@ def test_integral_guards(f_star):
         singular_integral(form, "zero")
     with pytest.raises(DomainError):
         density_ladder(f_star, 0.0, eps0=-0.1, samples=20_000)
+
+
+def test_block_chunks_match_one_draw(f_star):
+    # Chunked evaluation equals evaluating the block's points in one draw,
+    # and a whole block stays far below the ~60 MB a single draw needs.
+    import tracemalloc
+
+    import numpy as np
+
+    from cubic7.density import _CHUNK, _block_stats, _evaluate
+
+    count, eps = 2 * _CHUNK + 12345, (0.1, 0.05, 0.025)
+    u = np.random.Generator(np.random.Philox(key=[3, 5])).random((count, 7))
+    f = _evaluate(f_star, 2.0 * u - 1.0)
+    hits = tuple(int((np.abs(f) <= e).sum()) for e in eps)
+    assert _block_stats(f_star, 0.0, eps, 3, 5, count) == (
+        hits, float(f.min()), float(f.max()))
+    tracemalloc.start()
+    try:
+        _block_stats(f_star, 0.0, eps, 0, 0, 1 << 19)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6

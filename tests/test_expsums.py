@@ -1,10 +1,14 @@
 import math
 import random
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cubic7.arith import content
 from cubic7.errors import DomainError, ResourceLimitError
 from cubic7.expsums import (
     MOD_CAP,
@@ -19,11 +23,13 @@ from cubic7.expsums import (
     singular_series_terms,
     singular_term,
 )
+from cubic7.forms import block_frame
 from cubic7.oracles import (
     apply_unimodular,
     block_sum_brute,
     block_values_brute,
     cube_sum_brute,
+    det3,
     random_unimodular,
     singular_term_brute,
 )
@@ -46,9 +52,49 @@ def test_mod_histogram_vs_brute(f_star):
             l = (1, 1, 0)
         q = tuple(rng.randint(-4, 4) for _ in range(6))
         blocks.append((l, q))
-    for m in (2, 3, 5, 6, 8):
+    # L content sharing a factor with m exercises the g*d*u^3 multiplier.
+    blocks += [((2, 0, 4), (1, -3, 2, 0, 5, 1)), ((3, -6, 0), (2, 2, 1, -1, 0, 3))]
+    for m in (2, 3, 5, 6, 8, 9, 12, 16, 24, 25, 27, 32):
         for l, q in blocks:
-            assert mod_histogram(l, q, m).tolist() == _residue_counts(l, q, m)
+            h = mod_histogram(l, q, m)
+            assert h.dtype == np.int64
+            assert h.tolist() == _residue_counts(l, q, m)
+
+
+@pytest.mark.parametrize("m, p", [(4096, 2), (1024, 2), (729, 3), (625, 5)])
+def test_mod_histogram_folding_law(f_star, m, p):
+    # Beyond brute-force reach: reducing mod m/p folds p^3 cube cells onto
+    # each cell mod m/p.  m = 4096 is MOD_CAP, where the row chunks engage.
+    n = m // p
+    for l, q in ((f_star.l1, f_star.q1), ((2, 0, 4), (1, -3, 2, 0, 5, 1))):
+        h = mod_histogram(l, q, m)
+        assert int(h.sum()) == m ** 3
+        assert (h.reshape(p, n).sum(0) == p ** 3 * mod_histogram(l, q, n)).all()
+
+
+def test_mod_histogram_memory_at_cap():
+    code = (
+        "import resource\n"
+        "from cubic7.expsums import mod_histogram\n"
+        "mod_histogram((3, 5, 7), (1, -2, 3, 4, -5, 6), 4096)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert int(out.stdout) < 600 * 1024  # ru_maxrss is in KiB on Linux
+
+
+_frame_coeff = st.integers(-50, 50)
+
+
+@settings(max_examples=200, deadline=None)
+@given(l=st.tuples(*[_frame_coeff] * 3), q=st.tuples(*[_frame_coeff] * 6))
+def test_block_frame(l, q):
+    v, lv, qv = block_frame(l, q)
+    assert det3(v) in (1, -1)
+    assert abs(lv[0]) == content(l) and lv[1:] == (0, 0)
+    assert apply_unimodular(l, q, v) == (lv, qv)
 
 
 _coeff = st.integers(-6, 6)
