@@ -2,8 +2,11 @@
 
 Each ternary block contributes a value histogram over the box; the count of
 f = N is a convolution of the two histograms against the cube term.  All
-arithmetic is exact: the int64 fast path is guarded by a priori bounds and
-falls back to Python integers when those bounds fail.
+arithmetic is exact.  Histograms are int64 when the block values provably
+fit (Python integers otherwise).  The convolution is one float64 BLAS dot
+per target over dense count windows, certified exact because every partial
+sum is at most total1 * max2 <= _GRID_CAP^2 < 2^53; when that bound fails,
+or a window exceeds _DENSE_CAP, it falls back to sparse Python-int sums.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ _GRID_CAP = 68_000_000  # lattice points per block enumeration
 _GRID_CAP_BIG = 2_000_000  # same, on the exact big-integer fallback path
 _DENSE_CAP = 200_000_000  # dense convolution window width
 _INT64_SAFE = 1 << 62
+_FLOAT64_EXACT = 1 << 53  # every integer up to here is a float64
 
 
 class BlockHistogram:
@@ -113,26 +117,52 @@ def value_histogram(l, q, box: str, P: int) -> BlockHistogram:
     return BlockHistogram(vals=vals, cnts=cnts)
 
 
-def _dense(h: BlockHistogram):
+def _dense(h: BlockHistogram, reverse: bool = False):
+    """(origin, float64 counts) with counts[i] the multiplicity of origin + i,
+    or of origin - i when reversed; None when wider than _DENSE_CAP."""
     vmin = int(h.vals[0])
-    width = int(h.vals[-1]) - vmin + 1
-    if width > _DENSE_CAP:
+    vmax = int(h.vals[-1])
+    if vmax - vmin + 1 > _DENSE_CAP:
         return None
-    arr = np.zeros(width, dtype=np.int64)
+    arr = np.zeros(vmax - vmin + 1, dtype=np.float64)
+    if reverse:
+        arr[vmax - h.vals] = h.cnts
+        return vmax, arr
     arr[h.vals - vmin] = h.cnts
     return vmin, arr
 
 
+def _dense_windows(h1: BlockHistogram, h2: BlockHistogram):
+    """Dense windows of h1 and of h2 reversed, or None when the float64 dot
+    is not certified exact or a window exceeds _DENSE_CAP.
+
+    Every partial sum of a pair-count dot, in any order or split, is at
+    most min(total1 * max2, total2 * max1); below 2^53 every product, add
+    and FMA on these nonnegative integers is exact in float64.
+    """
+    if h1.is_big or h2.is_big:
+        return None
+    if min(h1.total() * h2.max_count(), h2.total() * h1.max_count()) >= _FLOAT64_EXACT:
+        return None
+    d1 = _dense(h1)
+    d2 = _dense(h2, reverse=True)
+    if d1 is None or d2 is None:
+        return None
+    return d1, d2
+
+
 def _pair_count_dense(d1, d2, t: int) -> int:
-    """Number of (v1, v2) with v1 + v2 = t, from dense count arrays."""
-    o1, a1 = d1
-    o2, a2 = d2
-    lo = max(o1, t - (o2 + len(a2) - 1))
-    hi = min(o1 + len(a1) - 1, t - o2)
+    """Number of (v1, v2) with v1 + v2 = t, from _dense_windows."""
+    vmin1, a1 = d1
+    vmax2, r2 = d2
+    lo = max(vmin1, t - vmax2)
+    hi = min(vmin1 + len(a1) - 1, t - (vmax2 - len(r2) + 1))
     if lo > hi:
         return 0
-    s1 = a1[lo - o1 : hi - o1 + 1]
-    s2 = a2[t - hi - o2 : t - lo - o2 + 1][::-1]
+    # v1 runs up from lo while v2 = t - v1 runs down, so both slices have
+    # stride 1 and np.dot goes to BLAS.
+    s1 = a1[lo - vmin1 : hi - vmin1 + 1]
+    s2 = r2[vmax2 - t + lo : vmax2 - t + hi + 1]
     return int(np.dot(s1, s2))
 
 
@@ -146,11 +176,19 @@ def _pair_count_sparse(h1: BlockHistogram, h2: BlockHistogram, t: int) -> int:
     idx = np.searchsorted(h2.vals, w)
     idx[idx >= len(h2.vals)] = 0
     mask = h2.vals[idx] == w
-    # Python-int accumulation: this path runs exactly when the int64 dot
-    # bound could not be certified.
+    # Python-int accumulation: this path runs exactly when the float64 dot
+    # could not be certified exact.
     c1 = h1.cnts[mask].tolist()
     c2 = h2.cnts[idx[mask]].tolist()
     return sum(a * b for a, b in zip(c1, c2))
+
+
+def _pair_counts(h1: BlockHistogram, h2: BlockHistogram, targets) -> list[int]:
+    """Number of (v1, v2) with v1 + v2 = t, for each target t."""
+    windows = _dense_windows(h1, h2)
+    if windows is not None:
+        return [_pair_count_dense(*windows, t) for t in targets]
+    return [_pair_count_sparse(h1, h2, t) for t in targets]
 
 
 def count_representations(form: CubicForm, N: int, P: int) -> int:
@@ -158,21 +196,7 @@ def count_representations(form: CubicForm, N: int, P: int) -> int:
     h1 = value_histogram(form.l1, form.q1, form.box, P)
     h2 = value_histogram(form.l2, form.q2, form.box, P)
     targets = [N - form.a7 * t ** 3 for t in box_range(form.box, P)]
-    use_dense = not (h1.is_big or h2.is_big)
-    if use_dense:
-        # The dot accumulator is bounded by total1 * max_count2 which stays
-        # under 2^62 whenever both grids respect the enumeration cap.
-        if min(
-            h1.total() * h2.max_count(), h2.total() * h1.max_count()
-        ) >= _INT64_SAFE:
-            use_dense = False
-    if use_dense:
-        d1 = _dense(h1)
-        d2 = _dense(h2)
-        use_dense = d1 is not None and d2 is not None
-    if use_dense:
-        return sum(_pair_count_dense(d1, d2, t) for t in targets)
-    return sum(_pair_count_sparse(h1, h2, t) for t in targets)
+    return sum(_pair_counts(h1, h2, targets))
 
 
 def count_zeros(form: CubicForm, P: int) -> int:

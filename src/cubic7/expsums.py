@@ -24,7 +24,7 @@ import numpy as np
 
 from .arith import content, primes_up_to
 from .errors import DomainError, ResourceLimitError
-from .forms import _SLAB, CubicForm, block_frame, block_value
+from .forms import _SLAB, CubicForm, block_frame, block_value, cube_residues
 
 MOD_CAP = 4096
 
@@ -123,9 +123,7 @@ def s_block(l, q, modulus: int, a: int) -> complex:
 
 @functools.lru_cache(maxsize=256)
 def _cube_histogram(a7: int, m: int) -> np.ndarray:
-    x = np.arange(m, dtype=np.int64)
-    v = (a7 % m) * ((x * x % m) * x % m) % m
-    return np.bincount(v, minlength=m)
+    return np.bincount(cube_residues(a7, m), minlength=m)
 
 
 def s_cube(a7: int, modulus: int, mult: int) -> complex:

@@ -120,6 +120,12 @@ def block_frame(l, q):
     return tuple(map(tuple, v)), tuple(a[0]), qv
 
 
+def cube_residues(a7: int, m: int) -> np.ndarray:
+    """a7 * x^3 mod m for x = 0, ..., m - 1, as int64 (exact for m < 2^31)."""
+    x = np.arange(m, dtype=np.int64)
+    return (a7 % m) * ((x * x % m) * x % m) % m
+
+
 @dataclass(frozen=True)
 class CubicForm:
     """Integer coefficients (a1..a7, Q1, Q2) plus the box kind."""

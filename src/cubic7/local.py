@@ -29,6 +29,7 @@ from .arith import crt_pair, factorize, inverse_mod, is_prime, v_p
 from .errors import DegenerateBlockError, DomainError, ResourceLimitError
 from .forms import (
     CubicForm, _permute_block, _primed, block_slabs, content_decomposition,
+    cube_residues,
 )
 
 _EXHAUSTIVE_CAP = 360  # prime powers up to this are decided by full search
@@ -279,8 +280,7 @@ def _exhaustive_points(form: CubicForm, N: int, m: int, limit: int):
     """Up to `limit` solutions of f = N (mod m), in (x7, block-1 residue) order."""
     can1, wit1 = _block_reach(form.l1, form.q1, m)
     can2, wit2 = _block_reach(form.l2, form.q2, m)
-    x = np.arange(m, dtype=np.int64)
-    cube = (form.a7 % m) * ((x * x % m) * x % m) % m
+    cube = cube_residues(form.a7, m)
     nm = N % m
     out = []
     for x7 in range(m):

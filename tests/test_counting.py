@@ -1,8 +1,19 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubic7.counting import (
+    _DENSE_CAP,
+    _GRID_CAP,
+    _INT64_SAFE,
+    BlockHistogram,
+    _dense_windows,
+    _pair_count_dense,
+    _pair_count_sparse,
+    _pair_counts,
     chi,
     count_representations,
     count_zeros,
@@ -12,7 +23,7 @@ from cubic7.counting import (
     value_histogram,
 )
 from cubic7.errors import DomainError, ResourceLimitError
-from cubic7.forms import COEFF_CAP, CubicForm, linear_spaces
+from cubic7.forms import BOX_KINDS, COEFF_CAP, CubicForm, box_interval, box_range, linear_spaces
 from cubic7.oracles import (
     block_values_brute,
     representation_counts_brute,
@@ -78,6 +89,116 @@ def test_histogram_big_integer_path():
     assert h.count_of(3 * c * 6 * c) == 1
     assert h.count_of(300 * c * 60000 * c) == 1
     assert min(v for v, _ in h.items()) == 18 * c * c
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    l=st.tuples(*[st.integers(-9, 9)] * 3).filter(any),
+    q=st.tuples(*[st.integers(-9, 9)] * 6).filter(any),
+    box=st.sampled_from(BOX_KINDS),
+    P=st.integers(1, 2),
+    above=st.booleans(),
+)
+def test_histogram_int64_boundary(l, q, box, P, above):
+    # Scale q so the a priori bound sum|l| * sum|q| * R^3 sits just below
+    # _INT64_SAFE (int64 path) or at the first value not below it (big-int
+    # path); either way the histogram must be the exact one.
+    lo, hi = box_interval(box, P)
+    unit = sum(map(abs, l)) * max(abs(lo), abs(hi)) ** 3
+    target = -(-_INT64_SAFE // unit) if above else (_INT64_SAFE - 1) // unit
+    k, rest = divmod(target, sum(map(abs, q)))
+    q = [k * c for c in q]
+    i = max(range(6), key=lambda j: abs(q[j]))
+    q[i] += rest if q[i] > 0 else -rest
+    q = tuple(q)
+    bound = unit * sum(map(abs, q))
+    assert (bound >= _INT64_SAFE) == above and abs(bound - _INT64_SAFE) <= unit
+    h = value_histogram(l, q, box, P)
+    assert h.is_big == above
+    assert dict(h.items()) == block_values_brute(l, q, box, P)
+
+
+def test_pair_counts_dense_vs_sparse(f_star, f_fac1, f_iii):
+    # Targets at both edges of the value-sum window and just outside it;
+    # the non-sym boxes make the histograms asymmetric, so a slip in the
+    # reversed window cannot cancel out.
+    rng = random.Random(5)
+    for form in (f_star, f_fac1, f_iii):
+        for box in ("sym", "pos", "nonneg"):
+            form_b = CubicForm(form.a, form.q1, form.q2, box)
+            for P in (6, 12):
+                h1 = value_histogram(form.l1, form.q1, box, P)
+                h2 = value_histogram(form.l2, form.q2, box, P)
+                windows = _dense_windows(h1, h2)
+                assert windows is not None
+                e_lo = int(h1.vals[0]) + int(h2.vals[0])
+                e_hi = int(h1.vals[-1]) + int(h2.vals[-1])
+                xs = box_range(box, P)
+                cubes = [form.a7 * x ** 3 for x in xs]
+                Ns = [e_lo + cubes[0], e_lo + cubes[-1], e_hi + cubes[0],
+                      e_hi + cubes[-1], rng.randint(e_lo, e_hi)]
+                seen = set()
+                for N in Ns:
+                    targets = [N - c for c in cubes]
+                    sparse = [_pair_count_sparse(h1, h2, t) for t in targets]
+                    dense = [_pair_count_dense(*windows, t) for t in targets]
+                    assert dense == sparse
+                    assert _pair_counts(h1, h2, targets) == sparse
+                    assert count_representations(form_b, N, P) == sum(sparse)
+                    for t, c in zip(targets, sparse):
+                        if t < e_lo or t > e_hi:
+                            assert c == 0
+                            seen.add("out")
+                        elif t in (e_lo, e_hi):
+                            assert c > 0
+                            seen.add(t)
+                assert seen == {"out", e_lo, e_hi}
+
+
+def _point_histogram(v: int, c: int) -> BlockHistogram:
+    return BlockHistogram(vals=np.array([v], dtype=np.int64),
+                          cnts=np.array([c], dtype=np.int64))
+
+
+def test_float64_certificate():
+    # Block histograms within the grid cap always certify the float64 dot.
+    assert _GRID_CAP ** 2 < 2 ** 53
+    cases = [
+        (6361 * 69431, 20394401, True),  # product 2^53 - 1
+        (2 ** 27, 2 ** 26, False),  # product 2^53
+        (2 ** 27 + 1, 2 ** 26 + 1, False),  # odd product above 2^53
+    ]
+    for c1, c2, dense in cases:
+        h1 = _point_histogram(5, c1)
+        h2 = _point_histogram(-3, c2)
+        assert (_dense_windows(h1, h2) is not None) == dense
+        got = _pair_counts(h1, h2, [2, 3])
+        assert got == [c1 * c2, 0]
+        assert all(type(c) is int for c in got)
+    # The float64 dot of the last pair would round the count.
+    c1, c2, _ = cases[-1]
+    assert int(np.dot(np.array([c1], dtype=np.float64),
+                      np.array([c2], dtype=np.float64))) != c1 * c2
+
+
+def test_count_representations_sparse_path():
+    # Coefficients near the cap make the value windows far wider than
+    # _DENSE_CAP, so count_representations takes the sparse int64 path.
+    c = COEFF_CAP
+    form = CubicForm((c, 1 - c, c - 2, c - 1, c, 3 - c, c - 5),
+                     (c, c - 1, 1 - c, c - 3, -c, c), (1 - c, c, c - 2, c, c - 1, -c))
+    rng = random.Random(11)
+    for P in (1, 2):
+        h1 = value_histogram(form.l1, form.q1, form.box, P)
+        h2 = value_histogram(form.l2, form.q2, form.box, P)
+        assert not (h1.is_big or h2.is_big)
+        assert int(h1.vals[-1] - h1.vals[0]) + 1 > _DENSE_CAP
+        assert _dense_windows(h1, h2) is None
+        table = representation_counts_brute(form, P)
+        common = sorted(table, key=lambda n: (-table[n], n))[:20]
+        Ns = common + rng.sample(sorted(table), 20) + [0, common[0] + 1]
+        for N in Ns:
+            assert count_representations(form, N, P) == table.get(N, 0)
 
 
 def test_count_representations_vs_oracle(f_star, f_fac1, f_iii):

@@ -15,6 +15,7 @@ from cubic7.forms import (
     box_range,
     classify,
     content_decomposition,
+    cube_residues,
     delta,
     form_from_dict,
     form_to_dict,
@@ -46,6 +47,13 @@ def test_box_kinds():
 def test_block_value_hand_case():
     # L = x + 2z, Q = y^2 + 3xy at (1, 2, -1): L = -1, Q = 4 + 6 = 10.
     assert block_value((1, 0, 2), (0, 1, 0, 0, 0, 3), 1, 2, -1) == -10
+
+
+def test_cube_residues():
+    for a7, m in ((1, 1), (1, 7), (-3, 9), (COEFF_CAP, 360), (-COEFF_CAP - 7, 4096)):
+        got = cube_residues(a7, m)
+        assert got.dtype.name == "int64"
+        assert got.tolist() == [a7 * x ** 3 % m for x in range(m)]
 
 
 def test_form_validation():
