@@ -226,8 +226,8 @@ def union_kernel_count(cov_sets, box: str, P: int) -> int:
             rows = []
             for i in subset:
                 rows.extend(cov_sets[i])
-            basis = lattice.echelon_lattice_basis(lattice.integer_kernel(rows))
-            cnt = lattice.count_lattice_points_in_box(basis, lo, hi)
+            kernel = lattice.integer_kernel(rows)
+            cnt = lattice.count_lattice_points_in_box(kernel, lo, hi)
             total += cnt if r % 2 == 1 else -cnt
     return total
 

@@ -1,4 +1,13 @@
-"""Integer lattices: kernels of covector systems and exact box point counts."""
+"""Integer lattices: kernels of covector systems and exact box point counts.
+
+A box count splits the echelon basis into components with pairwise
+disjoint coordinate supports.  The lattice is their direct sum and the box
+is a product over coordinates, so each component is projected onto its own
+support and counted there by the descent over echelon levels; the descent
+sees all n coordinates only for a basis that does not split.  Coordinate
+subspaces, such as the linear spaces of forms with a vanishing block
+quantity, split into unit vectors, each one closed-form interval count.
+"""
 
 from __future__ import annotations
 
@@ -125,12 +134,61 @@ def _ceildiv(a: int, b: int) -> int:
 
 
 def count_lattice_points_in_box(basis, lo: int, hi: int) -> int:
-    """Number of lattice points with every coordinate in [lo, hi], exactly."""
+    """Number of lattice points with every coordinate in [lo, hi], exactly.
+
+    When the echelon basis splits into components with disjoint coordinate
+    supports, or misses a coordinate, the count is the product of the
+    component counts, each taken by the descent on the component's own
+    support coordinates (the other coordinates are 0 on the component).  A
+    missed coordinate is 0 on the whole lattice, so the count is then 0
+    unless 0 is in [lo, hi].  A basis forming one component over all n
+    coordinates is counted by the descent on all of them.
+    """
     if lo > hi:
         return 0
     b = echelon_lattice_basis(list(basis))
     if not b:
         return 1 if lo <= 0 <= hi else 0
+    n = len(b[0])
+    parts = _split_supports(b)
+    covered = sum(len(sup) for sup, _ in parts)
+    if len(parts) == 1 and covered == n:
+        return _descent_count(b, lo, hi)
+    if covered < n and not lo <= 0 <= hi:
+        return 0
+    total = 1
+    for sup, rows in parts:
+        cols = sorted(sup)
+        total *= _descent_count([tuple(b[j][i] for i in cols) for j in rows], lo, hi)
+    return total
+
+
+def _split_supports(b) -> list[tuple[set[int], list[int]]]:
+    """Group basis vectors into components with pairwise disjoint supports.
+
+    Returns (support coordinates, ascending basis indices) per component.
+    """
+    parts: list[tuple[set[int], list[int]]] = []
+    for j, v in enumerate(b):
+        sup = {i for i, x in enumerate(v) if x}
+        rows = [j]
+        rest = []
+        for s, r in parts:
+            if s & sup:
+                sup |= s
+                rows += r
+            else:
+                rest.append((s, r))
+        parts = rest + [(sup, sorted(rows))]
+    return parts
+
+
+def _descent_count(b, lo: int, hi: int) -> int:
+    """Box count for an echelon basis b (levels ascending), by descent.
+
+    Fixes the coefficients from the top level down; each coordinate owned
+    by a level bounds that level's coefficient to an interval.
+    """
     n = len(b[0])
     levels = []
     for v in b:

@@ -17,11 +17,6 @@ from cubic7.arith import (
 )
 from cubic7.errors import DomainError
 from cubic7.fit import fit_loglog, fit_offset_inverse
-from cubic7.lattice import (
-    count_lattice_points_in_box,
-    echelon_lattice_basis,
-    integer_kernel,
-)
 
 
 def test_isqrt_exact():
@@ -78,30 +73,6 @@ def test_inverse_mod():
     assert inverse_mod(3, 7) * 3 % 7 == 1
     with pytest.raises(DomainError):
         inverse_mod(6, 9)
-
-
-def test_integer_kernel_rank():
-    rows = [(1, 0, 0, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0, 0), (0, 0, 0, 0, 0, 0, 1)]
-    basis = echelon_lattice_basis(integer_kernel(rows))
-    assert len(basis) == 4
-    for b in basis:
-        for r in rows:
-            assert sum(c * t for c, t in zip(r, b)) == 0
-
-
-def test_lattice_count_vs_brute():
-    import itertools
-
-    rng = random.Random(3)
-    for _ in range(20):
-        rows = [tuple(rng.randint(-2, 2) for _ in range(5)) for _ in range(2)]
-        basis = echelon_lattice_basis(integer_kernel(rows))
-        got = count_lattice_points_in_box(basis, -3, 3)
-        brute = 0
-        for x in itertools.product(range(-3, 4), repeat=5):
-            if all(sum(c * t for c, t in zip(r, x)) == 0 for r in rows):
-                brute += 1
-        assert got == brute
 
 
 def test_fit_recovers_planted_parameters():

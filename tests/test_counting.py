@@ -235,6 +235,8 @@ def test_lattice_space_count(f_star):
     # Rank-4 kernel with the free coordinates x2, x3, x5, x6.
     assert lattice_space_count(sp, "sym", 2) == 5 ** 4
     assert lattice_space_count(sp, "nonneg", 2) == 3 ** 4
+    # x1, x4, x7 vanish on the space, and the pos box excludes 0.
+    assert lattice_space_count(sp, "pos", 2) == 0
 
 
 def test_union_counts_vs_membership(f_star, f_fac1, f_fac2):
@@ -246,6 +248,13 @@ def test_union_counts_vs_membership(f_star, f_fac1, f_fac2):
     assert union_space_count(linear_spaces(f_star), "sym", 2) == 625
     assert union_space_count(linear_spaces(f_fac1), "sym", 2) == 1525
     assert union_space_count(linear_spaces(f_fac2), "sym", 2) == 1525
+    # Large-P counts of f_fac1, recorded by the unfactorised descent; the
+    # three coordinate 4-spaces meet pairwise in 3-spaces and all in a plane.
+    spaces = linear_spaces(f_fac1)
+    for P, pinned in ((64, 824345217), (96, 4140934081), (128, 13036553473)):
+        m = 2 * P + 1
+        assert pinned == 3 * m ** 4 - 3 * m ** 3 + m ** 2
+        assert union_space_count(spaces, "sym", P) == pinned
 
 
 def test_chi():

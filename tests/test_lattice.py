@@ -1,0 +1,97 @@
+import itertools
+import random
+
+from cubic7 import lattice
+from cubic7.lattice import (
+    count_lattice_points_in_box,
+    echelon_lattice_basis,
+    integer_kernel,
+)
+
+# Boxes with and without 0, including a single point.
+BOXES = ((-4, 4), (1, 5), (0, 6), (-6, -1), (2, 2))
+
+
+def _splits(basis) -> bool:
+    b = echelon_lattice_basis(basis)
+    parts = lattice._split_supports(b)
+    return len(parts) > 1 or sum(len(s) for s, _ in parts) < len(b[0])
+
+
+def test_integer_kernel_rank():
+    rows = [(1, 0, 0, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0, 0), (0, 0, 0, 0, 0, 0, 1)]
+    basis = echelon_lattice_basis(integer_kernel(rows))
+    assert len(basis) == 4
+    for b in basis:
+        for r in rows:
+            assert sum(c * t for c, t in zip(r, b)) == 0
+
+
+def test_lattice_count_vs_brute():
+    rng = random.Random(3)
+    systems = [[tuple(rng.randint(-2, 2) for _ in range(5)) for _ in range(2)]
+               for _ in range(20)]
+    # Rows on one or two coordinates leave kernels that split.
+    for _ in range(20):
+        rows = []
+        for _ in range(rng.randint(1, 3)):
+            row = [0] * 5
+            for i in rng.sample(range(5), rng.randint(1, 2)):
+                row[i] = rng.choice((-2, -1, 1, 2))
+            rows.append(tuple(row))
+        systems.append(rows)
+    points = list(itertools.product(range(-3, 4), repeat=5))
+    split = 0
+    for rows in systems:
+        basis = echelon_lattice_basis(integer_kernel(rows))
+        if basis and _splits(basis):
+            split += 1
+        on = [x for x in points
+              if all(sum(c * t for c, t in zip(r, x)) == 0 for r in rows)]
+        for lo, hi in ((-3, 3), (1, 3), (-3, -1)):
+            got = count_lattice_points_in_box(basis, lo, hi)
+            brute = sum(1 for x in on if all(lo <= t <= hi for t in x))
+            assert got == brute
+    assert split >= 10
+
+
+def test_factorised_count_vs_descent():
+    """The factorised count equals the plain descent on all n coordinates."""
+    rng = random.Random(11)
+    split = 0
+    for it in range(320):
+        n = rng.randint(1, 7)
+        k = rng.randint(1, min(4, n))
+        basis = []
+        for _ in range(k):
+            v = [0] * n
+            if it % 2 == 0:
+                for i in rng.sample(range(n), rng.randint(1, min(2, n))):
+                    v[i] = rng.choice((-3, -2, -1, 1, 2, 3))
+            else:
+                v = [rng.randint(-2, 2) for _ in range(n)]
+                v[rng.randrange(n)] = rng.choice((-1, 1))
+            basis.append(tuple(v))
+        b = echelon_lattice_basis(basis)
+        split += _splits(b)
+        for lo, hi in BOXES:
+            assert count_lattice_points_in_box(basis, lo, hi) == \
+                lattice._descent_count(b, lo, hi), (basis, lo, hi)
+    assert 100 <= split <= 220
+
+
+def test_coordinate_kernel_takes_split_path(monkeypatch):
+    """A coordinate kernel is counted one unit vector at a time."""
+    descent = lattice._descent_count
+
+    def rank_one_only(b, lo, hi):
+        if len(b) > 1:
+            raise AssertionError("descent reached with rank > 1")
+        return descent(b, lo, hi)
+
+    monkeypatch.setattr(lattice, "_descent_count", rank_one_only)
+    P = 10 ** 6
+    basis = echelon_lattice_basis(integer_kernel(
+        [(1, 0, 0, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0, 0), (0, 0, 0, 0, 0, 0, 1)]))
+    assert count_lattice_points_in_box(basis, -P, P) == (2 * P + 1) ** 4
+    assert count_lattice_points_in_box(basis, 1, P) == 0
