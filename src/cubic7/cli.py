@@ -219,9 +219,7 @@ def _run(args) -> dict:
         rep = predict(form, args.mode, probes, qmax=args.qmax,
                       samples=args.samples, eps0=args.eps, seed=args.seed,
                       threads=args.threads)
-        d = rep.to_dict()
-        d["rows"] = d.pop("rows")
-        return d
+        return rep.to_dict()
     if cmd == "verify":
         results = verify(form)
         return {"passed": sum(r.passed for r in results),

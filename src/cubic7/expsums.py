@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import content, primes_up_to
+from .arith import content, factorize, primes_up_to
 from .errors import DomainError, ResourceLimitError
 from .forms import _SLAB, CubicForm, block_frame, block_value, cube_residues
 
@@ -221,32 +221,14 @@ def singular_series_terms(form: CubicForm, N: int, Qmax: int) -> list[float]:
         raise ResourceLimitError(f"Qmax {Qmax} exceeds the cap {MOD_CAP}")
     terms = [0.0] * (Qmax + 1)
     terms[1] = 1.0
-    spf = _smallest_prime_factors(Qmax)
     for q in range(2, Qmax + 1):
-        p = spf[q]
-        pk = p
-        m = q // p
-        while m % p == 0:
-            pk *= p
-            m //= p
-        if m == 1:
+        p, k = factorize(q)[0]  # smallest prime factor first
+        pk = p ** k
+        if pk == q:
             terms[q] = singular_term(form, q, N)
         else:
-            terms[q] = terms[m] * terms[pk]
+            terms[q] = terms[q // pk] * terms[pk]
     return terms
-
-
-@functools.lru_cache(maxsize=8)
-def _smallest_prime_factors(n: int) -> tuple:
-    spf = list(range(n + 1))
-    i = 2
-    while i * i <= n:
-        if spf[i] == i:
-            for j in range(i * i, n + 1, i):
-                if spf[j] == j:
-                    spf[j] = i
-        i += 1
-    return tuple(spf)
 
 
 def prime_power_profile(form: CubicForm, N: int, Qmax: int) -> list[dict]:

@@ -512,38 +512,23 @@ def linear_spaces(form: CubicForm) -> list[LinearSpace]:
 
     d = isqrt_exact(inv2.delta) if inv2.delta > 0 else None
     if d:
-        a, A, B, order = _permute_block(form.l2, form.q2, inv2.pivot - 1)
-        Ap, Bp, Cp, Fp, Gp = inv2.primed
-        a4, A4 = a[0], A[0]
-        L = a
-        e2, e3 = (0, 1, 0), (0, 0, 1)
-        quad = a4 * a4 * inv2.delta
-        if Ap != 0:
-            subcase = "i"
-            u = _comb((2 * Ap, e2), (Bp, e3), (Gp, L))
-            v = _comb((quad, e3), ((Bp * Gp - 2 * Ap * Fp), L))
-            fplus = _comb((a4 * d, u), (1, v))
-            fminus = _comb((a4 * d, u), (-1, v))
-            den = 4 * Ap * a4 ** 4 * inv2.delta * form.a7
-        elif Cp != 0:
-            subcase = "ii"
-            v = _comb((quad, e2), ((Bp * Fp - 2 * Cp * Gp), L))
-            u = _comb((2 * Cp, e3), (Bp, e2), (Fp, L))
-            fplus = _comb((a4 * d, u), (1, v))
-            fminus = _comb((a4 * d, u), (-1, v))
-            den = 4 * Cp * a4 ** 4 * inv2.delta * form.a7
+        # Delta2 = d^2 > 0, so the normal form's quad*X2^2 - X3^2 factors as
+        # (a4*d*X2 + X3)(a4*d*X2 - X3); the split branch already has X2*X3.
+        nf = transform_block(form.l2, form.q2, 2)
+        subcase = {"nonzero-a": "i", "nonzero-c": "ii", "split": "iii"}[nf.branch]
+        if subcase == "iii":
+            fplus, fminus = nf.x2p, nf.x3p
         else:
-            subcase = "iii"
-            fplus = _comb((Bp, e2), (Fp, L))
-            fminus = _comb((Bp, e3), (Gp, L))
-            den = Bp * a4 * a4 * form.a7
-        wplus = _primitive_covector(_embed_block2(_unpermute(fplus, order)))
-        wminus = _primitive_covector(_embed_block2(_unpermute(fminus, order)))
-        if inv2.dpp == 0:
+            a4d = form.l2[inv2.pivot - 1] * d
+            fplus = _comb((a4d, nf.x2p), (1, nf.x3p))
+            fminus = _comb((a4d, nf.x2p), (-1, nf.x3p))
+        wplus = _primitive_covector(_embed_block2(fplus))
+        wminus = _primitive_covector(_embed_block2(fminus))
+        if nf.cube == 0:
             spaces.append(LinearSpace((l1cov, wplus, e7), "2", subcase))
             spaces.append(LinearSpace((l1cov, wminus, e7), "3", subcase))
         else:
-            rc = is_rational_cube(inv2.dpp, den)
+            rc = is_rational_cube(nf.cube, nf.scale * form.a7)
             if rc is not None:
                 d1, d2 = rc
                 third = tuple(d1 * a + d2 * b for a, b in zip(l2cov, e7))

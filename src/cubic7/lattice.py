@@ -272,9 +272,4 @@ def _descent_count(b, lo: int, hi: int) -> int:
             per = np.maximum(count[1] - count[0] + 1, 0)
         return int(per[mask].sum())
 
-    if k == 1:
-        tlo, thi = t_range(0, [0] * n)
-        if tlo is None or tlo > thi:
-            return 0
-        return thi - tlo + 1
     return descend(k - 1, [0] * n)

@@ -3,9 +3,17 @@
 Each primitive block falls into one of four cases at a prime p:
 
   i    Q is proportional to L^2 mod p (lambda = 0 allowed);
-  ii   p = 2 and the block cubic is equivalent to x^2 y + x y^2 over F_2;
-  iii  p = 3 and the block cubic is equivalent to x^3 + 2 x y^2 over F_3;
+  ii   p = 2 and L*Q is equivalent to x^2 y + x y^2 = x y (x + y) over F_2;
+  iii  p = 3 and L*Q is equivalent to x^3 + 2 x y^2 = x (x - y)(x + y)
+       over F_3;
   iv   everything else (no local obstruction from this block).
+
+The orbits of cases ii and iii are the products of three pairwise
+non-proportional linear forms of one pencil: over F_2 a pencil holds
+exactly three forms, and over F_3 PGL2 is 3-transitive on its four,
+with the scalar +-1 taken into a factor.  L is one of the three by unique
+factorisation, so both cases are the test Q = M * (L + b*M) (mod p) with
+b != 0 and M independent of L.
 
 The per-prime exponents gamma / gamma' combine the block exponents with
 the valuations of the content multipliers (c1, c2, c3).  The product
@@ -35,83 +43,26 @@ from .forms import (
 _EXHAUSTIVE_CAP = 360  # prime powers up to this are decided by full search
 _MODULUS_CAP = 10 ** 8
 
-# Degree-3 monomials in the fixed order used for orbit membership tests.
-_MONOMIALS = (
-    (3, 0, 0), (0, 3, 0), (0, 0, 3),
-    (2, 1, 0), (2, 0, 1), (1, 2, 0), (0, 2, 1), (1, 0, 2), (0, 1, 2),
-    (1, 1, 1),
-)
 
+def _pencil_product(l, q, p: int) -> bool:
+    """Whether Q = M * (L + b*M) (mod p) for some b != 0 and M independent of L.
 
-def product_cubic_coeffs(l, q, p: int) -> tuple:
-    """Coefficients of L*Q mod p in the _MONOMIALS order."""
-    a1, a2, a3 = l
-    A1, A2, A3, B1, B2, B3 = q
-    raw = (
-        a1 * A1, a2 * A2, a3 * A3,
-        a1 * B3 + a2 * A1, a1 * B2 + a3 * A1, a1 * A2 + a2 * B3,
-        a2 * B1 + a3 * A2, a1 * A3 + a3 * B2, a2 * A3 + a3 * B1,
-        a1 * B1 + a2 * B2 + a3 * B3,
-    )
-    return tuple(c % p for c in raw)
-
-
-def _poly_mul(f: dict, g: dict, p: int) -> dict:
-    out: dict = {}
-    for e1, c1 in f.items():
-        for e2, c2 in g.items():
-            e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
-            out[e] = (out.get(e, 0) + c1 * c2) % p
-    return {e: c for e, c in out.items() if c}
-
-
-def _transform_cubic(coeffs: dict, m, p: int) -> tuple:
-    """Coefficient tuple of C(M x) mod p, for C given as an exponent dict."""
-    lin = [
-        {(1, 0, 0): m[i][0] % p, (0, 1, 0): m[i][1] % p, (0, 0, 1): m[i][2] % p}
-        for i in range(3)
-    ]
-    lin = [{e: c for e, c in d.items() if c} for d in lin]
-    total: dict = {}
-    for (i, j, k), c in coeffs.items():
-        term = {(0, 0, 0): c % p}
-        for _ in range(i):
-            term = _poly_mul(term, lin[0], p)
-        for _ in range(j):
-            term = _poly_mul(term, lin[1], p)
-        for _ in range(k):
-            term = _poly_mul(term, lin[2], p)
-        for e, cc in term.items():
-            total[e] = (total.get(e, 0) + cc) % p
-    return tuple(total.get(e, 0) for e in _MONOMIALS)
-
-
-def _det3(m, p: int) -> int:
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    ) % p
-
-
-@functools.lru_cache(maxsize=4)
-def _orbit(p: int, model_key: str) -> frozenset:
-    """All GL3(F_p) images of one model cubic, as coefficient tuples."""
-    models = {
-        "xxy+xyy": {(2, 1, 0): 1, (1, 2, 0): 1},
-        "x3+2xyy": {(3, 0, 0): 1, (1, 2, 0): 2},
-    }
-    coeffs = models[model_key]
-    seen = set()
-    rows = list(itertools.product(range(p), repeat=3))
-    for r0 in rows:
-        for r1 in rows:
-            for r2 in rows:
-                m = (r0, r1, r2)
-                if _det3(m, p) == 0:
-                    continue
-                seen.add(_transform_cubic(coeffs, m, p))
-    return frozenset(seen)
+    Then L*Q is the product of three pairwise non-proportional linear forms
+    of the pencil spanned by L and M.  With L = 0 (mod p) it never holds.
+    """
+    pairs = ((1, 2), (2, 0), (0, 1))  # also the order of B1, B2, B3
+    for b in range(1, p):
+        # The squares fix each m[i] to a root of m * (l[i] + b*m) = q[i].
+        roots = [[c for c in range(p) if (c * (l[i] + b * c) - q[i]) % p == 0]
+                 for i in range(3)]
+        for m in itertools.product(*roots):
+            if not any((l[j] * m[k] - l[k] * m[j]) % p for j, k in pairs):
+                continue  # M = 0 or M proportional to L
+            u = [l[i] + b * m[i] for i in range(3)]
+            if all((m[j] * u[k] + m[k] * u[j] - q[3 + n]) % p == 0
+                   for n, (j, k) in enumerate(pairs)):
+                return True
+    return False
 
 
 @dataclass(frozen=True)
@@ -171,9 +122,9 @@ def block_local_case(l, q, p: int) -> BlockLocalData:
             )
         gamma = 2 * gp + 1 if p == 3 else 2 * gp - 1
         return BlockLocalData(p, "i", alpha, beta, gamma, gp)
-    if p == 2 and product_cubic_coeffs(l, q, 2) in _orbit(2, "xxy+xyy"):
+    if p == 2 and _pencil_product(l, q, 2):
         return BlockLocalData(p, "ii", None, None, 1, 1)
-    if p == 3 and product_cubic_coeffs(l, q, 3) in _orbit(3, "x3+2xyy"):
+    if p == 3 and _pencil_product(l, q, 3):
         return BlockLocalData(p, "iii", None, None, 3, 1)
     return BlockLocalData(p, "iv", None, None, 0, 0)
 

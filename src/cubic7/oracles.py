@@ -144,6 +144,43 @@ def apply_unimodular(l, q, u):
     return lu, (*nA, *nB)
 
 
+# Degree-3 monomials in the fixed order of product_cubic_coeffs.
+_MONOMIALS = (
+    (3, 0, 0), (0, 3, 0), (0, 0, 3),
+    (2, 1, 0), (2, 0, 1), (1, 2, 0), (0, 2, 1), (1, 0, 2), (0, 1, 2),
+    (1, 1, 1),
+)
+
+
+def product_cubic_coeffs(l, q, p: int) -> tuple:
+    """Coefficients of L*Q mod p in the _MONOMIALS order."""
+    a1, a2, a3 = l
+    A1, A2, A3, B1, B2, B3 = q
+    raw = (
+        a1 * A1, a2 * A2, a3 * A3,
+        a1 * B3 + a2 * A1, a1 * B2 + a3 * A1, a1 * A2 + a2 * B3,
+        a2 * B1 + a3 * A2, a1 * A3 + a3 * B2, a2 * A3 + a3 * B1,
+        a1 * B1 + a2 * B2 + a3 * B3,
+    )
+    return tuple(c % p for c in raw)
+
+
+def special_orbit_brute(p: int) -> frozenset:
+    """GL3(F_p) orbit of the model block of local case ii (p = 2) or iii (p = 3).
+
+    The models are x * (y^2 + x y) and x * (x^2 + 2 y^2); the orbit holds the
+    cubic coefficients mod p of the model composed with every U of nonzero
+    determinant mod p.
+    """
+    l, q = {2: ((1, 0, 0), (0, 1, 0, 0, 0, 1)), 3: ((1, 0, 0), (1, 2, 0, 0, 0, 0))}[p]
+    rows = list(itertools.product(range(p), repeat=3))
+    return frozenset(
+        product_cubic_coeffs(*apply_unimodular(l, q, u), p)
+        for u in itertools.product(rows, repeat=3)
+        if det3(u) % p != 0
+    )
+
+
 def power_count_brute(k: int, q: int, m: int) -> int:
     return sum(1 for x in range(1, q + 1) if pow(x, k, q) == m % q)
 

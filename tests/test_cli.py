@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from cubic7 import checks
 from cubic7.cli import main
 from cubic7.forms import form_to_dict
 
@@ -129,6 +130,23 @@ def test_verify_cli(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["failed"] == 0 and payload["passed"] >= 20
+
+
+def test_verify_names_a_crashed_check(monkeypatch, f_star):
+    # box_range is read only by the histogram-mass check; its crash must be
+    # reported under that check's usual name, and the next check still runs.
+    def boom(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(checks, "box_range", boom)
+    kept = ("histogram-mass", "form-json-roundtrip")
+    monkeypatch.setattr(checks, "_CHECKS",
+                        tuple(c for c in checks._CHECKS if c[0] in kept))
+    assert [r.to_dict() for r in checks.verify(f_star)] == [
+        {"name": "histogram-mass", "passed": False, "detail": "RuntimeError: boom"},
+        {"name": "form-json-roundtrip", "passed": True,
+         "detail": "form survives a JSON round trip"},
+    ]
 
 
 def test_form_file_and_global_flag_positions(capsys, tmp_path, f_fac1):

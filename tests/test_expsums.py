@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cubic7.arith import content
@@ -23,7 +23,7 @@ from cubic7.expsums import (
     singular_series_terms,
     singular_term,
 )
-from cubic7.forms import block_frame
+from cubic7.forms import CubicForm, block_frame
 from cubic7.oracles import (
     apply_unimodular,
     block_sum_brute,
@@ -176,6 +176,23 @@ def test_singular_term_multiplicative(f_star):
             lhs = singular_term(f_star, q1m * q2m, N)
             rhs = singular_term(f_star, q1m, N) * singular_term(f_star, q2m, N)
             assert abs(lhs - rhs) < 1e-8
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    a=st.tuples(*[_coeff] * 7).filter(lambda a: any(a[:3]) and any(a[3:6]) and a[6]),
+    q1=st.tuples(*[_coeff] * 6),
+    q2=st.tuples(*[_coeff] * 6),
+    m1=st.integers(2, 16),
+    m2=st.integers(2, 16),
+    N=st.integers(-30, 30),
+)
+def test_singular_term_multiplicative_random(a, q1, q2, m1, m2, N):
+    assume(math.gcd(m1, m2) == 1)
+    form = CubicForm(a, q1, q2)
+    lhs = singular_term(form, m1 * m2, N)
+    rhs = singular_term(form, m1, N) * singular_term(form, m2, N)
+    assert math.isclose(lhs, rhs, rel_tol=1e-9, abs_tol=1e-9)
 
 
 def test_series_assembly_vs_direct_terms(f_star):

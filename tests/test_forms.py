@@ -3,6 +3,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubic7.errors import DegenerateBlockError, DomainError, InvalidFormError
 from cubic7.forms import (
@@ -24,7 +26,7 @@ from cubic7.forms import (
     load_form,
     transform_block,
 )
-from cubic7.oracles import adjugate_brute
+from cubic7.oracles import adjugate_brute, apply_unimodular, random_unimodular
 
 
 def _rand_block(rng):
@@ -146,6 +148,36 @@ def test_transform_block_identity_random():
     assert {"nonzero-a", "nonzero-c"} <= branches
 
 
+_c = st.integers(-6, 6)
+_random_block = st.tuples(st.tuples(_c, _c, _c).filter(any), st.tuples(*[_c] * 6))
+# L*Q in x and y only is degenerate; a unimodular change hides the fact.
+_binary_block = st.builds(
+    lambda l, q, seed: apply_unimodular(
+        (*l, 0), (q[0], q[1], 0, 0, 0, q[2]), random_unimodular(random.Random(seed))
+    ),
+    st.tuples(_c, _c).filter(any),
+    st.tuples(_c, _c, _c),
+    st.integers(0, 2 ** 32 - 1),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(block=st.one_of(_random_block, _binary_block))
+def test_normal_form_identity_hypothesis(block):
+    # transform_block raises exactly on degenerate blocks; otherwise the
+    # identity holds on {-3..3}^3, beyond its own {-2..2}^3 self-check.
+    l, q = block
+    degenerate = block_invariants(l, q).degenerate
+    try:
+        nf = transform_block(l, q)
+    except DegenerateBlockError:
+        assert degenerate
+        return
+    assert not degenerate
+    for x, y, z in itertools.product(range(-3, 4), repeat=3):
+        assert nf.scale * block_value(l, q, x, y, z) == nf.rhs(x, y, z)
+
+
 def test_transform_block_branches_targeted():
     # One block per branch; the identity self-check runs inside the call.
     cases = {
@@ -183,6 +215,67 @@ def test_linear_spaces_cube_branch(f_fac2):
     # The third covector ties L2 to the cube variable: x4 + x7.
     third = spaces[1].covectors[2]
     assert third == (0, 0, 0, 1, 0, 0, 1)
+
+
+# Block 1 = x1(x1 x2 + x3^2), L2 = x4, a7 = 1; one Q2 per (tag, subcase).
+# Every space has first covector e1 and basis vectors e2, e3 first; each
+# row lists the rest on (x4, x5, x6, x7): tag, subcase, the second and
+# third covectors, the last two basis vectors, and the note if any.
+_PINNED_SPACES = {
+    (-1, 1, 0, -1, -1, 0): [
+        ("1", None, (1, 0, 0, 0), (0, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 0)),
+        ("2", "i", (1, 1, 0, 0), (0, 0, 0, 1), (-1, 1, 0, 0), (0, 0, 1, 0)),
+        ("3", "i", (1, -1, 1, 0), (0, 0, 0, 1), (1, 1, 0, 0), (-1, 0, 1, 0)),
+    ],
+    (-1, 0, 1, -1, 0, -1): [
+        ("1", None, (1, 0, 0, 0), (0, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 0)),
+        ("2", "ii", (1, 0, 1, 0), (0, 0, 0, 1), (0, 1, 0, 0), (-1, 0, 1, 0)),
+        ("3", "ii", (1, 1, -1, 0), (0, 0, 0, 1), (-1, 1, 0, 0), (1, 0, 1, 0)),
+    ],
+    (-1, 0, 0, -1, -1, -1): [
+        ("1", None, (1, 0, 0, 0), (0, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 0)),
+        ("2", "iii", (1, 1, 0, 0), (0, 0, 0, 1), (-1, 1, 0, 0), (0, 0, 1, 0)),
+        ("3", "iii", (1, 0, 1, 0), (0, 0, 0, 1), (0, 1, 0, 0), (-1, 0, 1, 0)),
+    ],
+    (-1, -1, 0, -1, -1, -1): [
+        ("1", None, (1, 0, 0, 0), (0, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 0)),
+        ("2'", "i", (1, 1, 0, 0), (-1, 0, 0, 1), (0, 0, 1, 0), (1, -1, 0, 1)),
+        ("3'", "i", (0, 1, 1, 0), (-1, 0, 0, 1), (0, -1, 1, 0), (1, 0, 0, 1)),
+    ],
+    (-1, 0, -1, -1, -1, -1): [
+        ("1", None, (1, 0, 0, 0), (0, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 0)),
+        ("2'", "ii", (1, 0, 1, 0), (-1, 0, 0, 1), (0, 1, 0, 0), (1, 0, -1, 1)),
+        ("3'", "ii", (0, 1, 1, 0), (-1, 0, 0, 1), (0, -1, 1, 0), (1, 0, 0, 1),
+         "second space taken symmetric to the first"),
+    ],
+    (-1, 0, 0, -1, -1, 0): [
+        ("1", None, (1, 0, 0, 0), (0, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 0)),
+        ("2'", "iii", (1, 1, 0, 0), (-1, 0, 0, 1), (0, 0, 1, 0), (1, -1, 0, 1)),
+        ("3'", "iii", (0, 0, 1, 0), (-1, 0, 0, 1), (0, 1, 0, 0), (1, 0, 0, 1)),
+    ],
+}
+
+
+@pytest.mark.parametrize("q2", list(_PINNED_SPACES))
+def test_linear_spaces_pinned_subcases(q2):
+    form = CubicForm((1, 0, 0, 1, 0, 0, 1), (0, 0, 1, 0, 0, 1), q2)
+
+    def full(tail):
+        return [0, 0, 0, *tail]
+
+    want = []
+    for tag, subcase, c2, c3, b3, b4, *note in _PINNED_SPACES[q2]:
+        d = {
+            "covectors": [[1, 0, 0, 0, 0, 0, 0], full(c2), full(c3)],
+            "tag": tag,
+            "subcase": subcase,
+            "basis": [[0, 1, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0, 0],
+                      full(b3), full(b4)],
+        }
+        if note:
+            d["note"] = note[0]
+        want.append(d)
+    assert [sp.to_dict() for sp in linear_spaces(form)] == want
 
 
 def test_spaces_vanish_on_form(f_star, f_fac1, f_fac2):

@@ -14,14 +14,16 @@ from cubic7.local import (
     gradient,
     local_data,
     local_report,
-    product_cubic_coeffs,
     _f_mod_p_batch,
-    _MONOMIALS,
+    _pencil_product,
 )
 from cubic7.oracles import (
     achievable_residues_brute,
     apply_unimodular,
+    product_cubic_coeffs,
     random_unimodular,
+    special_orbit_brute,
+    _MONOMIALS,
 )
 
 
@@ -40,6 +42,25 @@ def test_product_cubic_coeffs_reproduce_values():
                     for c, e in zip(coeffs, _MONOMIALS)
                 )
                 assert via_coeffs % p == block_value(l, q, x, y, z) % p
+
+
+@pytest.mark.parametrize("p, case, size, hits", [(2, "ii", 7, 21), (3, "iii", 104, 624)])
+def test_pencil_product_equals_orbit_membership(p, case, size, hits):
+    # Every block mod p with L != 0: the factor test against the GL3(F_p)
+    # orbit of the model block, and block_local_case on the orbit.
+    orbit = special_orbit_brute(p)
+    assert len(orbit) == size
+    found = 0
+    for l in itertools.product(range(p), repeat=3):
+        if not any(l):
+            continue
+        for q in itertools.product(range(p), repeat=6):
+            member = product_cubic_coeffs(l, q, p) in orbit
+            assert _pencil_product(l, q, p) == member, (l, q)
+            if member:
+                assert block_local_case(l, q, p).case == case, (l, q)
+                found += 1
+    assert found == hits
 
 
 def test_block_case_worked_examples():
