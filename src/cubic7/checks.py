@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import count_representations, union_space_count, value_histogram
+from .counting import representation_counts, union_space_count, value_histogram
 from .density import density_ladder, slab_volume
 from .errors import DegenerateBlockError, InvalidFormError
 from .expsums import s_block, series_tail_profile, singular_series
@@ -164,8 +164,8 @@ def _check_histogram(form: CubicForm) -> tuple[bool, str]:
 def _check_convolution(form: CubicForm) -> tuple[bool, str]:
     P = 2
     table = representation_counts_brute(form, P)
-    for N in range(-6, 7):
-        got = count_representations(form, N, P)
+    Ns = range(-6, 7)
+    for N, got in zip(Ns, representation_counts(form, Ns, P)):
         want = table.get(N, 0)
         if got != want:
             return False, f"N={N}: {got} vs {want}"

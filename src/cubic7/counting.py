@@ -3,10 +3,13 @@
 Each ternary block contributes a value histogram over the box; the count of
 f = N is a convolution of the two histograms against the cube term.  All
 arithmetic is exact.  Histograms are int64 when the block values provably
-fit (Python integers otherwise).  The convolution is one float64 BLAS dot
-per target over dense count windows, certified exact because every partial
-sum is at most total1 * max2 <= _GRID_CAP^2 < 2^53; when that bound fails,
-or a window exceeds _DENSE_CAP, it falls back to sparse Python-int sums.
+fit (Python integers otherwise).  The cube term is folded once into the
+narrower histogram, g = h * {a7 t^3}, by 2P+1 dense slice adds; every N is
+then one int64 dot of the other histogram's counts against g.  An entry of
+g is at most the folded total (v and w fix t), so g is int32 below 2^31,
+and every partial sum of a dot is at most total1 * total2 <= _GRID_CAP^2 <
+2^63.  Big-int histograms, a failed 2^63 bound or a fold window above
+_DENSE_CAP fall back to sparse Python-int sums per cube target.
 """
 
 from __future__ import annotations
@@ -25,9 +28,11 @@ from .forms import CubicForm, block_slabs, block_value, box_interval, box_range
 
 _GRID_CAP = 68_000_000  # lattice points per block enumeration
 _GRID_CAP_BIG = 2_000_000  # same, on the exact big-integer fallback path
-_DENSE_CAP = 200_000_000  # dense convolution window width
+_DENSE_CAP = 200_000_000  # cube-fold window width
+_FOLD_TILE = 1 << 17  # fold entries per cache tile
 _INT64_SAFE = 1 << 62
-_FLOAT64_EXACT = 1 << 53  # every integer up to here is a float64
+_INT32_LIMIT = 1 << 31  # fold entries below this are int32
+_INT64_LIMIT = 1 << 63  # counts below this are exact int64 dots
 
 
 class BlockHistogram:
@@ -48,11 +53,6 @@ class BlockHistogram:
         if self.big is not None:
             return sum(self.big.values())
         return int(self.cnts.sum())
-
-    def max_count(self) -> int:
-        if self.big is not None:
-            return max(self.big.values())
-        return int(self.cnts.max())
 
     def count_of(self, v: int) -> int:
         if self.big is not None:
@@ -117,53 +117,65 @@ def value_histogram(l, q, box: str, P: int) -> BlockHistogram:
     return BlockHistogram(vals=vals, cnts=cnts)
 
 
-def _dense(h: BlockHistogram, reverse: bool = False):
-    """(origin, float64 counts) with counts[i] the multiplicity of origin + i,
-    or of origin - i when reversed; None when wider than _DENSE_CAP."""
-    vmin = int(h.vals[0])
-    vmax = int(h.vals[-1])
-    if vmax - vmin + 1 > _DENSE_CAP:
-        return None
-    arr = np.zeros(vmax - vmin + 1, dtype=np.float64)
-    if reverse:
-        arr[vmax - h.vals] = h.cnts
-        return vmax, arr
-    arr[h.vals - vmin] = h.cnts
-    return vmin, arr
+def _cube_fold(h: BlockHistogram, cubes):
+    """(gmin, g) with g[w - gmin] = #{(v, t) : v + a7 t^3 = w}, v counted
+    with its multiplicity in h and a7 t^3 running over `cubes`; None when
+    the fold window is wider than _DENSE_CAP.
 
-
-def _dense_windows(h1: BlockHistogram, h2: BlockHistogram):
-    """Dense windows of h1 and of h2 reversed, or None when the float64 dot
-    is not certified exact or a window exceeds _DENSE_CAP.
-
-    Every partial sum of a pair-count dot, in any order or split, is at
-    most min(total1 * max2, total2 * max1); below 2^53 every product, add
-    and FMA on these nonnegative integers is exact in float64.
+    Given w and v, the cube a7 t^3 = w - v fixes t, so no entry of g
+    exceeds h.total(): g is int32 below 2^31 and int64 otherwise.
     """
-    if h1.is_big or h2.is_big:
+    vmin = int(h.vals[0])
+    width = int(h.vals[-1]) - vmin + 1
+    cmin = min(cubes)
+    span = max(cubes) - cmin
+    if width + span > _DENSE_CAP:
         return None
-    if min(h1.total() * h2.max_count(), h2.total() * h1.max_count()) >= _FLOAT64_EXACT:
-        return None
-    d1 = _dense(h1)
-    d2 = _dense(h2, reverse=True)
-    if d1 is None or d2 is None:
-        return None
-    return d1, d2
+    dtype = np.int32 if h.total() < _INT32_LIMIT else np.int64
+    dense = np.zeros(width, dtype=dtype)
+    dense[h.vals - vmin] = h.cnts
+    g = np.zeros(width + span, dtype=dtype)
+    starts = [c - cmin for c in cubes]
+    # The same 2P+1 slice adds, tiled so each tile of g stays in cache.
+    for s in range(0, len(g), _FOLD_TILE):
+        e = min(s + _FOLD_TILE, len(g))
+        tile = g[s:e]
+        for o in starts:
+            a, b = max(s, o), min(e, o + width)
+            if a < b:
+                tile[a - s : b - s] += dense[a - o : b - o]
+    return vmin + cmin, g
 
 
-def _pair_count_dense(d1, d2, t: int) -> int:
-    """Number of (v1, v2) with v1 + v2 = t, from _dense_windows."""
-    vmin1, a1 = d1
-    vmax2, r2 = d2
-    lo = max(vmin1, t - vmax2)
-    hi = min(vmin1 + len(a1) - 1, t - (vmax2 - len(r2) + 1))
+def _fold(h1: BlockHistogram, h2: BlockHistogram, cubes):
+    """(other, gmin, g): the cube term folded into the narrower histogram,
+    or None when an int64 count is not certified exact or the fold is
+    refused by _cube_fold.
+
+    A count sums nonnegative terms to R(N; P) <= total1 * total2, so every
+    product and partial sum of its dot is exact below 2^63.
+    """
+    if h1.is_big or h2.is_big or h1.total() * h2.total() >= _INT64_LIMIT:
+        return None
+    if h2.vals[-1] - h2.vals[0] <= h1.vals[-1] - h1.vals[0]:
+        narrow, other = h2, h1
+    else:
+        narrow, other = h1, h2
+    folded = _cube_fold(narrow, cubes)
+    if folded is None:
+        return None
+    return (other, *folded)
+
+
+def _fold_count(other: BlockHistogram, gmin: int, g, N: int) -> int:
+    """#{(v, w) : v + w = N} with v from `other` and w from the fold g."""
+    lo = max(N - (gmin + len(g) - 1), int(other.vals[0]))
+    hi = min(N - gmin, int(other.vals[-1]))
     if lo > hi:
         return 0
-    # v1 runs up from lo while v2 = t - v1 runs down, so both slices have
-    # stride 1 and np.dot goes to BLAS.
-    s1 = a1[lo - vmin1 : hi - vmin1 + 1]
-    s2 = r2[vmax2 - t + lo : vmax2 - t + hi + 1]
-    return int(np.dot(s1, s2))
+    i0 = int(np.searchsorted(other.vals, lo, side="left"))
+    i1 = int(np.searchsorted(other.vals, hi, side="right"))
+    return int(np.dot(other.cnts[i0:i1], g[(N - gmin) - other.vals[i0:i1]]))
 
 
 def _pair_count_sparse(h1: BlockHistogram, h2: BlockHistogram, t: int) -> int:
@@ -176,27 +188,32 @@ def _pair_count_sparse(h1: BlockHistogram, h2: BlockHistogram, t: int) -> int:
     idx = np.searchsorted(h2.vals, w)
     idx[idx >= len(h2.vals)] = 0
     mask = h2.vals[idx] == w
-    # Python-int accumulation: this path runs exactly when the float64 dot
-    # could not be certified exact.
+    # Python-int accumulation: this path runs exactly when the int64 fold
+    # is refused.
     c1 = h1.cnts[mask].tolist()
     c2 = h2.cnts[idx[mask]].tolist()
     return sum(a * b for a, b in zip(c1, c2))
 
 
-def _pair_counts(h1: BlockHistogram, h2: BlockHistogram, targets) -> list[int]:
-    """Number of (v1, v2) with v1 + v2 = t, for each target t."""
-    windows = _dense_windows(h1, h2)
-    if windows is not None:
-        return [_pair_count_dense(*windows, t) for t in targets]
-    return [_pair_count_sparse(h1, h2, t) for t in targets]
+def representation_counts(form: CubicForm, Ns, P: int) -> list[int]:
+    """Exact number of box points with f(x) = N, for each N in Ns.
+
+    The cube term is folded once into a block histogram and every N is one
+    int64 dot against the fold; when the fold is refused, each N sums
+    sparse pair counts over its 2P+1 cube targets.
+    """
+    h1 = value_histogram(form.l1, form.q1, form.box, P)
+    h2 = value_histogram(form.l2, form.q2, form.box, P)
+    cubes = [form.a7 * t ** 3 for t in box_range(form.box, P)]
+    fold = _fold(h1, h2, cubes)
+    if fold is None:
+        return [sum(_pair_count_sparse(h1, h2, N - c) for c in cubes) for N in Ns]
+    return [_fold_count(*fold, N) for N in Ns]
 
 
 def count_representations(form: CubicForm, N: int, P: int) -> int:
     """Exact number of box points with f(x) = N."""
-    h1 = value_histogram(form.l1, form.q1, form.box, P)
-    h2 = value_histogram(form.l2, form.q2, form.box, P)
-    targets = [N - form.a7 * t ** 3 for t in box_range(form.box, P)]
-    return sum(_pair_counts(h1, h2, targets))
+    return representation_counts(form, [N], P)[0]
 
 
 def count_zeros(form: CubicForm, P: int) -> int:

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from .arith import icbrt
 from .counting import (
     chi,
-    count_representations,
     count_zeros,
+    representation_counts,
     union_space_count,
     value_histogram,
 )
@@ -99,13 +99,20 @@ def predict_representations(form: CubicForm, Ns, qmax: int = 400,
                             seed: int = 0, threads: int = 1) -> PredictionReport:
     if not Ns:
         raise DomainError("representations mode needs at least one N")
+    Ns = [int(N) for N in Ns]
+    if min(Ns) < 1:
+        raise DomainError("representation targets must be positive")
+    # One cube fold per natural radius serves every N at that radius.
+    by_radius: dict[int, list[int]] = {}
+    for N in Ns:
+        by_radius.setdefault(max(1, icbrt(N)), []).append(N)
+    actuals = {}
+    for P, group in by_radius.items():
+        actuals.update(zip(group, representation_counts(form, group, P)))
     rows = []
     for N in Ns:
-        N = int(N)
-        if N < 1:
-            raise DomainError("representation targets must be positive")
         P = max(1, icbrt(N))
-        actual = count_representations(form, N, P)
+        actual = actuals[N]
         ch = chi(N, form.a7, form.box, P)
         n1, n2 = block_zero_counts(form, P)
         latt = ch * n1 * n2

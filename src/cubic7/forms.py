@@ -574,7 +574,14 @@ class Classification:
 
 
 def content_decomposition(form: CubicForm):
-    """(c, (c1, c2, c3), content-1 blocks) with f = c*(c1*B1' + c2*B2' + c3*x7^3)."""
+    """(c, (c1, c2, c3), content-1 blocks) with f = c*(c1*B1' + c2*B2' + c3*x7^3).
+
+    A block whose quadratic vanishes identically has no content-1 form and
+    raises DegenerateBlockError.
+    """
+    for i, q in enumerate((form.q1, form.q2), start=1):
+        if not any(q):
+            raise DegenerateBlockError(i)
     g1 = content(form.l1) * content(form.q1)
     g2 = content(form.l2) * content(form.q2)
     c = math.gcd(math.gcd(g1, g2), abs(form.a7))

@@ -7,7 +7,8 @@ import sys
 import pytest
 
 from cubic7 import checks
-from cubic7.cli import main
+from cubic7.cli import DEFAULT_FORM, main
+from cubic7.counting import count_representations
 from cubic7.forms import form_to_dict
 
 
@@ -171,6 +172,37 @@ def test_error_exit_codes(capsys, tmp_path):
     assert code == 3 and "resource" in err
     code, _, err = run_cli(capsys, "count", "--N", "1", "--P", "0")
     assert code == 2
+
+
+@pytest.mark.parametrize("block", [1, 2])
+def test_zero_quadratic_is_degenerate(capsys, tmp_path, block):
+    # A block whose quadratic vanishes has no content-1 form: local must
+    # refuse it exactly as classify does, not divide by its zero content.
+    zero = {"A": [0, 0, 0], "B": [0, 0, 0]}
+    live = {"A": [0, 0, 1], "B": [1, 0, 0]}
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps({"a": [1, 0, 0, 1, 0, 0, 1],
+                                "Q1": zero if block == 1 else live,
+                                "Q2": live if block == 1 else zero}))
+    for cmd in (["classify"], ["local", "--N", "1"]):
+        code, out, err = run_cli(capsys, "--form", str(path), *cmd)
+        assert code == 2 and out == ""
+        assert err == f"error: block {block} is degenerate\n"
+
+
+def test_predict_representations_two_radii(capsys):
+    # N = 27, 30 sit at P = 3 and N = 9, 8 at P = 2, interleaved and with a
+    # repeat: each radius shares one fold, and rows keep the input order.
+    Ns = ["27", "9", "30", "8", "9"]
+    code, out, _ = run_cli(capsys, "predict", "--mode", "representations",
+                           "--qmax", "20", "--samples", "20000",
+                           "--N-list", *Ns)
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [r["N"] for r in rows] == [int(n) for n in Ns]
+    assert [r["P"] for r in rows] == [3, 2, 3, 2, 2]
+    for r in rows:
+        assert r["actual"] == count_representations(DEFAULT_FORM, r["N"], r["P"])
 
 
 def test_console_script_installed():

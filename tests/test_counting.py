@@ -5,20 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cubic7 import counting
 from cubic7.counting import (
     _DENSE_CAP,
     _GRID_CAP,
     _INT64_SAFE,
     BlockHistogram,
-    _dense_windows,
-    _pair_count_dense,
+    _cube_fold,
+    _fold,
+    _fold_count,
     _pair_count_sparse,
-    _pair_counts,
     chi,
     count_representations,
     count_zeros,
     delta_constants,
     lattice_space_count,
+    representation_counts,
     union_space_count,
     value_histogram,
 )
@@ -58,7 +60,6 @@ def test_histogram_views(f_star):
     assert all(n != 0 for n, _ in nz)
     assert nz == sorted(nz)
     assert sum(c for _, c in nz) + h.zero_count() == h.total()
-    assert h.max_count() == max(c for _, c in h.items())
 
 
 def test_histogram_sym_parity(f_star):
@@ -118,10 +119,11 @@ def test_histogram_int64_boundary(l, q, box, P, above):
     assert dict(h.items()) == block_values_brute(l, q, box, P)
 
 
-def test_pair_counts_dense_vs_sparse(f_star, f_fac1, f_iii):
-    # Targets at both edges of the value-sum window and just outside it;
-    # the non-sym boxes make the histograms asymmetric, so a slip in the
-    # reversed window cannot cancel out.
+def test_fold_vs_sparse(f_star, f_fac1, f_iii):
+    # Targets at both edges of the value-sum window and just outside it,
+    # and Ns at both edges of the fold's own range and just outside it; the
+    # non-sym boxes make the histograms asymmetric, so a slip in an offset
+    # cannot cancel out.
     rng = random.Random(5)
     for form in (f_star, f_fac1, f_iii):
         for box in ("sym", "pos", "nonneg"):
@@ -129,21 +131,30 @@ def test_pair_counts_dense_vs_sparse(f_star, f_fac1, f_iii):
             for P in (6, 12):
                 h1 = value_histogram(form.l1, form.q1, box, P)
                 h2 = value_histogram(form.l2, form.q2, box, P)
-                windows = _dense_windows(h1, h2)
-                assert windows is not None
                 e_lo = int(h1.vals[0]) + int(h2.vals[0])
                 e_hi = int(h1.vals[-1]) + int(h2.vals[-1])
                 xs = box_range(box, P)
                 cubes = [form.a7 * x ** 3 for x in xs]
+                fold = _fold(h1, h2, cubes)
+                assert fold is not None
+                other, gmin, g = fold
+                assert g.dtype == np.int32
+                narrow = h2 if other is h1 else h1
+                gmax = gmin + len(g) - 1
+                assert g[0] > 0 and g[-1] > 0
+                for w in [gmin, gmin + 1, gmax - 1, gmax] + [
+                        rng.randint(gmin, gmax) for _ in range(5)]:
+                    assert g[w - gmin] == sum(narrow.count_of(w - c) for c in cubes)
+                n_lo = int(other.vals[0]) + gmin
+                n_hi = int(other.vals[-1]) + gmax
                 Ns = [e_lo + cubes[0], e_lo + cubes[-1], e_hi + cubes[0],
-                      e_hi + cubes[-1], rng.randint(e_lo, e_hi)]
+                      e_hi + cubes[-1], rng.randint(e_lo, e_hi),
+                      n_lo - 1, n_lo, n_hi, n_hi + 1]
                 seen = set()
                 for N in Ns:
                     targets = [N - c for c in cubes]
                     sparse = [_pair_count_sparse(h1, h2, t) for t in targets]
-                    dense = [_pair_count_dense(*windows, t) for t in targets]
-                    assert dense == sparse
-                    assert _pair_counts(h1, h2, targets) == sparse
+                    assert _fold_count(*fold, N) == sum(sparse)
                     assert count_representations(form_b, N, P) == sum(sparse)
                     for t, c in zip(targets, sparse):
                         if t < e_lo or t > e_hi:
@@ -153,6 +164,10 @@ def test_pair_counts_dense_vs_sparse(f_star, f_fac1, f_iii):
                             assert c > 0
                             seen.add(t)
                 assert seen == {"out", e_lo, e_hi}
+                assert _fold_count(*fold, n_lo) > 0 and _fold_count(*fold, n_hi) > 0
+                assert _fold_count(*fold, n_lo - 1) == _fold_count(*fold, n_hi + 1) == 0
+                assert representation_counts(form_b, Ns, P) == [
+                    count_representations(form_b, N, P) for N in Ns]
 
 
 def _point_histogram(v: int, c: int) -> BlockHistogram:
@@ -160,25 +175,37 @@ def _point_histogram(v: int, c: int) -> BlockHistogram:
                           cnts=np.array([c], dtype=np.int64))
 
 
-def test_float64_certificate():
-    # Block histograms within the grid cap always certify the float64 dot.
-    assert _GRID_CAP ** 2 < 2 ** 53
+def test_int64_certificate(monkeypatch, f_fac1):
+    # Block histograms within the grid cap always give an int32 fold and an
+    # exact int64 dot.
+    assert _GRID_CAP < 2 ** 31
+    assert _GRID_CAP ** 2 < 2 ** 63
     cases = [
-        (6361 * 69431, 20394401, True),  # product 2^53 - 1
-        (2 ** 27, 2 ** 26, False),  # product 2^53
-        (2 ** 27 + 1, 2 ** 26 + 1, False),  # odd product above 2^53
+        (7 ** 2 * 73 * 127 * 337, 92737 * 649657, True),  # product 2^63 - 1
+        (2 ** 32, 2 ** 31, False),  # product 2^63
+        (2 ** 32 + 1, 2 ** 31 + 1, False),  # odd product above 2^63
     ]
-    for c1, c2, dense in cases:
+    cubes = [-1, 0, 1]
+    for c1, c2, folds in cases:
         h1 = _point_histogram(5, c1)
         h2 = _point_histogram(-3, c2)
-        assert (_dense_windows(h1, h2) is not None) == dense
-        got = _pair_counts(h1, h2, [2, 3])
-        assert got == [c1 * c2, 0]
+        assert (_fold(h1, h2, cubes) is not None) == folds
+        # Drive the public path with these histograms (the blocks of f_fac1
+        # differ, so each gets its own).
+        monkeypatch.setattr(counting, "value_histogram",
+                            lambda l, q, box, P: h1 if q == f_fac1.q1 else h2)
+        got = representation_counts(f_fac1, [1, 2, 3, 4, -2], 1)
+        assert got == [c1 * c2] * 3 + [0, 0]
         assert all(type(c) is int for c in got)
-    # The float64 dot of the last pair would round the count.
+    # The first case folds its second histogram, whose total needs int64.
+    c1, c2, _ = cases[0]
+    assert _fold(_point_histogram(5, c1), _point_histogram(-3, c2), cubes)[2].dtype == np.int64
+    # A folded total of 2^31 needs int64; one below it fits int32.
+    assert _cube_fold(_point_histogram(0, 2 ** 31), cubes)[1].dtype == np.int64
+    assert _cube_fold(_point_histogram(0, 2 ** 31 - 1), cubes)[1].dtype == np.int32
+    # The int64 dot of the last pair would wrap.
     c1, c2, _ = cases[-1]
-    assert int(np.dot(np.array([c1], dtype=np.float64),
-                      np.array([c2], dtype=np.float64))) != c1 * c2
+    assert int(np.dot(np.array([c1]), np.array([c2]))) != c1 * c2
 
 
 def test_count_representations_sparse_path():
@@ -193,12 +220,67 @@ def test_count_representations_sparse_path():
         h2 = value_histogram(form.l2, form.q2, form.box, P)
         assert not (h1.is_big or h2.is_big)
         assert int(h1.vals[-1] - h1.vals[0]) + 1 > _DENSE_CAP
-        assert _dense_windows(h1, h2) is None
+        assert int(h2.vals[-1] - h2.vals[0]) + 1 > _DENSE_CAP
+        cubes = [form.a7 * t ** 3 for t in box_range(form.box, P)]
+        assert _fold(h1, h2, cubes) is None
         table = representation_counts_brute(form, P)
         common = sorted(table, key=lambda n: (-table[n], n))[:20]
         Ns = common + rng.sample(sorted(table), 20) + [0, common[0] + 1]
         for N in Ns:
             assert count_representations(form, N, P) == table.get(N, 0)
+        assert representation_counts(form, Ns, P) == [table.get(N, 0) for N in Ns]
+
+
+def test_cube_term_alone_refuses_the_fold(f_star):
+    # Both blocks stay narrow, but a7 = COEFF_CAP stretches the fold window
+    # by 2 * a7 * P^3, past _DENSE_CAP first at P = 5.
+    form = CubicForm(f_star.a[:6] + (COEFF_CAP,), f_star.q1, f_star.q2)
+
+    def window(P):
+        h = value_histogram(form.l2, form.q2, form.box, P)
+        return int(h.vals[-1] - h.vals[0]) + 1 + 2 * COEFF_CAP * P ** 3
+
+    assert window(4) <= _DENSE_CAP < window(5)
+    P = 5
+    h1 = value_histogram(form.l1, form.q1, form.box, P)
+    h2 = value_histogram(form.l2, form.q2, form.box, P)
+    assert int(h1.vals[-1] - h1.vals[0]) < 2000
+    cubes = [form.a7 * t ** 3 for t in box_range(form.box, P)]
+    assert _fold(h1, h2, cubes) is None
+    rng = random.Random(13)
+    Ns = [0, 1, -1, cubes[0] - 1, cubes[-1] + 1]
+    for _ in range(12):
+        Ns.append(rng.choice(h1.vals.tolist()) + rng.choice(h2.vals.tolist())
+                  + rng.choice(cubes))
+    want = [sum(_pair_count_sparse(h1, h2, N - c) for c in cubes) for N in Ns]
+    assert min(want[5:]) > 0
+    assert representation_counts(form, Ns, P) == want
+    # At P <= 2 the fold fits and must match full enumeration.
+    for P in (1, 2):
+        table = representation_counts_brute(form, P)
+        Ns = sorted(table)[::7] + [0, 1, -1, COEFF_CAP, COEFF_CAP * 8 + 1]
+        assert representation_counts(form, Ns, P) == [table.get(N, 0) for N in Ns]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    a=st.tuples(*[st.integers(-6, 6)] * 7).filter(
+        lambda a: any(a[:3]) and any(a[3:6]) and a[6]),
+    q1=st.tuples(*[st.integers(-6, 6)] * 6),
+    q2=st.tuples(*[st.integers(-6, 6)] * 6),
+    box=st.sampled_from(BOX_KINDS),
+    P=st.integers(1, 2),
+    picks=st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=10),
+    extra=st.lists(st.integers(-10 ** 12, 10 ** 12), max_size=3),
+)
+def test_representation_counts_vs_brute(a, q1, q2, box, P, picks, extra):
+    form = CubicForm(a, q1, q2, box)
+    table = representation_counts_brute(form, P)
+    keys = sorted(table)
+    Ns = [keys[i % len(keys)] for i in picks]
+    # Repeats, negatives, values just outside the range and far outside it.
+    Ns += Ns[:2] + [-n for n in Ns[:3]] + [keys[0] - 1, keys[-1] + 1] + extra
+    assert representation_counts(form, Ns, P) == [table.get(N, 0) for N in Ns]
 
 
 def test_count_representations_vs_oracle(f_star, f_fac1, f_iii):
