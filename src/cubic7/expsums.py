@@ -10,8 +10,13 @@ counts identical to a full scan.  The normalized term
     S(q; N) = q^-7 * sum_{gcd(a,q)=1} S1 S2 S3 e(-aN/q)
 
 is multiplicative in q, so partial series sums are assembled from prime
-powers with a smallest-prime-factor sieve.  Everything here is single
-threaded and summed with math.fsum, so results are bit-stable.
+powers with a smallest-prime-factor sieve.  S1, S2 and S3 at a unit a
+depend only on the class of a in (Z/q)^* modulo cubes (x -> cx permutes
+residues and scales every residue histogram's argument by c^3), so each
+product is computed once per class, which is one class or three for a
+prime power; see _unit_products for why the reuse is exact bit for bit.
+Everything here is single threaded and summed with math.fsum, so results
+are bit-stable.
 """
 
 from __future__ import annotations
@@ -128,6 +133,8 @@ def _cube_histogram(a7: int, m: int) -> np.ndarray:
 
 def s_cube(a7: int, modulus: int, mult: int) -> complex:
     """Sum of e(mult * a7 * x^3 / modulus) over one residue line."""
+    if modulus < 1:
+        raise DomainError("modulus must be positive")
     if modulus == 1:
         return complex(1.0, 0.0)
     if modulus > MOD_CAP:
@@ -137,8 +144,6 @@ def s_cube(a7: int, modulus: int, mult: int) -> complex:
 
 def s3(q: int, a: int, a7: int) -> complex:
     """S_3(q, a) for the cube term; a must be a unit mod q."""
-    if q < 1:
-        raise DomainError("modulus must be positive")
     if math.gcd(a, q) != 1:
         raise DomainError("a must be coprime to the modulus")
     return s_cube(a7, q, a)
@@ -146,12 +151,25 @@ def s3(q: int, a: int, a7: int) -> complex:
 
 @functools.lru_cache(maxsize=4096)
 def _unit_products(a, q1, q2, q: int):
-    """[(a_unit, S1*S2*S3 / q^7)] for one modulus, reused across all N."""
+    """[(a_unit, S1*S2*S3 / q^7)] for one modulus, reused across all N.
+
+    The product is computed once per class of units modulo cubes, at the
+    class's smallest unit, and shared by every unit u*c^3 of the class.
+    This is exact bit for bit: for a unit c, x -> cx permutes residues and
+    multiplies L*Q and a7*x^3 by c^3, so each residue histogram is
+    invariant under v -> c^3 v.  The gather at u*c^3 (content pull-out
+    included, since c stays a unit mod modulus/c0) then sums the same
+    multiset of float products as the gather at u, and fsum is correctly
+    rounded.  A prime power q has one class when 3 does not divide phi(q)
+    and three otherwise.
+    """
     l1, l2, a7 = a[0:3], a[3:6], a[6]
     scale = float(q) ** -7
-    out = []
-    for u in range(1, q + 1):
-        if math.gcd(u, q) != 1:
+    units = [u for u in range(1, q + 1) if math.gcd(u, q) == 1]
+    cubes = {u * u * u % q for u in units}
+    by_residue = {}
+    for u in units:
+        if u % q in by_residue:
             continue
         t = (
             block_sum_any(l1, q1, q, u)
@@ -159,8 +177,9 @@ def _unit_products(a, q1, q2, q: int):
             * s_cube(a7, q, u)
             * scale
         )
-        out.append((u, t))
-    return tuple(out)
+        for c in cubes:
+            by_residue[u * c % q] = t
+    return tuple((u, by_residue[u % q]) for u in units)
 
 
 def singular_term(form: CubicForm, q: int, N: int) -> float:

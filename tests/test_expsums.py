@@ -8,10 +8,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cubic7.arith import content
+from cubic7.arith import content, factorize
 from cubic7.errors import DomainError, ResourceLimitError
 from cubic7.expsums import (
     MOD_CAP,
+    _unit_products,
     block_sum_any,
     mod_histogram,
     prime_power_profile,
@@ -161,6 +162,49 @@ def test_s3_values(f_star):
         s3(0, 1, 1)
 
 
+def _cube_class_reps(q):
+    """{unit u: smallest unit of u's class in (Z/q)^* / cubes}."""
+    units = [u for u in range(1, q) if math.gcd(u, q) == 1]
+    cubes = {u ** 3 % q for u in units}
+    rep = {}
+    for u in units:
+        for c in cubes:
+            rep.setdefault(u * c % q, u)
+    return rep
+
+
+# The example form, f_fac1 (bench/forms/f_fac1.json), and blocks of content
+# 2 and 6 with a7 = 3, which share factors with the powers of 2 and 3.
+_CLASS_FORMS = (
+    CubicForm((1, 0, 0, 1, 0, 0, 1), (0, 0, 1, 0, 0, 1), (0, 0, 1, 0, 0, 1)),
+    CubicForm((1, 0, 0, 1, 0, 0, 1), (0, 0, 1, 0, 0, 1), (0, 0, 0, 1, 0, 0)),
+    CubicForm((2, 0, 0, 0, 3, 0, 3), (0, 0, 1, 1, 0, 1), (2, 0, 2, 0, 0, 4)),
+)
+
+
+def test_expsums_constant_on_cube_classes():
+    # S1, S2, S3 at every unit equal, with ==, their value at the class
+    # representative; _unit_products equals the per-unit product tuple.
+    blocks = {b for form in _CLASS_FORMS for b in form.blocks()}
+    cube_coeffs = {form.a7 for form in _CLASS_FORMS}
+    qs = [q for q in range(2, 401) if len(factorize(q)) == 1]
+    assert {5, 7, 9, 11, 13, 27, 343, 256} <= set(qs)
+    for q in qs:
+        rep = _cube_class_reps(q)
+        assert len(set(rep.values())) == (3 if len(rep) % 3 == 0 else 1)
+        s_blk = {b: {u: block_sum_any(*b, q, u) for u in rep} for b in blocks}
+        s_cub = {a7: {u: s_cube(a7, q, u) for u in rep} for a7 in cube_coeffs}
+        for val in (*s_blk.values(), *s_cub.values()):
+            assert all(val[u] == val[r] for u, r in rep.items())
+        for form in _CLASS_FORMS:
+            s1, s2 = (s_blk[b] for b in form.blocks())
+            s3v = s_cub[form.a7]
+            want = tuple(
+                (u, s1[u] * s2[u] * s3v[u] * float(q) ** -7) for u in sorted(rep)
+            )
+            assert _unit_products(form.a, form.q1, form.q2, q) == want
+
+
 def test_singular_term_vs_brute(f_star, f_iii):
     for form in (f_star, f_iii):
         for q in (2, 3, 4, 5, 6):
@@ -214,9 +258,10 @@ def test_singular_series_reporting(f_star):
 
 
 def test_series_zero_value(f_star):
-    # Frozen from this implementation; fsum makes the value bit-stable.
+    # Frozen from this implementation; fsum makes the value bit-stable, so
+    # any change of rounding (say, in the cube-class reuse) must fail here.
     est = singular_series(f_star, 0, 400)
-    assert abs(est.value - 1.1731923779853202) < 1e-9
+    assert est.value == 1.1731923779853206
 
 
 def test_prime_power_profile(f_star):
@@ -247,3 +292,7 @@ def test_expsum_guards(f_star):
         mod_histogram(f_star.l1, f_star.q1, 0)
     with pytest.raises(ResourceLimitError):
         s_cube(1, MOD_CAP + 1, 1)
+    with pytest.raises(DomainError):
+        s_cube(1, 0, 1)
+    with pytest.raises(DomainError):
+        s_cube(1, -3, 1)
