@@ -87,13 +87,8 @@ def power_congruence_audit(k: int, qmax: int) -> GrowthAudit:
         raise DomainError("qmax too small to audit")
     if qmax > _POWER_SPLIT:
         raise ResourceLimitError(f"sweep above {_POWER_SPLIT} not supported")
-    claimed = 1.0 - 1.0 / k
-    probes = []
-    for q in range(2, qmax + 1):
-        probes.append((q, int(_power_residue_counts(k, q).max())))
-    slope, _ = fit.fit_loglog([s for s, _ in probes], [c for _, c in probes])
-    const = max(c / s ** claimed for s, c in probes)
-    return GrowthAudit(tuple(probes), slope, const, claimed)
+    return growth_audit(lambda q: int(_power_residue_counts(k, q).max()),
+                        range(2, qmax + 1), 1.0 - 1.0 / k)
 
 
 def special_surface_count(A: int, N: int, P: int) -> int:
@@ -113,14 +108,7 @@ def special_surface_count(A: int, N: int, P: int) -> int:
         rem = N - A * w ** 3
         if rem == 0:
             continue  # the block value must be nonzero
-        for x in range(-P, P + 1):
-            if x == 0 or rem % x:
-                continue
-            m = rem // x
-            for z in range(-P, P + 1):
-                t = m - z * z
-                if t % x == 0 and abs(t) <= abs(x) * P:
-                    count += 1
+        count += sum(divisor_slice_count(rem, x, P) for x in range(-P, P + 1))
     return count
 
 

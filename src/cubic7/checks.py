@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counting import representation_counts, union_space_count, value_histogram
-from .density import density_ladder, slab_volume
+from .density import box_volume, density_ladder, slab_volume
 from .errors import DegenerateBlockError, InvalidFormError
 from .expsums import s_block, series_tail_profile, singular_series
 from .forms import (
@@ -298,8 +298,7 @@ def _check_integral_exact(form: CubicForm) -> tuple[bool, str]:
     probe = density_ladder(form, 0.0, 1.0, 10_000, seed=5)
     span = max(abs(probe.f_min), abs(probe.f_max), 1.0) * 1.25
     est = slab_volume(form, 0.0, span, 10_000, seed=5)
-    vol = 128.0 if form.box == "sym" else 1.0
-    want = vol / (2.0 * span)
+    want = box_volume(form.box) / (2.0 * span)
     if est.stderr != 0.0 or abs(est.value - want) > 1e-12 * want:
         return False, f"value {est.value} vs {want}, stderr {est.stderr}"
     return True, "slab covering all samples gives vol/(2 eps) exactly"

@@ -2,14 +2,16 @@
 
 Each ternary block contributes a value histogram over the box; the count of
 f = N is a convolution of the two histograms against the cube term.  All
-arithmetic is exact.  Histograms are int64 when the block values provably
-fit (Python integers otherwise).  The cube term is folded once into the
-narrower histogram, g = h * {a7 t^3}, by 2P+1 dense slice adds; every N is
-then one int64 dot of the other histogram's counts against g.  An entry of
-g is at most the folded total (v and w fix t), so g is int32 below 2^31,
-and every partial sum of a dot is at most total1 * total2 <= _GRID_CAP^2 <
-2^63.  Big-int histograms, a failed 2^63 bound or a fold window above
-_DENSE_CAP fall back to sparse Python-int sums per cube target.
+arithmetic is exact.  A histogram is a sorted array of distinct values with
+int64 multiplicities; the values are int64 when the a priori bound proves
+they fit and Python integers (object dtype) otherwise.  The cube term is
+folded once into the narrower histogram, g = h * {a7 t^3}, by 2P+1 dense
+slice adds; every N is then one int64 dot of the other histogram's counts
+against g.  An entry of g is at most the folded total (v and w fix t), so g
+is int32 below 2^31, and every partial sum of a dot is at most total1 *
+total2 <= _GRID_CAP^2 < 2^63.  Big-int histograms, a failed 2^63 bound or a
+fold window above _DENSE_CAP fall back to sparse Python-int sums per cube
+target.
 """
 
 from __future__ import annotations
@@ -36,35 +38,32 @@ _INT64_LIMIT = 1 << 63  # counts below this are exact int64 dots
 
 
 class BlockHistogram:
-    """Multiset of one block's values over the box, value -> multiplicity."""
+    """Multiset of one block's values over the box, value -> multiplicity.
 
-    __slots__ = ("vals", "cnts", "big")
+    vals is a sorted array of distinct values, int64 when the a priori bound
+    certifies it and object dtype (Python ints) otherwise; cnts is int64.
+    """
 
-    def __init__(self, vals=None, cnts=None, big=None):
-        self.vals = vals  # sorted int64 array (fast path)
+    __slots__ = ("vals", "cnts")
+
+    def __init__(self, vals, cnts):
+        self.vals = vals
         self.cnts = cnts
-        self.big = big  # dict fallback when int64 could overflow
 
     @property
     def is_big(self) -> bool:
-        return self.big is not None
+        return self.vals.dtype == object
 
     def total(self) -> int:
-        if self.big is not None:
-            return sum(self.big.values())
         return int(self.cnts.sum())
 
     def count_of(self, v: int) -> int:
-        if self.big is not None:
-            return self.big.get(v, 0)
         i = int(np.searchsorted(self.vals, v))
         if i < len(self.vals) and int(self.vals[i]) == v:
             return int(self.cnts[i])
         return 0
 
     def items(self):
-        if self.big is not None:
-            return iter(self.big.items())
         return zip(self.vals.tolist(), self.cnts.tolist())
 
     def zero_count(self) -> int:
@@ -73,7 +72,7 @@ class BlockHistogram:
 
     def nonzero_items(self):
         """(n, count) pairs with the n = 0 mass left out, sorted by n."""
-        return ((v, c) for v, c in sorted(self.items()) if v != 0)
+        return ((v, c) for v, c in self.items() if v != 0)
 
 
 def _merge_unique(v1, c1, v2, c2):
@@ -108,13 +107,16 @@ def value_histogram(l, q, box: str, P: int) -> BlockHistogram:
                 "coefficients too large for the int64 path at this P"
             )
         pts = itertools.product(range(lo, hi + 1), repeat=3)
-        return BlockHistogram(big=dict(Counter(block_value(l, q, *x) for x in pts)))
+        hist = Counter(itertools.starmap(functools.partial(block_value, l, q), pts))
+        vals = sorted(hist)
+        return BlockHistogram(np.array(vals, dtype=object),
+                              np.array([hist[v] for v in vals], dtype=np.int64))
     vals = np.empty(0, dtype=np.int64)
     cnts = np.empty(0, dtype=np.int64)
     for _, v in block_slabs(l, q, np.arange(lo, hi + 1, dtype=np.int64)):
         u, c = np.unique(v, return_counts=True)
         vals, cnts = _merge_unique(vals, cnts, u, c)
-    return BlockHistogram(vals=vals, cnts=cnts)
+    return BlockHistogram(vals, cnts)
 
 
 def _cube_fold(h: BlockHistogram, cubes):
@@ -179,12 +181,12 @@ def _fold_count(other: BlockHistogram, gmin: int, g, N: int) -> int:
 
 
 def _pair_count_sparse(h1: BlockHistogram, h2: BlockHistogram, t: int) -> int:
-    if h1.is_big or h2.is_big:
-        small, other = (h1, h2) if h1.total() <= h2.total() else (h2, h1)
-        return sum(c * other.count_of(t - v) for v, c in small.items())
     if t < int(h1.vals[0]) + int(h2.vals[0]) or t > int(h1.vals[-1]) + int(h2.vals[-1]):
         return 0
-    w = t - h1.vals
+    if len(h1.vals) > len(h2.vals):
+        h1, h2 = h2, h1  # shift the shorter histogram, search the longer
+    # Object dtype as soon as either block is big, so t - v stays exact.
+    w = np.subtract(t, h1.vals, dtype=np.result_type(h1.vals, h2.vals))
     idx = np.searchsorted(h2.vals, w)
     idx[idx >= len(h2.vals)] = 0
     mask = h2.vals[idx] == w

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .forms import CubicForm, block_value
+from .forms import CubicForm
 
 BLOCK = 1 << 19
 # Points evaluated at once: about 9 MB of arrays per thread, against 60 MB
@@ -37,18 +37,6 @@ def box_volume(box: str) -> float:
     return 128.0 if box == "sym" else 1.0
 
 
-def _evaluate(form: CubicForm, u: np.ndarray) -> np.ndarray:
-    a = [float(v) for v in form.a]
-    q1 = [float(v) for v in form.q1]
-    q2 = [float(v) for v in form.q2]
-    x = [u[:, i] for i in range(7)]
-    return (
-        block_value(a[0:3], q1, x[0], x[1], x[2])
-        + block_value(a[3:6], q2, x[3], x[4], x[5])
-        + a[6] * x[6] * x[6] * x[6]
-    )
-
-
 def _block_stats(form: CubicForm, theta: float, eps_levels, seed: int,
                  index: int, count: int):
     gen = np.random.Generator(np.random.Philox(key=[seed & _MASK64, index]))
@@ -60,7 +48,7 @@ def _block_stats(form: CubicForm, theta: float, eps_levels, seed: int,
         u = gen.random((min(_CHUNK, count - s), 7))
         if form.box == "sym":
             u = 2.0 * u - 1.0
-        f = _evaluate(form, u)
+        f = form.value(list(u.T))
         af = np.abs(f - theta)
         for k, e in enumerate(eps_levels):
             hits[k] += int((af <= e).sum())
@@ -71,6 +59,8 @@ def _block_stats(form: CubicForm, theta: float, eps_levels, seed: int,
 
 def _sample_pass(form: CubicForm, theta: float, eps_levels, samples: int,
                  seed: int, threads: int):
+    if threads < 1:
+        raise DomainError("threads must be at least 1")
     nblocks = (samples + BLOCK - 1) // BLOCK
     sizes = [BLOCK] * (nblocks - 1) + [samples - BLOCK * (nblocks - 1)]
 

@@ -50,12 +50,6 @@ class PredictionReport:
             "integral": self.integral,
         }
 
-    def table(self) -> tuple[list[str], list[list]]:
-        if not self.rows:
-            return [], []
-        header = list(self.rows[0].keys())
-        return header, [[r[k] for k in header] for r in self.rows]
-
 
 def block_zero_counts(form: CubicForm, P: int) -> tuple[int, int]:
     """Exact per-block counts of box points where L*Q vanishes."""

@@ -57,27 +57,20 @@ def block_value(l, q, x, y, z):
     return lin * quad
 
 
-def block_slabs(l, q, r, m=None):
+def block_slabs(l, q, r):
     """Yield (first flat index, L*Q values) over the grid r^3 in x-slabs.
 
     r is an int64 coordinate array and (r[i], r[j], r[k]) has flat index
-    (i * n + j) * n + k.  With a modulus m every partial value is reduced
-    mod m, which keeps residue grids exact in int64 for m <= 4096.  The
-    yielded array is overwritten by the next slab: two slab buffers are
-    reused throughout, so no slab costs a fresh allocation.
+    (i * n + j) * n + k.  The yielded array is overwritten by the next slab:
+    two slab buffers are reused throughout, so no slab costs a fresh
+    allocation.
     """
     n = len(r)
-    if m is not None:
-        l = [int(v) % m for v in l]
-        q = [int(v) % m for v in q]
     a1, a2, a3 = (int(v) for v in l)
     A1, A2, A3, B1, B2, B3 = (int(v) for v in q)
     Y, Z = r[None, :, None], r[None, None, :]
     liny = a2 * Y + a3 * Z
     base = A2 * Y * Y + A3 * Z * Z + B1 * Y * Z
-    if m is not None:
-        liny %= m
-        base %= m
     step = max(1, _SLAB // (n * n))
     vbuf = np.empty((min(step, n), n, n), dtype=np.int64)
     lbuf = np.empty_like(vbuf)
@@ -88,12 +81,7 @@ def block_slabs(l, q, r, m=None):
         np.add(base, A1 * X * X, out=v)
         v += B2 * Z * X
         v += B3 * X * Y
-        if m is not None:
-            lin %= m
-            v %= m
         v *= lin
-        if m is not None:
-            v %= m
         yield s * n * n, v.ravel()
 
 
@@ -174,7 +162,7 @@ class CubicForm:
         return (
             block_value(self.l1, self.q1, x[0], x[1], x[2])
             + block_value(self.l2, self.q2, x[3], x[4], x[5])
-            + self.a7 * x[6] ** 3
+            + self.a7 * x[6] * x[6] * x[6]
         )
 
 

@@ -215,12 +215,14 @@ def gammas(form: CubicForm) -> dict[int, tuple[int, int]]:
 @functools.lru_cache(maxsize=64)
 def _block_reach(l, q, m: int):
     """(achievable bool array, witness flat index) for L*Q mod m."""
-    wit = np.full(m, -1, dtype=np.int64)
-    for first, v in block_slabs(l, q, np.arange(m, dtype=np.int64), m):
-        uv, idx = np.unique(v, return_index=True)
-        sel = wit[uv] < 0
-        wit[uv[sel]] = idx[sel] + first
-    return wit >= 0, wit
+    # Reduced l, q and residues: |L*Q| <= 18 (m - 1)^5 < 2^63 for m <= 360.
+    l = [v % m for v in l]
+    q = [v % m for v in q]
+    wit = np.full(m, m ** 3, dtype=np.int64)
+    for first, v in block_slabs(l, q, np.arange(m, dtype=np.int64)):
+        np.remainder(v, m, out=v)
+        np.minimum.at(wit, v, np.arange(first, first + len(v)))
+    return wit < m ** 3, wit
 
 
 def _decode(idx: int, m: int) -> tuple[int, int, int]:

@@ -172,6 +172,10 @@ def test_error_exit_codes(capsys, tmp_path):
     assert code == 3 and "resource" in err
     code, _, err = run_cli(capsys, "count", "--N", "1", "--P", "0")
     assert code == 2
+    for threads in ("0", "-3"):
+        code, out, err = run_cli(capsys, "--threads", threads, "integral",
+                                 "--samples", "10000")
+        assert code == 2 and out == "" and "threads" in err
 
 
 @pytest.mark.parametrize("block", [1, 2])

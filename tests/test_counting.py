@@ -92,6 +92,41 @@ def test_histogram_big_integer_path():
     assert min(v for v, _ in h.items()) == 18 * c * c
 
 
+def test_big_int_counts_vs_brute():
+    # A block at the cap first overflows the int64 bound on the pos box at
+    # P = 62.  With block 2 = x4 x5^2 the pair is mixed (object and int64
+    # values), and N = +-10^30 does not fit int64 at all.
+    c, P = COEFF_CAP, 62
+    l1, q1 = (c, c, c), (c, c, c, c, c, c)
+    l2, q2 = (1, 0, 0), (0, 1, 0, 0, 0, 0)
+    assert not value_histogram(l1, q1, "pos", P - 1).is_big
+    assert value_histogram(l1, q1, "pos", P).is_big
+    assert not value_histogram(l2, q2, "pos", P).is_big
+    d1 = block_values_brute(l1, q1, "pos", P)
+    d2 = block_values_brute(l2, q2, "pos", P)
+    cubes = [3 * t ** 3 for t in box_range("pos", P)]
+
+    def pair_sum(da, db, N):
+        small, other = (da, db) if len(da) <= len(db) else (db, da)
+        return sum(n * other.get(N - t - v, 0) for t in cubes for v, n in small.items())
+
+    rng = random.Random(17)
+    mixed = CubicForm(l1 + l2 + (3,), q1, q2, "pos")
+    swapped = CubicForm(l2 + l1 + (3,), q2, q1, "pos")
+    Ns = [mixed.value([rng.randint(1, P) for _ in range(7)]) for _ in range(4)]
+    Ns += [0, 10 ** 30, -10 ** 30]
+    want = [pair_sum(d1, d2, N) for N in Ns]
+    assert min(want[:4]) > 0 and want[4:] == [0, 0, 0]
+    assert representation_counts(mixed, Ns, P) == want
+    assert representation_counts(swapped, Ns, P) == want
+    # Both blocks big.
+    both = CubicForm(l1 + l1 + (3,), q1, q1, "pos")
+    N = both.value([rng.randint(1, P) for _ in range(7)])
+    want = pair_sum(d1, d1, N)
+    assert want > 0
+    assert representation_counts(both, [N, 10 ** 30], P) == [want, 0]
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     l=st.tuples(*[st.integers(-9, 9)] * 3).filter(any),

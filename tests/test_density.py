@@ -84,6 +84,11 @@ def test_integral_guards(f_star):
         singular_integral(form, "zero")
     with pytest.raises(DomainError):
         density_ladder(f_star, 0.0, eps0=-0.1, samples=20_000)
+    for threads in (0, -3):
+        with pytest.raises(DomainError, match="threads"):
+            density_ladder(f_star, 0.0, samples=20_000, threads=threads)
+        with pytest.raises(DomainError, match="threads"):
+            slab_volume(f_star, 0.0, 0.1, 20_000, threads=threads)
 
 
 def test_block_chunks_match_one_draw(f_star):
@@ -93,11 +98,11 @@ def test_block_chunks_match_one_draw(f_star):
 
     import numpy as np
 
-    from cubic7.density import _CHUNK, _block_stats, _evaluate
+    from cubic7.density import _CHUNK, _block_stats
 
     count, eps = 2 * _CHUNK + 12345, (0.1, 0.05, 0.025)
     u = np.random.Generator(np.random.Philox(key=[3, 5])).random((count, 7))
-    f = _evaluate(f_star, 2.0 * u - 1.0)
+    f = f_star.value(list((2.0 * u - 1.0).T))
     hits = tuple(int((np.abs(f) <= e).sum()) for e in eps)
     assert _block_stats(f_star, 0.0, eps, 3, 5, count) == (
         hits, float(f.min()), float(f.max()))

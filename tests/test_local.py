@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 from cubic7.errors import DomainError, ResourceLimitError
-from cubic7.forms import CubicForm, block_value
+from cubic7.expsums import mod_histogram
+from cubic7.forms import COEFF_CAP, CubicForm, block_value
 from cubic7.local import (
+    _block_reach,
+    _decode,
     block_local_case,
     congruence_solvable,
     gamma_report,
@@ -24,6 +27,7 @@ from cubic7.oracles import (
     random_unimodular,
     special_orbit_brute,
     _MONOMIALS,
+    _block,
 )
 
 
@@ -146,6 +150,36 @@ def test_congruence_solvable_small_moduli(f_star):
             assert ok == (N in reach)
             if ok:
                 assert (f_star.value(w) - N) % m == 0
+
+
+def test_block_reach_vs_residue_scan():
+    # Reachable residues and first-hit witnesses against a plain scan of the
+    # residue cube in flat-index order, on unreduced random coefficients.
+    rng = random.Random(29)
+    for m in range(1, 31):
+        l = tuple(rng.randint(-COEFF_CAP, COEFF_CAP) for _ in range(3))
+        q = tuple(rng.randint(-COEFF_CAP, COEFF_CAP) for _ in range(6))
+        first = {}
+        for i, x in enumerate(itertools.product(range(m), repeat=3)):
+            first.setdefault(_block(l, q, *x) % m, i)
+        reach, wit = _block_reach(l, q, m)
+        assert set(np.flatnonzero(reach).tolist()) == set(first)
+        assert all(wit[r] == i for r, i in first.items())
+
+
+def test_block_reach_large_moduli():
+    # Near the coefficient cap the unreduced block overflows int64 at these
+    # moduli; the frame-method residue counts are an independent reference.
+    rng = random.Random(31)
+    for m in (243, 343, 360):
+        l = tuple(rng.choice((1, -1)) * (COEFF_CAP - rng.randint(0, 40))
+                  for _ in range(3))
+        q = tuple(rng.choice((1, -1)) * (COEFF_CAP - rng.randint(0, 40))
+                  for _ in range(6))
+        reach, wit = _block_reach(l, q, m)
+        assert (reach == (mod_histogram(l, q, m) > 0)).all()
+        for r in np.flatnonzero(reach).tolist():
+            assert _block(l, q, *_decode(wit[r], m)) % m == r
 
 
 def test_congruence_witness_mod_nine(f_star):
