@@ -209,6 +209,10 @@ def representation_counts(form: CubicForm, Ns, P: int) -> list[int]:
     cubes = [form.a7 * t ** 3 for t in box_range(form.box, P)]
     fold = _fold(h1, h2, cubes)
     if fold is None:
+        if h1.is_big != h2.is_big:
+            # Python-int values on both sides once, not per cube target.
+            h1, h2 = (h if h.is_big else BlockHistogram(h.vals.astype(object), h.cnts)
+                      for h in (h1, h2))
         return [sum(_pair_count_sparse(h1, h2, N - c) for c in cubes) for N in Ns]
     return [_fold_count(*fold, N) for N in Ns]
 

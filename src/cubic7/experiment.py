@@ -25,7 +25,7 @@ from .counting import (
     union_space_count,
     value_histogram,
 )
-from .density import density_ladder, singular_integral
+from .density import density_ladders, singular_integral
 from .errors import DomainError
 from .expsums import singular_series
 from .forms import CubicForm, linear_spaces
@@ -96,23 +96,24 @@ def predict_representations(form: CubicForm, Ns, qmax: int = 400,
     Ns = [int(N) for N in Ns]
     if min(Ns) < 1:
         raise DomainError("representation targets must be positive")
+    Ps = [max(1, icbrt(N)) for N in Ns]
     # One cube fold per natural radius serves every N at that radius.
     by_radius: dict[int, list[int]] = {}
-    for N in Ns:
-        by_radius.setdefault(max(1, icbrt(N)), []).append(N)
+    for N, P in zip(Ns, Ps):
+        by_radius.setdefault(P, []).append(N)
     actuals = {}
     for P, group in by_radius.items():
         actuals.update(zip(group, representation_counts(form, group, P)))
+    # One sampling pass serves every theta = N / P^3.
+    integrals = density_ladders(form, [N / P ** 3 for N, P in zip(Ns, Ps)],
+                                eps0, samples, seed, threads, target="n")
     rows = []
-    for N in Ns:
-        P = max(1, icbrt(N))
+    for N, P, integ in zip(Ns, Ps, integrals):
         actual = actuals[N]
         ch = chi(N, form.a7, form.box, P)
         n1, n2 = block_zero_counts(form, P)
         latt = ch * n1 * n2
         series = singular_series(form, N, qmax)
-        integ = density_ladder(form, N / P ** 3, eps0, samples, seed,
-                               threads, target="n")
         circle = N ** (4.0 / 3.0) * series.value * integ.value
         pred = latt + circle
         rows.append({

@@ -40,7 +40,7 @@ def test_histogram_export(capsys, tmp_path):
         capsys, "count", "--N", "0", "--P", "1", "--histogram", str(path)
     )
     assert code == 0
-    rows = list(csv.reader(path.open()))
+    rows = list(csv.reader(path.read_text().splitlines()))
     assert rows[0] == ["n", "count"]
     data = {int(n): int(c) for n, c in rows[1:]}
     assert sum(data.values()) == 27

@@ -127,6 +127,36 @@ def test_big_int_counts_vs_brute():
     assert representation_counts(both, [N, 10 ** 30], P) == [want, 0]
 
 
+def test_mixed_pair_counts_vs_brute(monkeypatch):
+    # Lowering the int64 bound makes block 1 an object-dtype histogram at a
+    # radius the full 7-grid brute force reaches, beside an int64 block 2.
+    # Every sparse pair count must then see Python-int values on both sides.
+    form = CubicForm((2, -1, 3, 1, 0, 0, 2), (1, 2, -1, 0, 3, 1),
+                     (0, 1, 0, 0, 0, 0), "sym")
+    swapped = CubicForm(form.l2 + form.l1 + (2,), form.q2, form.q1, "sym")
+    P = 2
+    dtypes = set()
+
+    def spy(h1, h2, t):
+        dtypes.update((h1.vals.dtype, h2.vals.dtype))
+        return _pair_count_sparse(h1, h2, t)
+
+    monkeypatch.setattr(counting, "_INT64_SAFE", 100)
+    monkeypatch.setattr(counting, "_pair_count_sparse", spy)
+    value_histogram.cache_clear()
+    try:
+        assert value_histogram(form.l1, form.q1, "sym", P).is_big
+        assert not value_histogram(form.l2, form.q2, "sym", P).is_big
+        table = representation_counts_brute(form, P)
+        Ns = sorted(table) + [min(table) - 1, max(table) + 1, 10 ** 30]
+        want = [table.get(N, 0) for N in Ns]
+        assert representation_counts(form, Ns, P) == want
+        assert representation_counts(swapped, Ns, P) == want
+    finally:
+        value_histogram.cache_clear()
+    assert dtypes == {np.dtype(object)}
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     l=st.tuples(*[st.integers(-9, 9)] * 3).filter(any),

@@ -1,8 +1,10 @@
 import pytest
 
 from cubic7.density import (
+    BLOCK,
     box_volume,
     density_ladder,
+    density_ladders,
     singular_integral,
     slab_volume,
 )
@@ -91,6 +93,38 @@ def test_integral_guards(f_star):
             slab_volume(f_star, 0.0, 0.1, 20_000, threads=threads)
 
 
+def test_ladders_match_single_ladders(f_star, f_fac1):
+    # Each theta of one shared pass equals its own one-theta ladder, for
+    # duplicate thetas, thetas at 0 and at the f_min / f_max edges, a
+    # sample count that ends mid-block and mid-chunk, and 1 to 3 threads.
+    never_positive = CubicForm(
+        (-1, 0, 0, -1, 0, 0, -1), (1, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0), "pos"
+    )
+    samples = BLOCK + 4321
+    for form, target in ((f_star, "zero"), (f_fac1, "n"), (never_positive, "n")):
+        probe = density_ladder(form, 0.5, samples=samples, seed=4, target=target)
+        thetas = (1.0, 0.0, probe.f_max, 1.0, probe.f_min, 0.3, 0.0)
+        single = [density_ladder(form, t, samples=samples, seed=4,
+                                 target=target).to_dict() for t in thetas]
+        assert len({tuple(d["hits"]) for d in single}) >= 4
+        assert all(d["flagged_zero"] == (form is never_positive) for d in single)
+        for threads in (1, 2, 3):
+            shared = density_ladders(form, thetas, samples=samples, seed=4,
+                                     threads=threads, target=target)
+            assert [r.to_dict() for r in shared] == single
+
+
+def test_ladders_guards(f_star):
+    with pytest.raises(DomainError, match="theta"):
+        density_ladders(f_star, [], samples=20_000)
+    with pytest.raises(DomainError, match="threads"):
+        density_ladders(f_star, [0.0, 1.0], samples=20_000, threads=0)
+    with pytest.raises(DomainError, match="eps"):
+        density_ladders(f_star, [0.0, 1.0], eps0=0.0, samples=20_000)
+    with pytest.raises(DomainError, match="samples"):
+        density_ladders(f_star, [0.0, 1.0], samples=9_999)
+
+
 def test_block_chunks_match_one_draw(f_star):
     # Chunked evaluation equals evaluating the block's points in one draw,
     # and a whole block stays far below the ~60 MB a single draw needs.
@@ -103,12 +137,12 @@ def test_block_chunks_match_one_draw(f_star):
     count, eps = 2 * _CHUNK + 12345, (0.1, 0.05, 0.025)
     u = np.random.Generator(np.random.Philox(key=[3, 5])).random((count, 7))
     f = f_star.value(list((2.0 * u - 1.0).T))
-    hits = tuple(int((np.abs(f) <= e).sum()) for e in eps)
-    assert _block_stats(f_star, 0.0, eps, 3, 5, count) == (
+    hits = [[int((np.abs(f - t) <= e).sum()) for e in eps] for t in (0.0, 0.5)]
+    assert _block_stats(f_star, (0.0, 0.5), eps, 3, 5, count) == (
         hits, float(f.min()), float(f.max()))
     tracemalloc.start()
     try:
-        _block_stats(f_star, 0.0, eps, 0, 0, 1 << 19)
+        _block_stats(f_star, (0.0,), eps, 0, 0, 1 << 19)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
