@@ -19,7 +19,7 @@ from .checks import verify
 from .counting import count_representations, count_zeros, value_histogram
 from .density import singular_integral
 from .errors import DomainError, ResourceLimitError
-from .experiment import P_SCHEDULE, predict
+from .experiment import predict
 from .expsums import prime_power_profile, singular_series
 from .forms import CubicForm, classify, form_to_dict, load_form
 from .local import local_report
@@ -214,8 +214,6 @@ def _run(args) -> dict:
         return d
     if cmd == "predict":
         probes = args.P_list if args.mode == "zeros" else args.N_list
-        if args.mode == "zeros" and probes is None:
-            probes = list(P_SCHEDULE)
         rep = predict(form, args.mode, probes, qmax=args.qmax,
                       samples=args.samples, eps0=args.eps, seed=args.seed,
                       threads=args.threads)

@@ -66,14 +66,6 @@ class BlockHistogram:
     def items(self):
         return zip(self.vals.tolist(), self.cnts.tolist())
 
-    def zero_count(self) -> int:
-        """N_i: the number of triples where the block vanishes."""
-        return self.count_of(0)
-
-    def nonzero_items(self):
-        """(n, count) pairs with the n = 0 mass left out, sorted by n."""
-        return ((v, c) for v, c in self.items() if v != 0)
-
 
 def _merge_unique(v1, c1, v2, c2):
     v = np.concatenate([v1, v2])
@@ -298,6 +290,12 @@ class MainTermReport:
         }
 
 
+def block_zero_counts(form: CubicForm, P: int) -> tuple[int, int]:
+    """N1, N2: exact per-block counts of box points where L*Q vanishes."""
+    h1, h2 = (value_histogram(l, q, form.box, P) for l, q in form.blocks())
+    return h1.count_of(0), h2.count_of(0)
+
+
 def delta_constants(form: CubicForm, P_list) -> MainTermReport:
     """Lattice main-term constants from exact counts at each probe P."""
     from . import fit
@@ -309,8 +307,7 @@ def delta_constants(form: CubicForm, P_list) -> MainTermReport:
     spaces = linear_spaces(form)
     rows = []
     for P in P_list:
-        n1 = value_histogram(form.l1, form.q1, form.box, P).count_of(0)
-        n2 = value_histogram(form.l2, form.q2, form.box, P).count_of(0)
+        n1, n2 = block_zero_counts(form, P)
         union = union_space_count(spaces, form.box, P)
         r3 = n1 / P ** 2
         r4 = n2 / P ** 2

@@ -117,6 +117,13 @@ class SlabEstimate:
         }
 
 
+def _slab(vol: float, hits: int, samples: int, eps: float) -> tuple[float, float]:
+    """(density, stderr) of one slab of half-width eps from its hit count."""
+    p = hits / samples
+    return (vol * p / (2.0 * eps),
+            vol * math.sqrt(p * (1.0 - p) / samples) / (2.0 * eps))
+
+
 def slab_volume(form: CubicForm, theta: float, epsilon: float, samples: int,
                 seed: int = 0, threads: int = 1) -> SlabEstimate:
     """Monte Carlo slab density at a single half-width."""
@@ -126,13 +133,12 @@ def slab_volume(form: CubicForm, theta: float, epsilon: float, samples: int,
         raise DomainError("need at least 10^4 samples")
     hits, _, _ = _sample_pass(form, (theta,), (epsilon,), samples, seed,
                               threads)
-    vol = box_volume(form.box)
-    p = hits[0][0] / samples
+    value, stderr = _slab(box_volume(form.box), hits[0][0], samples, epsilon)
     return SlabEstimate(
-        value=vol * p / (2.0 * epsilon),
+        value=value,
         epsilon=epsilon,
         samples=samples,
-        stderr=vol * math.sqrt(p * (1.0 - p) / samples) / (2.0 * epsilon),
+        stderr=stderr,
         seed=seed,
         theta=theta,
         hits=hits[0][0],
@@ -195,12 +201,8 @@ def _ladders(form: CubicForm, thetas, eps0: float, samples: int, seed: int,
     flagged = target == "n" and form.box in ("pos", "nonneg") and f_max <= 0.0
     results = []
     for theta, hits in zip(thetas, all_hits):
-        dens = []
-        errs = []
-        for k in range(3):
-            p = hits[k] / samples
-            dens.append(vol * p / (2.0 * eps_levels[k]))
-            errs.append(vol * math.sqrt(p * (1.0 - p) / samples) / (2.0 * eps_levels[k]))
+        dens, errs = zip(*(_slab(vol, h, samples, eps)
+                           for h, eps in zip(hits, eps_levels)))
         value = 0.0 if flagged else 2.0 * dens[2] - dens[1]
         coarse = 2.0 * dens[1] - dens[0]
         results.append(DensityResult(
@@ -211,7 +213,7 @@ def _ladders(form: CubicForm, thetas, eps0: float, samples: int, seed: int,
             seed=seed,
             hits=tuple(hits),
             volume=vol,
-            densities=tuple(dens),
+            densities=dens,
             value=value,
             residual=abs(value - coarse) if not flagged else 0.0,
             stderr=math.sqrt(4.0 * errs[2] ** 2 + errs[1] ** 2),

@@ -19,11 +19,11 @@ from dataclasses import dataclass
 
 from .arith import icbrt
 from .counting import (
+    block_zero_counts,
     chi,
     count_zeros,
     representation_counts,
     union_space_count,
-    value_histogram,
 )
 from .density import density_ladders, singular_integral
 from .errors import DomainError
@@ -49,13 +49,6 @@ class PredictionReport:
             "series_value": self.series_value,
             "integral": self.integral,
         }
-
-
-def block_zero_counts(form: CubicForm, P: int) -> tuple[int, int]:
-    """Exact per-block counts of box points where L*Q vanishes."""
-    h1 = value_histogram(*form.blocks()[0], form.box, P)
-    h2 = value_histogram(*form.blocks()[1], form.box, P)
-    return h1.zero_count(), h2.zero_count()
 
 
 def predict_zeros(form: CubicForm, probes=None, qmax: int = 400,

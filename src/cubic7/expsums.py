@@ -219,17 +219,16 @@ def singular_series(form: CubicForm, N: int, Qmax: int) -> SeriesEstimate:
     Qmax/2, Qmax, a direct view of how fast the partial sums settle.
     """
     terms = singular_series_terms(form, N, Qmax)
-    prefix = _partial_sums(terms)
     tails = []
     for qp in (Qmax // 4, Qmax // 2, Qmax):
         if qp >= 2:
-            tails.append((qp, abs(prefix[qp] - prefix[qp // 2])))
-    return SeriesEstimate(prefix[Qmax], Qmax, tuple(terms), tuple(tails))
+            tails.append((qp, abs(_prefix(terms, qp) - _prefix(terms, qp // 2))))
+    return SeriesEstimate(_prefix(terms, Qmax), Qmax, tuple(terms), tuple(tails))
 
 
-def _partial_sums(terms) -> list[float]:
-    """prefix[Q] = fsum(terms[1..Q]), correctly rounded; prefix[0] = 0."""
-    return [0.0] + [math.fsum(terms[1 : q + 1]) for q in range(1, len(terms))]
+def _prefix(terms, Q: int) -> float:
+    """fsum(terms[1..Q]), correctly rounded."""
+    return math.fsum(terms[1 : Q + 1])
 
 
 def singular_series_terms(form: CubicForm, N: int, Qmax: int) -> list[float]:
@@ -266,6 +265,5 @@ def prime_power_profile(form: CubicForm, N: int, Qmax: int) -> list[dict]:
 
 def series_tail_profile(form: CubicForm, N: int, q_points) -> list[tuple[int, float]]:
     """[(Q, |series(2Q) - series(Q)|)] for the requested checkpoints."""
-    qmax = 2 * max(q_points)
-    prefix = _partial_sums(singular_series_terms(form, N, qmax))
-    return [(Q, abs(prefix[2 * Q] - prefix[Q])) for Q in q_points]
+    terms = singular_series_terms(form, N, 2 * max(q_points))
+    return [(Q, abs(_prefix(terms, 2 * Q) - _prefix(terms, Q))) for Q in q_points]

@@ -227,7 +227,11 @@ class BlockInvariants:
     primed: tuple[int, int, int, int, int]  # (A', B', C', F', G')
     dpp: int | None  # D'' where the nonzero-discriminant branches define it
     frakD: int  # 0 exactly when the block is degenerate
-    degenerate: bool
+    branch: str | None  # the normal-form case; None exactly when degenerate
+
+    @property
+    def degenerate(self) -> bool:
+        return self.branch is None
 
     def to_dict(self) -> dict:
         return {
@@ -241,7 +245,11 @@ class BlockInvariants:
 
 
 def block_invariants(l, q) -> BlockInvariants:
-    """Primed coefficients, D'', the case constant frakD, and degeneracy."""
+    """Primed coefficients, D'', frakD, and the block's normal-form branch.
+
+    The one place that decides the case: "nonzero-a", "nonzero-c" or "split"
+    when Delta != 0, "zero-a" or "zero-c" when Delta = 0, None if degenerate.
+    """
     l = tuple(l)
     q = tuple(q)
     pivot = next((i for i in range(3) if l[i] != 0), None)
@@ -257,26 +265,21 @@ def block_invariants(l, q) -> BlockInvariants:
     dpp: int | None = None
     if dlt != 0:
         if Ap != 0:
+            branch, frakD = "nonzero-a", 2 * dlt * Ap
             dpp = a1 * a1 * dlt * (4 * Ap * A1 - Gp * Gp) + (2 * Ap * Fp - Bp * Gp) ** 2
-            frakD = 2 * dlt * Ap
         elif Cp != 0:
+            branch, frakD = "nonzero-c", 2 * dlt * Cp
             dpp = a1 * a1 * dlt * (4 * Cp * A1 - Fp * Fp) + (2 * Cp * Gp - Bp * Fp) ** 2
-            frakD = 2 * dlt * Cp
         else:
             # B' != 0 is forced here by B'^2 - 4A'C' = a1^2 * delta != 0.
+            branch, frakD = "split", Bp
             dpp = Bp * A1 - Fp * Gp
-            frakD = Bp
-        degenerate = False
+    elif Ap * (2 * Ap * Fp - Bp * Gp) != 0:
+        branch, frakD = "zero-a", 2 * Ap
+    elif Cp * (2 * Cp * Gp - Bp * Fp) != 0:
+        branch, frakD = "zero-c", 2 * Cp
     else:
-        if Ap * (2 * Ap * Fp - Bp * Gp) != 0:
-            frakD = 2 * Ap
-            degenerate = False
-        elif Cp * (2 * Cp * Gp - Bp * Fp) != 0:
-            frakD = 2 * Cp
-            degenerate = False
-        else:
-            frakD = 0
-            degenerate = True
+        branch, frakD = None, 0
     return BlockInvariants(
         delta=dlt,
         pivot=pivot + 1,
@@ -284,7 +287,7 @@ def block_invariants(l, q) -> BlockInvariants:
         primed=(Ap, Bp, Cp, Fp, Gp),
         dpp=dpp,
         frakD=frakD,
-        degenerate=degenerate,
+        branch=branch,
     )
 
 
@@ -348,59 +351,42 @@ class NormalForm:
 def transform_block(l, q, block_index: int = 0) -> NormalForm:
     """Normal-form descriptor for one block; raises on degenerate blocks.
 
-    The descriptor is self-checking: both sides of the identity are compared
-    on the grid {-2..2}^3, which pins a cubic of per-variable degree <= 3.
+    Reads the branch block_invariants decided.  The descriptor is
+    self-checking: both sides of the identity are compared on the grid
+    {-2..2}^3, which pins a cubic of per-variable degree <= 3.
     """
     inv = block_invariants(l, q)
     if inv.degenerate:
         raise DegenerateBlockError(block_index)
-    a, A, B, order = _permute_block(l, q, inv.pivot - 1)
+    # x1' = L as a covector on the permuted variables.
+    L, A, _, order = _permute_block(l, q, inv.pivot - 1)
     Ap, Bp, Cp, Fp, Gp = inv.primed
-    a1, A1 = a[0], A[0]
-    L = a  # x1' = L as a covector on the permuted variables
+    a1, A1 = L[0], A[0]
     e2, e3 = (0, 1, 0), (0, 0, 1)
-    dlt = inv.delta
-    if dlt != 0:
-        quad = a1 * a1 * dlt
-        if Ap != 0:
-            x2 = _comb((2 * Ap, e2), (Bp, e3), (Gp, L))
-            x3 = _comb((quad, e3), ((Bp * Gp - 2 * Ap * Fp), L))
-            nf = NormalForm(
-                "nonzero-a", 4 * Ap * a1 ** 4 * dlt,
-                _unpermute(L, order), _unpermute(x2, order), _unpermute(x3, order),
-                quad=quad, cube=inv.dpp,
-            )
-        elif Cp != 0:
-            x5 = _comb((quad, e2), ((Bp * Fp - 2 * Cp * Gp), L))
-            x6 = _comb((2 * Cp, e3), (Bp, e2), (Fp, L))
-            nf = NormalForm(
-                "nonzero-c", 4 * Cp * a1 ** 4 * dlt,
-                _unpermute(L, order), _unpermute(x6, order), _unpermute(x5, order),
-                quad=quad, cube=inv.dpp,
-            )
-        else:
-            x5 = _comb((Bp, e2), (Fp, L))
-            x6 = _comb((Bp, e3), (Gp, L))
-            nf = NormalForm(
-                "split", Bp * a1 * a1,
-                _unpermute(L, order), _unpermute(x5, order), _unpermute(x6, order),
-                cube=inv.dpp,
-            )
+    quad = 0 if inv.branch == "split" else a1 * a1 * inv.delta
+    if inv.branch == "split":
+        scale = Bp * a1 * a1
+        x2 = _comb((Bp, e2), (Fp, L))
+        x3 = _comb((Bp, e3), (Gp, L))
     else:
-        if Ap * (2 * Ap * Fp - Bp * Gp) != 0:
-            x2 = _comb((2 * Ap, e2), (Bp, e3), (Gp, L))
-            x3 = _comb(((4 * Ap * A1 - Gp * Gp), L), ((4 * Ap * Fp - 2 * Bp * Gp), e3))
-            nf = NormalForm(
-                "zero-a", 4 * Ap * a1 * a1,
-                _unpermute(L, order), _unpermute(x2, order), _unpermute(x3, order),
-            )
+        # A "-c" branch is its "-a" branch with the roles of the second and
+        # third permuted variables swapped: C' for A', G' for F', e3 for e2.
+        if inv.branch.endswith("-a"):
+            K, F, G, u, v = Ap, Fp, Gp, e2, e3
         else:
-            x2 = _comb((2 * Cp, e3), (Bp, e2), (Fp, L))
-            x3 = _comb(((4 * Cp * A1 - Fp * Fp), L), ((4 * Cp * Gp - 2 * Bp * Fp), e2))
-            nf = NormalForm(
-                "zero-c", 4 * Cp * a1 * a1,
-                _unpermute(L, order), _unpermute(x2, order), _unpermute(x3, order),
-            )
+            K, F, G, u, v = Cp, Gp, Fp, e3, e2
+        x2 = _comb((2 * K, u), (Bp, v), (G, L))
+        if inv.branch.startswith("nonzero"):
+            scale = 4 * K * a1 ** 4 * inv.delta
+            x3 = _comb((quad, v), ((Bp * G - 2 * K * F), L))
+        else:
+            scale = 4 * K * a1 * a1
+            x3 = _comb(((4 * K * A1 - G * G), L), ((4 * K * F - 2 * Bp * G), v))
+    nf = NormalForm(
+        inv.branch, scale,
+        _unpermute(L, order), _unpermute(x2, order), _unpermute(x3, order),
+        quad=quad, cube=inv.dpp or 0,
+    )
     for x, y, z in itertools.product(range(-2, 3), repeat=3):
         if nf.scale * block_value(l, q, x, y, z) != nf.rhs(x, y, z):
             raise AssertionError("normal-form identity failed self-check")
@@ -485,14 +471,18 @@ def _vanishes_on(form: CubicForm, space: LinearSpace) -> bool:
     return True
 
 
+def _nondegenerate_blocks(form: CubicForm) -> tuple[BlockInvariants, BlockInvariants]:
+    """Both blocks' invariants; DegenerateBlockError(1) or (2) if degenerate."""
+    invs = (block_invariants(form.l1, form.q1), block_invariants(form.l2, form.q2))
+    for i, inv in enumerate(invs, start=1):
+        if inv.degenerate:
+            raise DegenerateBlockError(i)
+    return invs
+
+
 def linear_spaces(form: CubicForm) -> list[LinearSpace]:
     """All linear spaces guaranteed by the block-2 factorization analysis."""
-    inv1 = block_invariants(form.l1, form.q1)
-    inv2 = block_invariants(form.l2, form.q2)
-    if inv1.degenerate:
-        raise DegenerateBlockError(1)
-    if inv2.degenerate:
-        raise DegenerateBlockError(2)
+    _, inv2 = _nondegenerate_blocks(form)
     l1cov = tuple(form.l1) + (0, 0, 0, 0)
     l2cov = _embed_block2(form.l2)
     e7 = (0, 0, 0, 0, 0, 0, 1)
@@ -503,7 +493,7 @@ def linear_spaces(form: CubicForm) -> list[LinearSpace]:
         # Delta2 = d^2 > 0, so the normal form's quad*X2^2 - X3^2 factors as
         # (a4*d*X2 + X3)(a4*d*X2 - X3); the split branch already has X2*X3.
         nf = transform_block(form.l2, form.q2, 2)
-        subcase = {"nonzero-a": "i", "nonzero-c": "ii", "split": "iii"}[nf.branch]
+        subcase = {"nonzero-a": "i", "nonzero-c": "ii", "split": "iii"}[inv2.branch]
         if subcase == "iii":
             fplus, fminus = nf.x2p, nf.x3p
         else:
@@ -587,12 +577,7 @@ def content_decomposition(form: CubicForm):
 
 def classify(form: CubicForm) -> Classification:
     """Block invariants, content decomposition, and the space census."""
-    inv1 = block_invariants(form.l1, form.q1)
-    inv2 = block_invariants(form.l2, form.q2)
-    if inv1.degenerate:
-        raise DegenerateBlockError(1)
-    if inv2.degenerate:
-        raise DegenerateBlockError(2)
+    inv1, inv2 = _nondegenerate_blocks(form)
     c, mult, _, _ = content_decomposition(form)
     q2fac = (
         inv2.delta > 0 and isqrt_exact(inv2.delta) is not None and inv2.dpp == 0

@@ -119,8 +119,11 @@ def echelon_lattice_basis(basis: list[tuple[int, ...]]) -> list[tuple[int, ...]]
         if v[lev] < 0:
             v = [-x for x in v]
         out.append(v)
-    # Reduce entries sitting above lower pivots for a canonical result.
-    for i, lev in enumerate(levels):
+    # Reduce entries sitting above lower pivots for a canonical result,
+    # highest pivot first: a row is zero past its level, so reducing by a
+    # lower pivot later never disturbs an entry reduced at a higher one.
+    for i in reversed(range(len(levels))):
+        lev = levels[i]
         p = out[i][lev]
         for j in range(i + 1, len(out)):
             q = out[j][lev] // p

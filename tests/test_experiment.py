@@ -15,7 +15,7 @@ from cubic7.forms import CubicForm
 def test_block_zero_counts(f_star):
     n1, n2 = block_zero_counts(f_star, 3)
     assert n1 == n2 == 67
-    assert n1 == value_histogram(f_star.l1, f_star.q1, "sym", 3).zero_count()
+    assert n1 == value_histogram(f_star.l1, f_star.q1, "sym", 3).count_of(0)
 
 
 def test_predict_zeros_rows(f_star):

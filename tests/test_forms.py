@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -305,6 +306,26 @@ def test_classify(f_star, f_fac1, f_fac2):
     assert not classify(f_fac2).q2_factorizes  # D'' = 1, not a split case
     d = classify(f_star).to_dict()
     assert d["content"] == 1 and len(d["spaces"]) == 1
+
+
+_PINS = json.loads(Path(__file__).with_name("forms_pins.json").read_text())
+
+
+def test_payloads_pinned(f_star, f_fac1, f_fac2, f_content2, f_iii):
+    """classify and transform_block payloads equal their recorded integers."""
+    forms = {"f_star": f_star, "f_fac1": f_fac1, "f_fac2": f_fac2,
+             "f_content2": f_content2, "f_iii": f_iii}
+    assert set(_PINS["classify"]) == set(forms)
+    for name, form in forms.items():
+        assert classify(form).to_dict() == _PINS["classify"][name], name
+    bench_fac1 = Path(__file__).parents[1] / "bench" / "forms" / "f_fac1.json"
+    assert classify(load_form(str(bench_fac1))).to_dict() == _PINS["classify"]["f_fac1"]
+    assert set(_PINS["transform_block"]) == {
+        "nonzero-a", "nonzero-c", "split", "zero-a", "zero-c"}
+    for branch, pin in _PINS["transform_block"].items():
+        assert block_invariants(pin["l"], pin["q"]).to_dict() == pin["inv"]
+        nf = transform_block(pin["l"], pin["q"]).to_dict()
+        assert nf["branch"] == branch and nf == pin["nf"]
 
 
 def test_is_rational_cube():

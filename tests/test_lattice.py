@@ -27,6 +27,39 @@ def test_integer_kernel_rank():
             assert sum(c * t for c, t in zip(r, b)) == 0
 
 
+def test_echelon_basis_is_canonical():
+    """Generating sets of one lattice give one basis, in reduced echelon form."""
+    assert echelon_lattice_basis([(-2, 2, 2), (3, -2, 0), (-2, 5, -2)]) == [
+        (13, 0, 0), (5, 1, 0), (1, 0, 2)]
+    rng = random.Random(29)
+    for _ in range(400):
+        n = rng.randint(1, 7)
+        gens = [[rng.randint(-5, 5) for _ in range(n)]
+                for _ in range(rng.randint(1, min(4, n)))]
+        want = echelon_lattice_basis([tuple(v) for v in gens])
+        levels = [max(i for i, c in enumerate(v) if c) for v in want]
+        assert levels == sorted(set(levels))
+        for i, lev in enumerate(levels):
+            assert want[i][lev] > 0
+            assert all(0 <= want[j][lev] < want[i][lev]
+                       for j in range(i + 1, len(want)))
+        # Unimodular row operations, one redundant generator, a shuffle and
+        # sign flips leave the lattice, and so its basis, unchanged.
+        other = [list(v) for v in gens]
+        for _ in range(6):
+            i, j = rng.randrange(len(other)), rng.randrange(len(other))
+            if i != j:
+                c = rng.randint(-3, 3)
+                other[i] = [a + c * b for a, b in zip(other[i], other[j])]
+        coef = [rng.randint(-2, 2) for _ in gens]
+        other.append([sum(c * v[k] for c, v in zip(coef, gens))
+                      for k in range(n)])
+        rng.shuffle(other)
+        other = [tuple(-c for c in v) if rng.random() < 0.5 else tuple(v)
+                 for v in other]
+        assert echelon_lattice_basis(other) == want, (gens, other)
+
+
 def test_lattice_count_vs_brute():
     rng = random.Random(3)
     systems = [[tuple(rng.randint(-2, 2) for _ in range(5)) for _ in range(2)]
