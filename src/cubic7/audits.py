@@ -16,6 +16,7 @@ from . import fit
 from .arith import factorize
 from .counting import value_histogram
 from .errors import DomainError, ResourceLimitError
+from .payload import Payload
 
 _POWER_CAP = 10 ** 6
 _POWER_SPLIT = 10 ** 4
@@ -23,7 +24,7 @@ _SURFACE_CAP = 200
 
 
 @dataclass(frozen=True)
-class GrowthAudit:
+class GrowthAudit(Payload):
     probes: tuple[tuple[int, int], ...]  # (size, exact count)
     fitted_exponent: float
     max_constant: float  # max count / size^claimed
@@ -33,14 +34,6 @@ class GrowthAudit:
         sizes = [s for s, _ in self.probes]
         if not sizes or any(b <= a for a, b in zip(sizes, sizes[1:])):
             raise DomainError("probe sizes must be nonempty and increasing")
-
-    def to_dict(self) -> dict:
-        return {
-            "probes": [[s, c] for s, c in self.probes],
-            "fitted_exponent": self.fitted_exponent,
-            "max_constant": self.max_constant,
-            "claimed_exponent": self.claimed_exponent,
-        }
 
 
 def growth_audit(counter, sizes, claimed_exponent: float) -> GrowthAudit:

@@ -39,6 +39,7 @@ from .oracles import (
     representation_counts_brute,
     union_membership_brute,
 )
+from .payload import Payload
 from .audits import (
     divisor_slice_count,
     power_congruence_count,
@@ -47,13 +48,10 @@ from .audits import (
 
 
 @dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Payload):
     name: str
     passed: bool
     detail: str
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "detail": self.detail}
 
 
 def _rand_block(rng: random.Random, bound: int = 6):

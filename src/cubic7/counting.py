@@ -27,6 +27,7 @@ from . import lattice
 from .arith import icbrt, icbrt_exact
 from .errors import DomainError, ResourceLimitError
 from .forms import CubicForm, block_slabs, block_value, box_interval, box_range
+from .payload import Payload
 
 _GRID_CAP = 68_000_000  # lattice points per block enumeration
 _GRID_CAP_BIG = 2_000_000  # same, on the exact big-integer fallback path
@@ -221,12 +222,6 @@ def count_zeros(form: CubicForm, P: int) -> int:
     return count_representations(form, 0, P)
 
 
-def lattice_space_count(space, box: str, P: int) -> int:
-    """Exact number of box points on one linear space."""
-    lo, hi = box_interval(box, P)
-    return lattice.count_lattice_points_in_box(space.kernel_basis(), lo, hi)
-
-
 def union_kernel_count(cov_sets, box: str, P: int) -> int:
     """Box points on a union of covector kernels, by inclusion-exclusion.
 
@@ -263,7 +258,7 @@ def chi(N: int, a7: int, box: str, P: int) -> int:
 
 
 @dataclass(frozen=True)
-class MainTermReport:
+class MainTermReport(Payload):
     """Per-probe delta ratios and their fitted 1/P-extrapolated limits.
 
     delta1 = delta3 * delta4 holds exactly per probe (same N1, N2), and
@@ -277,17 +272,6 @@ class MainTermReport:
     delta2: float
     delta3: float
     delta4: float
-
-    def to_dict(self) -> dict:
-        return {
-            "P_list": list(self.P_list),
-            "rows": [dict(r) for r in self.rows],
-            "delta0": self.delta0,
-            "delta1": self.delta1,
-            "delta2": self.delta2,
-            "delta3": self.delta3,
-            "delta4": self.delta4,
-        }
 
 
 def block_zero_counts(form: CubicForm, P: int) -> tuple[int, int]:

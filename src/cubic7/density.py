@@ -30,6 +30,7 @@ import numpy as np
 
 from .errors import DomainError
 from .forms import CubicForm
+from .payload import Payload
 
 BLOCK = 1 << 19
 # Points evaluated at once: about 9 MB of arrays per thread, against 60 MB
@@ -94,7 +95,7 @@ def _sample_pass(form: CubicForm, thetas, eps_levels, samples: int,
 
 
 @dataclass(frozen=True)
-class SlabEstimate:
+class SlabEstimate(Payload):
     """One slab density vol{|f - theta| <= eps} / (2 eps) with its stderr."""
 
     value: float
@@ -104,17 +105,6 @@ class SlabEstimate:
     seed: int
     theta: float
     hits: int
-
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "epsilon": self.epsilon,
-            "samples": self.samples,
-            "stderr": self.stderr,
-            "seed": self.seed,
-            "theta": self.theta,
-            "hits": self.hits,
-        }
 
 
 def _slab(vol: float, hits: int, samples: int, eps: float) -> tuple[float, float]:
@@ -146,7 +136,7 @@ def slab_volume(form: CubicForm, theta: float, epsilon: float, samples: int,
 
 
 @dataclass(frozen=True)
-class DensityResult:
+class DensityResult(Payload):
     """Richardson-extrapolated density over the nested epsilon ladder."""
 
     target: str  # "zero" or "n"
@@ -163,24 +153,6 @@ class DensityResult:
     f_min: float
     f_max: float
     flagged_zero: bool  # positivity rule forced the value to 0
-
-    def to_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "theta": self.theta,
-            "eps": list(self.eps),
-            "samples": self.samples,
-            "seed": self.seed,
-            "hits": list(self.hits),
-            "volume": self.volume,
-            "densities": list(self.densities),
-            "value": self.value,
-            "residual": self.residual,
-            "stderr": self.stderr,
-            "f_min": self.f_min,
-            "f_max": self.f_max,
-            "flagged_zero": self.flagged_zero,
-        }
 
 
 def _ladders(form: CubicForm, thetas, eps0: float, samples: int, seed: int,

@@ -29,26 +29,18 @@ from .density import density_ladders, singular_integral
 from .errors import DomainError
 from .expsums import singular_series
 from .forms import CubicForm, linear_spaces
+from .payload import Payload
 
 P_SCHEDULE = (8, 12, 16, 24, 32, 48, 64)
 
 
 @dataclass(frozen=True)
-class PredictionReport:
+class PredictionReport(Payload):
     mode: str
     qmax: int
     rows: tuple[dict, ...]
     series_value: float | None  # zeros mode: the shared S(0, qmax)
     integral: dict | None  # zeros mode: the shared J0 estimate
-
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "qmax": self.qmax,
-            "rows": [dict(r) for r in self.rows],
-            "series_value": self.series_value,
-            "integral": self.integral,
-        }
 
 
 def predict_zeros(form: CubicForm, probes=None, qmax: int = 400,

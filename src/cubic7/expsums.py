@@ -126,11 +126,6 @@ def s_block(l, q, modulus: int, a: int) -> complex:
     return block_sum_any(l, q, modulus, a)
 
 
-@functools.lru_cache(maxsize=256)
-def _cube_histogram(a7: int, m: int) -> np.ndarray:
-    return np.bincount(cube_residues(a7, m), minlength=m)
-
-
 def s_cube(a7: int, modulus: int, mult: int) -> complex:
     """Sum of e(mult * a7 * x^3 / modulus) over one residue line."""
     if modulus < 1:
@@ -139,7 +134,8 @@ def s_cube(a7: int, modulus: int, mult: int) -> complex:
         return complex(1.0, 0.0)
     if modulus > MOD_CAP:
         raise ResourceLimitError(f"modulus {modulus} exceeds the cap {MOD_CAP}")
-    return _gather(_cube_histogram(a7, modulus), modulus, mult)
+    counts = np.bincount(cube_residues(a7, modulus), minlength=modulus)
+    return _gather(counts, modulus, mult)
 
 
 def s3(q: int, a: int, a7: int) -> complex:

@@ -19,6 +19,7 @@ import numpy as np
 from . import lattice
 from .arith import content, icbrt_exact, isqrt_exact
 from .errors import DegenerateBlockError, DomainError, InvalidFormError
+from .payload import Payload
 
 # Parse-time cap on coefficient magnitude, so degree-6 coefficient monomials
 # stay far inside exact integer range everywhere downstream.
@@ -309,7 +310,7 @@ def _comb(*terms) -> list[int]:
 
 
 @dataclass(frozen=True)
-class NormalForm:
+class NormalForm(Payload):
     """Integer change of variables with scale * L * Q = rhs(x1p, x2p, x3p).
 
     branch "zero-*"    : rhs = X1 * (X1*X3 + X2^2)
@@ -335,17 +336,6 @@ class NormalForm:
         if self.branch.startswith("nonzero"):
             return X1 * (self.quad * X2 * X2 - X3 * X3 + self.cube * X1 * X1)
         return X1 * (X2 * X3 + self.cube * X1 * X1)
-
-    def to_dict(self) -> dict:
-        return {
-            "branch": self.branch,
-            "scale": self.scale,
-            "x1p": list(self.x1p),
-            "x2p": list(self.x2p),
-            "x3p": list(self.x3p),
-            "quad": self.quad,
-            "cube": self.cube,
-        }
 
 
 def transform_block(l, q, block_index: int = 0) -> NormalForm:
@@ -532,23 +522,13 @@ def linear_spaces(form: CubicForm) -> list[LinearSpace]:
 
 
 @dataclass(frozen=True)
-class Classification:
+class Classification(Payload):
     block1: BlockInvariants
     block2: BlockInvariants
     q2_factorizes: bool
     spaces: tuple[LinearSpace, ...]
     content: int
     multipliers: tuple[int, int, int]
-
-    def to_dict(self) -> dict:
-        return {
-            "block1": self.block1.to_dict(),
-            "block2": self.block2.to_dict(),
-            "q2_factorizes": self.q2_factorizes,
-            "spaces": [s.to_dict() for s in self.spaces],
-            "content": self.content,
-            "multipliers": list(self.multipliers),
-        }
 
 
 def content_decomposition(form: CubicForm):

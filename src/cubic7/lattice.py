@@ -155,8 +155,6 @@ def count_lattice_points_in_box(basis, lo: int, hi: int) -> int:
     n = len(b[0])
     parts = _split_supports(b)
     covered = sum(len(sup) for sup, _ in parts)
-    if len(parts) == 1 and covered == n:
-        return _descent_count(b, lo, hi)
     if covered < n and not lo <= 0 <= hi:
         return 0
     total = 1

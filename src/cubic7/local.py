@@ -39,6 +39,7 @@ from .forms import (
     CubicForm, _permute_block, _primed, block_slabs, content_decomposition,
     cube_residues,
 )
+from .payload import Payload
 
 _EXHAUSTIVE_CAP = 360  # prime powers up to this are decided by full search
 _MODULUS_CAP = 10 ** 8
@@ -66,23 +67,13 @@ def _pencil_product(l, q, p: int) -> bool:
 
 
 @dataclass(frozen=True)
-class BlockLocalData:
+class BlockLocalData(Payload):
     prime: int
     case: str  # "i" | "ii" | "iii" | "iv"
     alpha: int | None
     beta: int | None
     gamma: int
     gamma_prime: int
-
-    def to_dict(self) -> dict:
-        return {
-            "prime": self.prime,
-            "case": self.case,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "gamma": self.gamma,
-            "gamma_prime": self.gamma_prime,
-        }
 
 
 def _is_scaled_square(l, q, p: int) -> bool:
@@ -130,7 +121,7 @@ def block_local_case(l, q, p: int) -> BlockLocalData:
 
 
 @dataclass(frozen=True)
-class PrimeLocalData:
+class PrimeLocalData(Payload):
     prime: int
     j: tuple[int, int, int]
     nu0: int
@@ -138,33 +129,14 @@ class PrimeLocalData:
     gamma: int
     gamma_prime: int
 
-    def to_dict(self) -> dict:
-        return {
-            "prime": self.prime,
-            "j": list(self.j),
-            "nu0": self.nu0,
-            "blocks": [b.to_dict() for b in self.blocks],
-            "gamma": self.gamma,
-            "gamma_prime": self.gamma_prime,
-        }
-
 
 @dataclass(frozen=True)
-class LocalData:
+class LocalData(Payload):
     content: int
     multipliers: tuple[int, int, int]
     primes: tuple[PrimeLocalData, ...]
     modulus: int  # M: congruence level that certifies local solvability
     sufficiency_modulus: int  # M': M' | N forces solvability
-
-    def to_dict(self) -> dict:
-        return {
-            "content": self.content,
-            "multipliers": list(self.multipliers),
-            "primes": [p.to_dict() for p in self.primes],
-            "modulus": self.modulus,
-            "sufficiency_modulus": self.sufficiency_modulus,
-        }
 
 
 def gamma_report(form: CubicForm, p: int) -> PrimeLocalData:
@@ -289,26 +261,23 @@ def _base_points_mod_p(form: CubicForm, N: int, p: int, limit: int):
     return out
 
 
+def _block_gradient(l, q, x) -> list[int]:
+    """[l_i * Q + L * dQ/dx_i] for one block L * Q at x = (x1, x2, x3)."""
+    A1, A2, A3, B1, B2, B3 = q
+    x1, x2, x3 = x
+    L = l[0] * x1 + l[1] * x2 + l[2] * x3
+    Q = A1 * x1 * x1 + A2 * x2 * x2 + A3 * x3 * x3 + B1 * x2 * x3 + B2 * x3 * x1 + B3 * x1 * x2
+    dQ = (2 * A1 * x1 + B2 * x3 + B3 * x2,
+          2 * A2 * x2 + B1 * x3 + B3 * x1,
+          2 * A3 * x3 + B1 * x2 + B2 * x1)
+    return [li * Q + L * d for li, d in zip(l, dQ)]
+
+
 def gradient(form: CubicForm, x) -> list[int]:
     """Exact integer gradient of f at an integer point."""
-    a1, a2, a3 = form.l1
-    a4, a5, a6 = form.l2
-    A1, A2, A3, B1, B2, B3 = form.q1
-    C1, C2, C3, D1, D2, D3 = form.q2
-    x1, x2, x3, x4, x5, x6, x7 = x
-    L1 = a1 * x1 + a2 * x2 + a3 * x3
-    L2 = a4 * x4 + a5 * x5 + a6 * x6
-    Q1 = A1 * x1 * x1 + A2 * x2 * x2 + A3 * x3 * x3 + B1 * x2 * x3 + B2 * x3 * x1 + B3 * x1 * x2
-    Q2 = C1 * x4 * x4 + C2 * x5 * x5 + C3 * x6 * x6 + D1 * x5 * x6 + D2 * x6 * x4 + D3 * x4 * x5
-    return [
-        a1 * Q1 + L1 * (2 * A1 * x1 + B2 * x3 + B3 * x2),
-        a2 * Q1 + L1 * (2 * A2 * x2 + B1 * x3 + B3 * x1),
-        a3 * Q1 + L1 * (2 * A3 * x3 + B1 * x2 + B2 * x1),
-        a4 * Q2 + L2 * (2 * C1 * x4 + D2 * x6 + D3 * x5),
-        a5 * Q2 + L2 * (2 * C2 * x5 + D1 * x6 + D3 * x4),
-        a6 * Q2 + L2 * (2 * C3 * x6 + D1 * x5 + D2 * x4),
-        3 * form.a7 * x7 * x7,
-    ]
+    return (_block_gradient(form.l1, form.q1, x[:3])
+            + _block_gradient(form.l2, form.q2, x[3:6])
+            + [3 * form.a7 * x[6] * x[6]])
 
 
 def _lift_to_prime_power(form: CubicForm, x0, N: int, p: int, k: int):

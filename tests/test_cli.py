@@ -3,6 +3,7 @@ import json
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -224,3 +225,30 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["count"] == 4
+
+
+# Stdouts recorded in cli_pins.json.  These subcommands print integers and
+# strings only, so the pins are exact on any machine; they fix the csv and
+# text renderings, whose columns follow payload key order.
+_CLI_PINS = json.loads(Path(__file__).with_name("cli_pins.json").read_text())
+_PINNED_COMMANDS = {
+    "classify": ("classify",),
+    "spaces": ("spaces",),
+    "count": ("count", "--N", "5", "--P", "3"),
+    "zeros": ("zeros", "--P", "6"),
+    "local": ("local", "--N", "7"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("cmd", list(_PINNED_COMMANDS))
+@pytest.mark.parametrize("form", ["example", "f_iii"])
+def test_stdout_pinned(capsys, tmp_path, request, form, cmd, fmt):
+    argv = ["--format", fmt]
+    if form != "example":
+        path = tmp_path / "form.json"
+        path.write_text(json.dumps(form_to_dict(request.getfixturevalue(form))))
+        argv += ["--form", str(path)]
+    code, out, _ = run_cli(capsys, *argv, *_PINNED_COMMANDS[cmd])
+    assert code == 0
+    assert out == _CLI_PINS[form][cmd][fmt]

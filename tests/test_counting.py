@@ -19,13 +19,13 @@ from cubic7.counting import (
     count_representations,
     count_zeros,
     delta_constants,
-    lattice_space_count,
     representation_counts,
     union_space_count,
     value_histogram,
 )
 from cubic7.errors import DomainError, ResourceLimitError
 from cubic7.forms import BOX_KINDS, COEFF_CAP, CubicForm, box_interval, box_range, linear_spaces
+from cubic7.lattice import count_lattice_points_in_box
 from cubic7.oracles import (
     block_values_brute,
     representation_counts_brute,
@@ -74,6 +74,20 @@ def test_histogram_guards(f_star):
         value_histogram(f_star.l1, f_star.q1, "sym", 0)
     with pytest.raises(ResourceLimitError, match=r"1083206683 cells .* P <= 203"):
         value_histogram(f_star.l1, f_star.q1, "sym", 513)
+
+
+@pytest.mark.parametrize("box, P", [("pos", 126), ("sym", 63)])
+def test_histogram_big_integer_grid_cap(box, P):
+    # The first radius whose grid (126^3 or 127^3 cells) passes the
+    # 2,000,000-cell cap of the big-integer path, for a block at COEFF_CAP.
+    c = COEFF_CAP
+    with pytest.raises(ResourceLimitError, match="coefficients too large"):
+        value_histogram((c, c, c), (c,) * 6, box, P)
+
+
+def test_histogram_int64_block_skips_big_integer_cap():
+    h = value_histogram((1, 0, 0), (0, 1, 0, 0, 0, 0), "pos", 126)
+    assert h.total() == 126 ** 3
 
 
 def test_histogram_big_integer_path():
@@ -379,11 +393,16 @@ def test_count_zeros_requires_sym(f_star):
 
 def test_lattice_space_count(f_star):
     sp = linear_spaces(f_star)[0]
+
+    def count(box):
+        return count_lattice_points_in_box(sp.kernel_basis(),
+                                           *box_interval(box, 2))
+
     # Rank-4 kernel with the free coordinates x2, x3, x5, x6.
-    assert lattice_space_count(sp, "sym", 2) == 5 ** 4
-    assert lattice_space_count(sp, "nonneg", 2) == 3 ** 4
+    assert count("sym") == 5 ** 4
+    assert count("nonneg") == 3 ** 4
     # x1, x4, x7 vanish on the space, and the pos box excludes 0.
-    assert lattice_space_count(sp, "pos", 2) == 0
+    assert count("pos") == 0
 
 
 def test_union_counts_vs_membership(f_star, f_fac1, f_fac2):

@@ -233,6 +233,29 @@ def test_gradient_euler_identity(f_iii):
         assert sum(xi * gi for xi, gi in zip(x, g)) == 3 * f_iii.value(x)
 
 
+def test_gradient_central_difference():
+    # Any homogeneous cubic has f(x + e) - f(x - e) = 2 e.grad f(x) + 2 f(e),
+    # so each partial is pinned exactly; a swapped pair of partials fails.
+    rng = random.Random(72)
+    forms = 0
+    while forms < 30:
+        coeffs = [tuple(rng.randint(-5, 5) for _ in range(n)) for n in (7, 6, 6)]
+        try:
+            form = CubicForm(*coeffs)
+        except DomainError:
+            continue
+        forms += 1
+        for _ in range(70):
+            x = [rng.randint(-9, 9) for _ in range(7)]
+            g = gradient(form, x)
+            for i in range(7):
+                e = [int(j == i) for j in range(7)]
+                step = form.value([a + b for a, b in zip(x, e)]) - form.value(
+                    [a - b for a, b in zip(x, e)])
+                assert 2 * g[i] == step - form.value(e) + form.value(
+                    [-v for v in e]), (coeffs, x, i)
+
+
 def test_local_report(f_star, f_content2):
     rep = local_report(f_star, 2)
     assert rep["verdict"] == "solvable-everywhere"
