@@ -4,7 +4,11 @@ Each ternary block contributes a value histogram over the box; the count of
 f = N is a convolution of the two histograms against the cube term.  All
 arithmetic is exact.  A histogram is a sorted array of distinct values with
 int64 multiplicities; the values are int64 when the a priori bound proves
-they fit and Python integers (object dtype) otherwise.  The cube term is
+they fit and Python integers (object dtype) otherwise.  On the sym box a
+histogram scans half the grid: L*Q(-x) = -L*Q(x), so the slabs x1 < 0 are
+the mirror of the slabs x1 > 0, and only those and the plane x1 = 0 are
+enumerated, each int64 slab sorted in place and counted by run lengths.
+Both grid caps still apply to the full box.  The cube term is
 folded once into the narrower histogram, g = h * {a7 t^3}, by 2P+1 dense
 slice adds; every N is then one int64 dot of the other histogram's counts
 against g.  An entry of g is at most the folded total (v and w fix t), so g
@@ -68,19 +72,53 @@ class BlockHistogram:
         return zip(self.vals.tolist(), self.cnts.tolist())
 
 
-def _merge_unique(v1, c1, v2, c2):
-    v = np.concatenate([v1, v2])
-    c = np.concatenate([c1, c2])
+def _runs(v):
+    """Starts of the runs of equal values in the sorted array v."""
+    edge = np.empty(len(v), dtype=bool)
+    edge[:1] = True
+    np.not_equal(v[1:], v[:-1], out=edge[1:])
+    return np.flatnonzero(edge)
+
+
+def _merge_unique(*parts):
+    """One histogram from sorted (vals, cnts) parts, adding equal values."""
+    v = np.concatenate([p[0] for p in parts])
+    c = np.concatenate([p[1] for p in parts])
     order = np.argsort(v, kind="stable")
     v = v[order]
-    c = c[order]
-    starts = np.flatnonzero(np.r_[True, v[1:] != v[:-1]])
-    return v[starts], np.add.reduceat(c, starts)
+    starts = _runs(v)
+    return v[starts], np.add.reduceat(c[order], starts)
+
+
+def _scan_int64(l, q, r, xs):
+    """Sorted (vals, cnts) of L*Q over xs x r x r: each slab is sorted in
+    place and its runs are merged into the running histogram."""
+    vals = cnts = np.empty(0, dtype=np.int64)
+    for _, v in block_slabs(l, q, r, xs):
+        v.sort()
+        starts = _runs(v)
+        vals, cnts = _merge_unique((vals, cnts), (v[starts], np.diff(starts, append=len(v))))
+    return vals, cnts
+
+
+def _scan_big(l, q, r, xs):
+    """Sorted (vals, cnts) of L*Q over xs x r x r in Python integers."""
+    pts = itertools.product(xs.tolist(), r.tolist(), r.tolist())
+    hist = Counter(itertools.starmap(functools.partial(block_value, l, q), pts))
+    vals = sorted(hist)
+    return (np.array(vals, dtype=object),
+            np.array([hist[v] for v in vals], dtype=np.int64))
 
 
 @functools.lru_cache(maxsize=16)
 def value_histogram(l, q, box: str, P: int) -> BlockHistogram:
-    """Histogram of L*Q over the box of radius P (exact multiplicities)."""
+    """Histogram of L*Q over the box of radius P (exact multiplicities).
+
+    On the sym box only the slabs x1 > 0 and the plane x1 = 0 are scanned:
+    L*Q(-x) = -L*Q(x) and the box is symmetric, so the slabs x1 < 0 are the
+    mirror v -> -v of the slabs x1 > 0 (reversed values, reversed counts).
+    The pos and nonneg boxes are scanned in full.
+    """
     if P < 1:
         raise DomainError("P must be at least 1")
     lo, hi = box_interval(box, P)
@@ -94,22 +132,19 @@ def value_histogram(l, q, box: str, P: int) -> BlockHistogram:
         )
     # |L*Q| <= sum|l| * R * sum|q| * R^2 with R the largest |coordinate|.
     R = max(abs(lo), abs(hi))
+    scan = _scan_int64
     if sum(map(abs, l)) * sum(map(abs, q)) * R ** 3 >= _INT64_SAFE:
         if m ** 3 > _GRID_CAP_BIG:
             raise ResourceLimitError(
                 "coefficients too large for the int64 path at this P"
             )
-        pts = itertools.product(range(lo, hi + 1), repeat=3)
-        hist = Counter(itertools.starmap(functools.partial(block_value, l, q), pts))
-        vals = sorted(hist)
-        return BlockHistogram(np.array(vals, dtype=object),
-                              np.array([hist[v] for v in vals], dtype=np.int64))
-    vals = np.empty(0, dtype=np.int64)
-    cnts = np.empty(0, dtype=np.int64)
-    for _, v in block_slabs(l, q, np.arange(lo, hi + 1, dtype=np.int64)):
-        u, c = np.unique(v, return_counts=True)
-        vals, cnts = _merge_unique(vals, cnts, u, c)
-    return BlockHistogram(vals, cnts)
+        scan = _scan_big
+    r = np.arange(lo, hi + 1, dtype=np.int64)
+    if box != "sym":
+        return BlockHistogram(*scan(l, q, r, r))
+    vals, cnts = scan(l, q, r, r[P + 1 :])
+    return BlockHistogram(*_merge_unique(
+        (vals, cnts), (-vals[::-1], cnts[::-1]), scan(l, q, r, r[P : P + 1])))
 
 
 def _cube_fold(h: BlockHistogram, cubes):

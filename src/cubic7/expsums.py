@@ -200,13 +200,6 @@ class SeriesEstimate:
     terms: tuple[float, ...]  # terms[q] = S(q; N); terms[0] unused
     tail_indicator: tuple[tuple[int, float], ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "Q": self.Q,
-            "tail": [[q, t] for q, t in self.tail_indicator],
-        }
-
 
 def singular_series(form: CubicForm, N: int, Qmax: int) -> SeriesEstimate:
     """Partial singular series over q <= Qmax, with internal tail markers.

@@ -58,31 +58,36 @@ def block_value(l, q, x, y, z):
     return lin * quad
 
 
-def block_slabs(l, q, r):
-    """Yield (first flat index, L*Q values) over the grid r^3 in x-slabs.
+def block_slabs(l, q, r, xs=None):
+    """Yield (first flat index, L*Q values) over the grid xs x r x r in x-slabs.
 
-    r is an int64 coordinate array and (r[i], r[j], r[k]) has flat index
-    (i * n + j) * n + k.  The yielded array is overwritten by the next slab:
-    two slab buffers are reused throughout, so no slab costs a fresh
+    r and xs (default r) are int64 coordinate arrays, and (xs[i], r[j], r[k])
+    has flat index (i * n + j) * n + k with n = len(r); with the default xs
+    that is the index of the point in the cube r^3.  The yielded array is
+    overwritten by the next slab, so the caller may sort or reduce it in
+    place: one slab buffer is reused throughout, and no slab costs a fresh
     allocation.
     """
+    xs = r if xs is None else xs
     n = len(r)
     a1, a2, a3 = (int(v) for v in l)
     A1, A2, A3, B1, B2, B3 = (int(v) for v in q)
-    Y, Z = r[None, :, None], r[None, None, :]
+    Y, Z = r[:, None], r[None, :]
     liny = a2 * Y + a3 * Z
     base = A2 * Y * Y + A3 * Z * Z + B1 * Y * Z
+    lin = np.empty_like(base)
     step = max(1, _SLAB // (n * n))
-    vbuf = np.empty((min(step, n), n, n), dtype=np.int64)
-    lbuf = np.empty_like(vbuf)
-    for s in range(0, n, step):
-        X = r[s : s + step][:, None, None]
-        v, lin = vbuf[: len(X)], lbuf[: len(X)]
-        np.add(a1 * X, liny, out=lin)
-        np.add(base, A1 * X * X, out=v)
-        v += B2 * Z * X
-        v += B3 * X * Y
-        v *= lin
+    vbuf = np.empty((min(step, len(xs)), n, n), dtype=np.int64)
+    for s in range(0, len(xs), step):
+        xb = xs[s : s + step].tolist()
+        v = vbuf[: len(xb)]
+        # One x-plane at a time: besides the slab, only n x n arrays exist.
+        for plane, x in zip(v, xb):
+            np.add(base, A1 * x * x, out=plane)
+            plane += (B2 * x) * Z
+            plane += (B3 * x) * Y
+            np.add(liny, a1 * x, out=lin)
+            plane *= lin
         yield s * n * n, v.ravel()
 
 

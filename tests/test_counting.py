@@ -24,7 +24,15 @@ from cubic7.counting import (
     value_histogram,
 )
 from cubic7.errors import DomainError, ResourceLimitError
-from cubic7.forms import BOX_KINDS, COEFF_CAP, CubicForm, box_interval, box_range, linear_spaces
+from cubic7.forms import (
+    BOX_KINDS,
+    COEFF_CAP,
+    CubicForm,
+    block_slabs,
+    box_interval,
+    box_range,
+    linear_spaces,
+)
 from cubic7.lattice import count_lattice_points_in_box
 from cubic7.oracles import (
     block_values_brute,
@@ -196,6 +204,66 @@ def test_histogram_int64_boundary(l, q, box, P, above):
     h = value_histogram(l, q, box, P)
     assert h.is_big == above
     assert dict(h.items()) == block_values_brute(l, q, box, P)
+
+
+def _sorted_arrays(hist):
+    vals = sorted(hist)
+    return np.array(vals, dtype=object), np.array([hist[v] for v in vals])
+
+
+def _full_scan(l, q, P):
+    """The sym histogram by np.unique over every slab of the whole grid."""
+    r = np.arange(-P, P + 1, dtype=np.int64)
+    parts = [np.unique(v, return_counts=True) for _, v in block_slabs(l, q, r)]
+    vals, inv = np.unique(np.concatenate([u for u, _ in parts]), return_inverse=True)
+    cnts = np.zeros(len(vals), dtype=np.int64)
+    np.add.at(cnts, inv, np.concatenate([c for _, c in parts]))
+    return vals, cnts
+
+
+def _assert_hist(h, vals, cnts):
+    assert np.array_equal(h.vals, vals) and np.array_equal(h.cnts, cnts)
+
+
+def test_sym_histogram_half_scan(monkeypatch, f_fac1):
+    # The sym histogram scans x1 > 0 and the plane x1 = 0 and mirrors the
+    # half; it must equal the full scan value for value and count for count.
+    rng = random.Random(14)
+    blocks = [((0, 1, 0), (1, -2, 0, 3, 0, 1)), ((0, 0, 1), (2, 0, -1, 0, 1, 0))]
+    for a1 in (0, 0, 1, -2, 3):
+        l = (a1, rng.randint(-3, 3), rng.randint(1, 3))
+        blocks.append((l, tuple(rng.randint(-3, 3) for _ in range(6))))
+    for P in range(1, 7):
+        for l, q in blocks:
+            h = value_histogram.__wrapped__(l, q, "sym", P)
+            assert not h.is_big
+            _assert_hist(h, *_sorted_arrays(block_values_brute(l, q, "sym", P)))
+    # Several slabs of block_slabs, the last one shorter, at P = 128.
+    dense = (tuple(rng.choice((-1, 1)) for _ in range(3)),
+             tuple(rng.choice((-1, 1)) for _ in range(6)))
+    for P in (64, 128):
+        for l, q in (*f_fac1.blocks(), dense):
+            _assert_hist(value_histogram.__wrapped__(l, q, "sym", P), *_full_scan(l, q, P))
+    # The big-integer path mirrors the same way.
+    monkeypatch.setattr(counting, "_INT64_SAFE", 100)
+    for l, q in blocks[-3:]:
+        h = value_histogram.__wrapped__(l, q, "sym", 4)
+        assert h.is_big
+        _assert_hist(h, *_sorted_arrays(block_values_brute(l, q, "sym", 4)))
+
+
+def test_histogram_build_memory():
+    # A cold sym histogram sorts half-grid slab buffers in place; the full
+    # scan through np.unique peaked at about 58 MB here.
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        value_histogram.__wrapped__((1, 0, 0), (0, 0, 1, 0, 0, 1), "sym", 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
 
 
 def test_fold_vs_sparse(f_star, f_fac1, f_iii):

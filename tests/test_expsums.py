@@ -252,8 +252,6 @@ def test_singular_series_reporting(f_star):
     assert est.Q == 60
     assert abs(est.value - math.fsum(est.terms[1:])) < 1e-12
     assert [q for q, _ in est.tail_indicator] == [15, 30, 60]
-    d = est.to_dict()
-    assert set(d) == {"value", "Q", "tail"}
     assert est.terms[0] == 0.0
 
 
