@@ -11,13 +11,31 @@ Determinism: samples are drawn in fixed blocks of 2^19 points from Philox
 keyed by (seed, block index), and each block is evaluated in chunks of
 _CHUNK points drawn consecutively from its stream.  Blocks contribute
 integer hit counts that are combined in block order, so results are
-bit-identical for any thread count and any run.
+bit-identical for any thread count and any run.  The chunk size does not
+change results either: consecutive draws continue one stream, so the chunks
+of a block hold the points of one draw of the whole block, and each point's
+value and comparisons involve that point alone.
+
+Evaluation: each block allocates its buffers once and reuses them for every
+chunk.  A chunk is drawn into a (chunk, 7) buffer, copied once into a
+(7, chunk) buffer of contiguous columns, and mapped to the sym box there in
+place.  f is then computed from _plan's term lists, which drop the zero
+coefficients and the product by a coefficient 1 but otherwise perform
+forms.block_value's float operations in its order: ((c*x)*y) per term, the
+terms summed left to right, lin * quad per block, then (b1 + b2) +
+((a7*x7)*x7)*x7.  Dropping them is exact: x + (+-0.0) == x for every
+nonzero finite x and 1*x == x, so f can differ from CubicForm.value only in
+the sign of an exact zero (which needs x7 == 0 exactly): the hits never
+differ, and f_min or f_max only if it is such a zero.
 
 One pass serves every theta: density_ladders draws and evaluates each chunk
 once and applies the test |f(x) - theta| <= eps to the same float array for
 each theta in turn.  The points, the f values and the comparison are those
 of a one-theta pass, so every theta gets the hits, f_min and f_max it would
-get alone.
+get alone.  The eps levels of a pass do not increase, so each level counts
+its hits among those of the level before (af = af[af <= eps]): the counts
+equal separate comparisons, and the smaller levels scan only the points
+that passed the first.
 """
 
 from __future__ import annotations
@@ -33,33 +51,98 @@ from .forms import CubicForm
 from .payload import Payload
 
 BLOCK = 1 << 19
-# Points evaluated at once: about 9 MB of arrays per thread, against 60 MB
-# for a whole block, so the peak memory of concurrent threads no longer
-# hinges on how their blocks interleave.
-_CHUNK = 1 << 16
+# Points evaluated at once: a block's buffers take about 0.6 MB, against
+# 60 MB for a whole block in one draw.  The size changes no result, but it
+# moves the peak RSS of later phases through glibc's dynamic mmap threshold
+# (freeing an mmapped buffer raises the threshold to the buffer's size), and
+# not monotonically: on the f_fac1 count job, 1 << 12 and 1 << 16 peak about
+# 7 MB lower than 1 << 11, 1 << 13 and 1 << 14.
+_CHUNK = 1 << 12
 _MASK64 = (1 << 64) - 1
+# The (i, j) of block_value's quadratic terms A1 x^2, A2 y^2, A3 z^2,
+# B1 y z, B2 z x, B3 x y.
+_QUAD = ((0, 0), (1, 1), (2, 2), (1, 2), (2, 0), (0, 1))
 
 
 def box_volume(box: str) -> float:
     return 128.0 if box == "sym" else 1.0
 
 
-def _block_stats(form: CubicForm, thetas, eps_levels, seed: int,
-                 index: int, count: int):
+def _plan(form: CubicForm):
+    """(blocks, cube, sym) for _block_stats.
+
+    Each block is (linear terms, quadratic terms) with the terms (c, i) and
+    (c, i, j) over the 7 coordinate columns in block_value's order and zero
+    coefficients dropped; a block whose Q vanishes is left out.  cube is the
+    one term (a7, 6, 6, 6).
+    """
+    blocks = []
+    for off, (l, q) in zip((0, 3), form.blocks()):
+        lin = tuple((float(c), off + i) for i, c in enumerate(l) if c)
+        quad = tuple((float(c), off + i, off + j)
+                      for (i, j), c in zip(_QUAD, q) if c)
+        if quad:
+            blocks.append((lin, quad))
+    return tuple(blocks), (float(form.a7), 6, 6, 6), form.box == "sym"
+
+
+def _sum(terms, x, out, tmp):
+    """The sum of the products ((c * x[i]) * x[j]) ... of terms, left to
+    right, in out (tmp holds each later term)."""
+    for k, (c, i, *rest) in enumerate(terms):
+        dst = tmp if k else out
+        if c != 1.0:
+            np.multiply(x[i], c, out=dst)
+        elif rest:
+            np.multiply(x[i], x[rest.pop(0)], out=dst)
+        else:
+            np.copyto(dst, x[i])
+        for j in rest:
+            dst *= x[j]
+        if k:
+            out += tmp
+    return out
+
+
+def _block_stats(plan, thetas, eps_levels, seed: int, index: int, count: int):
+    """Per-theta hit lists, f_min and f_max of one block of count points.
+
+    eps_levels must not increase: each level counts among the last one's hits.
+    """
+    blocks, cube, sym = plan
     gen = np.random.Generator(np.random.Philox(key=[seed & _MASK64, index]))
+    m = min(_CHUNK, count)
+    draw = np.empty((m, 7))
+    cols = np.empty((7, m))
+    bufs = np.empty((4, m))
     hits = [[0] * len(eps_levels) for _ in thetas]
     f_min = math.inf
     f_max = -math.inf
     for s in range(0, count, _CHUNK):
+        n = min(_CHUNK, count - s)
         # Consecutive draws continue one stream: the points equal one draw.
-        u = gen.random((min(_CHUNK, count - s), 7))
-        if form.box == "sym":
-            u = 2.0 * u - 1.0
-        f = form.value(list(u.T))
+        gen.random(out=draw[:n])
+        x = cols[:, :n]
+        np.copyto(x, draw[:n].T)
+        if sym:
+            x *= 2.0
+            x -= 1.0
+        f, b, lin, tmp = bufs[:, :n]
+        for k, (lt, qt) in enumerate(blocks):
+            v = _sum(qt, x, b if k else f, tmp)
+            v *= _sum(lt, x, lin, tmp)
+            if k:
+                f += b
+        if blocks:
+            f += _sum((cube,), x, b, tmp)
+        else:
+            _sum((cube,), x, f, tmp)
         for h, theta in zip(hits, thetas):
-            af = np.abs(f - theta)
+            af = np.subtract(f, theta, out=tmp)
+            np.abs(af, out=af)
             for k, e in enumerate(eps_levels):
-                h[k] += int((af <= e).sum())
+                af = af[af <= e]
+                h[k] += af.size
         f_min = min(f_min, float(f.min()))
         f_max = max(f_max, float(f.max()))
     return hits, f_min, f_max
@@ -72,9 +155,10 @@ def _sample_pass(form: CubicForm, thetas, eps_levels, samples: int,
         raise DomainError("threads must be at least 1")
     nblocks = (samples + BLOCK - 1) // BLOCK
     sizes = [BLOCK] * (nblocks - 1) + [samples - BLOCK * (nblocks - 1)]
+    plan = _plan(form)
 
     def run(i: int):
-        return _block_stats(form, thetas, eps_levels, seed, i, sizes[i])
+        return _block_stats(plan, thetas, eps_levels, seed, i, sizes[i])
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -117,8 +201,8 @@ def _slab(vol: float, hits: int, samples: int, eps: float) -> tuple[float, float
 def slab_volume(form: CubicForm, theta: float, epsilon: float, samples: int,
                 seed: int = 0, threads: int = 1) -> SlabEstimate:
     """Monte Carlo slab density at a single half-width."""
-    if epsilon <= 0:
-        raise DomainError("epsilon must be positive")
+    if not math.isfinite(epsilon) or epsilon <= 0:
+        raise DomainError("epsilon must be positive and finite")
     if samples < 10 ** 4:
         raise DomainError("need at least 10^4 samples")
     hits, _, _ = _sample_pass(form, (theta,), (epsilon,), samples, seed,
@@ -161,8 +245,8 @@ def _ladders(form: CubicForm, thetas, eps0: float, samples: int, seed: int,
     in epsilon."""
     if not thetas:
         raise DomainError("need at least one theta")
-    if eps0 <= 0:
-        raise DomainError("eps must be positive")
+    if not math.isfinite(eps0) or eps0 <= 0:
+        raise DomainError("eps must be positive and finite")
     if samples < 10 ** 4:
         raise DomainError("need at least 10^4 samples")
     eps_levels = (eps0, eps0 / 2.0, eps0 / 4.0)

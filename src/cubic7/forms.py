@@ -48,7 +48,12 @@ _SLAB = 1 << 22  # grid cells per slab of block_slabs
 
 
 def block_value(l, q, x, y, z):
-    """Value of the ternary block L(x,y,z) * Q(x,y,z); broadcasts over arrays."""
+    """Value of the ternary block L(x,y,z) * Q(x,y,z); broadcasts over arrays.
+
+    Its callers: counting._scan_big (Python ints), CubicForm.value and the
+    plane grids of expsums.mod_histogram (broadcast int64 arrays).  The Monte
+    Carlo density performs the same float operations in place (density._sum).
+    """
     a1, a2, a3 = l
     A1, A2, A3, B1, B2, B3 = q
     lin = a1 * x + a2 * y + a3 * z

@@ -177,6 +177,10 @@ def test_error_exit_codes(capsys, tmp_path):
         code, out, err = run_cli(capsys, "--threads", threads, "integral",
                                  "--samples", "10000")
         assert code == 2 and out == "" and "threads" in err
+    for eps in ("nan", "inf", "0"):
+        code, out, err = run_cli(capsys, "integral", "--eps", eps,
+                                 "--samples", "20000")
+        assert code == 2 and out == "" and "eps" in err
 
 
 @pytest.mark.parametrize("block", [1, 2])

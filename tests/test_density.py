@@ -1,3 +1,7 @@
+import math
+import random
+
+import numpy as np
 import pytest
 
 from cubic7.density import (
@@ -9,7 +13,7 @@ from cubic7.density import (
     slab_volume,
 )
 from cubic7.errors import DomainError
-from cubic7.forms import CubicForm
+from cubic7.forms import COEFF_CAP, CubicForm
 
 
 def test_box_volume():
@@ -125,25 +129,77 @@ def test_ladders_guards(f_star):
         density_ladders(f_star, [0.0, 1.0], samples=9_999)
 
 
+def test_non_finite_eps_rejected(f_star):
+    # NaN passes a plain eps <= 0 test and would print NaN densities; an
+    # infinite eps would count every point and report a density of 0.
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="eps"):
+            density_ladder(f_star, 0.0, eps0=bad, samples=20_000)
+        with pytest.raises(DomainError, match="eps"):
+            density_ladders(f_star, [0.0, 1.0], eps0=bad, samples=20_000)
+        with pytest.raises(DomainError, match="eps"):
+            singular_integral(f_star, "zero", eps0=bad, samples=20_000)
+        with pytest.raises(DomainError, match="eps"):
+            slab_volume(f_star, 0.0, bad, 20_000)
+
+
 def test_block_chunks_match_one_draw(f_star):
     # Chunked evaluation equals evaluating the block's points in one draw,
     # and a whole block stays far below the ~60 MB a single draw needs.
     import tracemalloc
 
-    import numpy as np
-
-    from cubic7.density import _CHUNK, _block_stats
+    from cubic7.density import _CHUNK, _block_stats, _plan
 
     count, eps = 2 * _CHUNK + 12345, (0.1, 0.05, 0.025)
     u = np.random.Generator(np.random.Philox(key=[3, 5])).random((count, 7))
     f = f_star.value(list((2.0 * u - 1.0).T))
     hits = [[int((np.abs(f - t) <= e).sum()) for e in eps] for t in (0.0, 0.5)]
-    assert _block_stats(f_star, (0.0, 0.5), eps, 3, 5, count) == (
+    assert _block_stats(_plan(f_star), (0.0, 0.5), eps, 3, 5, count) == (
         hits, float(f.min()), float(f.max()))
     tracemalloc.start()
     try:
-        _block_stats(f_star, (0.0,), eps, 0, 0, 1 << 19)
+        _block_stats(_plan(f_star), (0.0,), eps, 0, 0, 1 << 19)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 20e6
+    assert peak < 4e6
+
+
+def _random_form(rng, box):
+    """A form whose coefficients are mostly 0, +-1 and +-COEFF_CAP."""
+    pool = (0, 0, 0, 1, -1, COEFF_CAP, -COEFF_CAP, 2, -5)
+    while True:
+        a = [rng.choice(pool) for _ in range(7)]
+        if a[6] and any(a[0:3]) and any(a[3:6]):
+            return CubicForm(a, [rng.choice(pool) for _ in range(6)],
+                             [rng.choice(pool) for _ in range(6)], box)
+
+
+def test_block_stats_match_brute_values(monkeypatch):
+    # The in-place evaluator (zero coefficients dropped, unit coefficients
+    # skipped, nested eps counts) gives exactly the hits, f_min and f_max of
+    # CubicForm.value on the same points, for any chunk size.
+    import cubic7.density as density
+
+    rng = random.Random(2024)
+    forms = [_random_form(rng, box) for box in ("sym", "pos", "nonneg") * 4]
+    forms.append(CubicForm((1, 0, 0, -1, 1, 0, 1), (0,) * 6,
+                           (0, 1, 0, 0, 0, 1), "sym"))  # Q1 = 0
+    forms.append(CubicForm((0, 1, 0, 0, 0, -1, -1), (0,) * 6, (0,) * 6,
+                           "pos"))  # f = a7 x7^3 alone
+    eps = (0.5, 0.25, 0.125)
+    chunk0 = density._CHUNK
+    for i, form in enumerate(forms):
+        count = 3 * chunk0 + 1000 * i + 77
+        u = np.random.Generator(np.random.Philox(key=[i, 2])).random((count, 7))
+        if form.box == "sym":
+            u = 2.0 * u - 1.0
+        f = form.value(list(u.T))
+        thetas = (0.0, float(np.median(f)), float(f[0]))
+        hits = [[int((np.abs(f - t) <= e).sum()) for e in eps] for t in thetas]
+        expected = (hits, float(f.min()), float(f.max()))
+        for chunk in (chunk0, 1000, 1 << 16):
+            monkeypatch.setattr(density, "_CHUNK", chunk)
+            got = density._block_stats(density._plan(form), thetas, eps, i, 2,
+                                       count)
+            assert got == expected
