@@ -80,14 +80,7 @@ def primes_up_to(n: int) -> tuple[int, ...]:
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1 if d == 2 else 2
-    return True
+    return factorize(n) == [(n, 1)]
 
 
 def factorize(n: int) -> list[tuple[int, int]]:

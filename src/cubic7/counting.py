@@ -110,15 +110,10 @@ def _scan_big(l, q, r, xs):
             np.array([hist[v] for v in vals], dtype=np.int64))
 
 
-@functools.lru_cache(maxsize=16)
-def value_histogram(l, q, box: str, P: int) -> BlockHistogram:
-    """Histogram of L*Q over the box of radius P (exact multiplicities).
-
-    On the sym box only the slabs x1 > 0 and the plane x1 = 0 are scanned:
-    L*Q(-x) = -L*Q(x) and the box is symmetric, so the slabs x1 < 0 are the
-    mirror v -> -v of the slabs x1 > 0 (reversed values, reversed counts).
-    The pos and nonneg boxes are scanned in full.
-    """
+def _histogram_scan(l, q, box: str, P: int):
+    """(lo, hi, scan) for value_histogram, after the guards that refuse the
+    histogram before anything is allocated: P >= 1, the grid cap, and the
+    big-integer grid cap when the int64 bound fails."""
     if P < 1:
         raise DomainError("P must be at least 1")
     lo, hi = box_interval(box, P)
@@ -139,6 +134,19 @@ def value_histogram(l, q, box: str, P: int) -> BlockHistogram:
                 "coefficients too large for the int64 path at this P"
             )
         scan = _scan_big
+    return lo, hi, scan
+
+
+@functools.lru_cache(maxsize=16)
+def value_histogram(l, q, box: str, P: int) -> BlockHistogram:
+    """Histogram of L*Q over the box of radius P (exact multiplicities).
+
+    On the sym box only the slabs x1 > 0 and the plane x1 = 0 are scanned:
+    L*Q(-x) = -L*Q(x) and the box is symmetric, so the slabs x1 < 0 are the
+    mirror v -> -v of the slabs x1 > 0 (reversed values, reversed counts).
+    The pos and nonneg boxes are scanned in full.
+    """
+    lo, hi, scan = _histogram_scan(l, q, box, P)
     r = np.arange(lo, hi + 1, dtype=np.int64)
     if box != "sym":
         return BlockHistogram(*scan(l, q, r, r))

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from .arith import icbrt
 from .counting import (
+    _histogram_scan,
     block_zero_counts,
     chi,
     count_zeros,
@@ -49,6 +50,12 @@ def predict_zeros(form: CubicForm, probes=None, qmax: int = 400,
     if form.box != "sym":
         raise DomainError("zeros mode requires the sym box")
     Ps = tuple(int(P) for P in (probes or P_SCHEDULE))
+    # Refuse an oversized or invalid radius before the series and the
+    # integral.  The counts still run after those, which keeps the order
+    # of the large allocations, and with it the peak RSS, as it was.
+    for P in Ps:
+        for l, q in form.blocks():
+            _histogram_scan(l, q, "sym", P)
     spaces = linear_spaces(form)
     series = singular_series(form, 0, qmax)
     integ = singular_integral(form, "zero", eps0, samples, seed, threads)

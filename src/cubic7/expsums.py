@@ -10,7 +10,8 @@ counts identical to a full scan.  The normalized term
     S(q; N) = q^-7 * sum_{gcd(a,q)=1} S1 S2 S3 e(-aN/q)
 
 is multiplicative in q, so partial series sums are assembled from prime
-powers with a smallest-prime-factor sieve.  S1, S2 and S3 at a unit a
+powers: each q splits off the power of its smallest prime, found by trial
+division (arith.factorize).  S1, S2 and S3 at a unit a
 depend only on the class of a in (Z/q)^* modulo cubes (x -> cx permutes
 residues and scales every residue histogram's argument by c^3), so each
 product is computed once per class, which is one class or three for a

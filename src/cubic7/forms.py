@@ -125,6 +125,16 @@ def cube_residues(a7: int, m: int) -> np.ndarray:
     return (a7 % m) * ((x * x % m) * x % m) % m
 
 
+def _integers(name: str, values) -> tuple[int, ...]:
+    """values as Python ints; bools, floats, strings and the like are refused."""
+    out = []
+    for i, v in enumerate(values):
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise InvalidFormError(f"coefficient {name}[{i}] = {v!r} is not an integer")
+        out.append(int(v))
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class CubicForm:
     """Integer coefficients (a1..a7, Q1, Q2) plus the box kind."""
@@ -135,9 +145,9 @@ class CubicForm:
     box: str = "sym"
 
     def __post_init__(self):
-        object.__setattr__(self, "a", tuple(int(v) for v in self.a))
-        object.__setattr__(self, "q1", tuple(int(v) for v in self.q1))
-        object.__setattr__(self, "q2", tuple(int(v) for v in self.q2))
+        object.__setattr__(self, "a", _integers("a", self.a))
+        object.__setattr__(self, "q1", _integers("q1", self.q1))
+        object.__setattr__(self, "q2", _integers("q2", self.q2))
         if len(self.a) != 7 or len(self.q1) != 6 or len(self.q2) != 6:
             raise InvalidFormError("need 7 linear/cubic and 2x6 quadratic coefficients")
         if self.box not in BOX_KINDS:
@@ -579,13 +589,13 @@ def classify(form: CubicForm) -> Classification:
 def form_from_dict(d: dict) -> CubicForm:
     """Parse the JSON form layout; raises InvalidFormError on bad shapes."""
     try:
-        a = [int(v) for v in d["a"]]
-        q1 = [int(v) for v in d["Q1"]["A"]] + [int(v) for v in d["Q1"]["B"]]
-        q2 = [int(v) for v in d["Q2"]["A"]] + [int(v) for v in d["Q2"]["B"]]
-    except (KeyError, TypeError, ValueError) as e:
+        a = _integers("a", d["a"])
+        q1 = _integers("Q1.A", d["Q1"]["A"]) + _integers("Q1.B", d["Q1"]["B"])
+        q2 = _integers("Q2.A", d["Q2"]["A"]) + _integers("Q2.B", d["Q2"]["B"])
+    except (KeyError, TypeError) as e:
         raise InvalidFormError(f"malformed form layout: {e}") from e
     box = d.get("box", "sym")
-    return CubicForm(tuple(a), tuple(q1), tuple(q2), box)
+    return CubicForm(a, q1, q2, box)
 
 
 def form_to_dict(form: CubicForm) -> dict:

@@ -1,19 +1,19 @@
 """Integer lattices: kernels of covector systems and exact box point counts.
 
-A box count splits the echelon basis into components with pairwise
-disjoint coordinate supports.  The lattice is their direct sum and the box
-is a product over coordinates, so each component is projected onto its own
-support and counted there by the descent over echelon levels; the descent
-sees all n coordinates only for a basis that does not split.  Coordinate
-subspaces, such as the linear spaces of forms with a vanishing block
-quantity, split into unit vectors, each one closed-form interval count.
+One column reduction, _column_reduce, serves the kernel bases, the block
+frames of forms.block_frame and the canonical echelon bases.  A box count
+splits the echelon basis into components with pairwise disjoint coordinate
+supports.  The lattice is their direct sum and the box is a product over
+coordinates, so each component is projected onto its own support and
+counted there by the descent over echelon levels; the descent sees all n
+coordinates only for a basis that does not split.  Coordinate subspaces,
+such as the linear spaces of forms with a vanishing block quantity, split
+into unit vectors, each one closed-form interval count.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .arith import _egcd
 
 # Above this magnitude the vectorized inner loop could overflow int64, so the
 # counter falls back to exact Python integers.
@@ -81,54 +81,28 @@ def echelon_lattice_basis(basis: list[tuple[int, ...]]) -> list[tuple[int, ...]]
 
     Each output vector has a distinct level (index of its last nonzero
     entry), the entry at the level is positive, and entries of the other
-    basis vectors at that position are reduced modulo it.
+    basis vectors at that position are reduced modulo it.  This is the
+    lattice's Hermite normal form, unique whatever generates the lattice.
     """
-    if not basis:
+    if not basis or not basis[0]:
         return []
-    n = len(basis[0])
-    by_level: dict[int, list[int]] = {}
-    work = [list(v) for v in basis]
-    while work:
-        v = work.pop()
-        while True:
-            lev = -1
-            for i in range(n - 1, -1, -1):
-                if v[i]:
-                    lev = i
-                    break
-            if lev < 0:
-                break
-            w = by_level.get(lev)
-            if w is None:
-                by_level[lev] = v
-                break
-            if v[lev] % w[lev] == 0:
-                q = v[lev] // w[lev]
-                v = [vi - q * wi for vi, wi in zip(v, w)]
-                continue
-            g, s, t = _egcd(w[lev], v[lev])
-            new = [s * wi + t * vi for wi, vi in zip(w, v)]
-            rem = [wi - (w[lev] // g) * ni for wi, ni in zip(w, new)]
-            v = [vi - (v[lev] // g) * ni for vi, ni in zip(v, new)]
-            by_level[lev] = new
-            work.append(rem)
-    levels = sorted(by_level)
-    out = []
-    for lev in levels:
-        v = by_level[lev]
-        if v[lev] < 0:
-            v = [-x for x in v]
-        out.append(v)
+    # Column c of the reduction of the generators, coordinates taken last
+    # first, is a lattice vector whose level lies strictly below that of
+    # column c - 1: read in reverse, the first `rank` columns ascend.
+    a, _, rank = _column_reduce(list(zip(*basis))[::-1])
+    out = [[row[c] for row in reversed(a)] for c in reversed(range(rank))]
+    levels = [max(i for i, x in enumerate(v) if x) for v in out]
+    out = [v if v[lev] > 0 else [-x for x in v] for v, lev in zip(out, levels)]
     # Reduce entries sitting above lower pivots for a canonical result,
     # highest pivot first: a row is zero past its level, so reducing by a
     # lower pivot later never disturbs an entry reduced at a higher one.
-    for i in reversed(range(len(levels))):
+    for i in reversed(range(rank)):
         lev = levels[i]
         p = out[i][lev]
-        for j in range(i + 1, len(out)):
+        for j in range(i + 1, rank):
             q = out[j][lev] // p
             if q:
-                out[j] = [a - q * b for a, b in zip(out[j], out[i])]
+                out[j] = [x - q * y for x, y in zip(out[j], out[i])]
     return [tuple(v) for v in out]
 
 

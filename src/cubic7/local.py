@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import crt_pair, factorize, inverse_mod, is_prime, v_p
+from .arith import content, crt_pair, factorize, inverse_mod, is_prime, v_p
 from .errors import DegenerateBlockError, DomainError, ResourceLimitError
 from .forms import (
     CubicForm, _permute_block, _primed, block_slabs, content_decomposition,
@@ -329,7 +329,8 @@ def congruence_solvable(form: CubicForm, N: int, modulus: int | None = None):
 
     Returns (solvable, witness_or_None).  A True answer always carries a
     witness that has been re-checked exactly; False is only returned when
-    the search for some prime power part was provably complete.
+    the content rules N out or the search for some prime power part was
+    provably complete.
     """
     if modulus is None:
         modulus = local_data(form).modulus
@@ -337,6 +338,12 @@ def congruence_solvable(form: CubicForm, N: int, modulus: int | None = None):
         raise DomainError("modulus must be positive")
     if modulus > _MODULUS_CAP:
         raise ResourceLimitError(f"modulus {modulus} exceeds {_MODULUS_CAP}")
+    # f vanishes identically mod its content c, so gcd(c, M) must divide N.
+    # A zero Q contributes content 0, which the gcd ignores.
+    c = math.gcd(content(form.l1) * content(form.q1),
+                 content(form.l2) * content(form.q2), form.a7)
+    if N % math.gcd(c, modulus):
+        return False, None
     if modulus == 1:
         return True, (0,) * 7
     parts = []

@@ -183,6 +183,17 @@ def test_error_exit_codes(capsys, tmp_path):
         assert code == 2 and out == "" and "eps" in err
 
 
+@pytest.mark.parametrize("text", ["1.5", "true", '"1"', "1e0"])
+def test_form_file_coefficients_must_be_integers(capsys, tmp_path, text):
+    path = tmp_path / "form.json"
+    path.write_text('{"a": [1, 0, 0, 1, 0, %s, 1], '
+                    '"Q1": {"A": [0, 0, 1], "B": [0, 0, 1]}, '
+                    '"Q2": {"A": [0, 0, 1], "B": [0, 0, 1]}}' % text)
+    code, out, err = run_cli(capsys, "--form", str(path), "classify")
+    assert code == 2 and out == ""
+    assert "coefficient a[5]" in err and "not an integer" in err
+
+
 @pytest.mark.parametrize("block", [1, 2])
 def test_zero_quadratic_is_degenerate(capsys, tmp_path, block):
     # A block whose quadratic vanishes has no content-1 form: local must

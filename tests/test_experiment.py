@@ -1,8 +1,9 @@
 import pytest
 
+from cubic7 import experiment
 from cubic7.checks import verify
 from cubic7.counting import count_representations, count_zeros, value_histogram
-from cubic7.errors import DomainError
+from cubic7.errors import DomainError, ResourceLimitError
 from cubic7.experiment import (
     block_zero_counts,
     predict,
@@ -31,6 +32,26 @@ def test_predict_zeros_rows(f_star):
         assert r["residual"] == r["actual"] - r["prediction"]
     # The csv and text emitters take their header from the first row's keys.
     assert next(iter(rep.rows[0])) == "P"
+
+
+def test_predict_zeros_refuses_before_series(f_star, monkeypatch):
+    """Every probe radius passes the histogram guards of both blocks before
+    the singular series and the integral are computed."""
+    def expensive(*args, **kwargs):
+        raise AssertionError("series or integral reached")
+
+    monkeypatch.setattr(experiment, "singular_series", expensive)
+    monkeypatch.setattr(experiment, "singular_integral", expensive)
+    with pytest.raises(ResourceLimitError, match="block grid 1201"):
+        predict_zeros(f_star, probes=(8, 600))
+    with pytest.raises(DomainError, match="P must be at least 1"):
+        predict_zeros(f_star, probes=(0,))
+    # Only block 2 is too large for the int64 path at P = 170.
+    big = 1 << 20
+    form = CubicForm((1, 0, 0, big, 0, 0, 1), (0, 0, 1, 0, 0, 1),
+                     (big, 0, 0, 0, 0, 0))
+    with pytest.raises(ResourceLimitError, match="too large for the int64 path"):
+        predict_zeros(form, probes=(8, 170))
 
 
 def test_predict_zeros_requires_sym(f_star):

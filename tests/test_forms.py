@@ -3,6 +3,7 @@ import json
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -336,6 +337,22 @@ def test_is_rational_cube():
     assert is_rational_cube(0, 5) is None
     with pytest.raises(DomainError):
         is_rational_cube(1, 0)
+
+
+def test_coefficients_must_be_integers(f_star):
+    """Python and numpy integers construct a form; nothing else is coerced."""
+    for cast in (np.int64, np.int32, np.uint8):
+        assert CubicForm(tuple(cast(v) for v in f_star.a), f_star.q1,
+                         f_star.q2) == f_star
+    for bad in (1.5, 1.0, True, "1", np.float64(1.0), np.bool_(True)):
+        with pytest.raises(InvalidFormError, match=r"coefficient a\[2\]"):
+            CubicForm((1, 0, bad, 1, 0, 0, 1), f_star.q1, f_star.q2)
+        with pytest.raises(InvalidFormError, match=r"coefficient q2\[5\]"):
+            CubicForm(f_star.a, f_star.q1, (*f_star.q2[:5], bad))
+        d = form_to_dict(f_star)
+        d["Q1"]["B"][1] = bad
+        with pytest.raises(InvalidFormError, match=r"coefficient Q1\.B\[1\]"):
+            form_from_dict(d)
 
 
 def test_form_json_roundtrip(f_fac2, tmp_path):

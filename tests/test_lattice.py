@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 from cubic7 import lattice
 from cubic7.lattice import (
@@ -58,6 +59,45 @@ def test_echelon_basis_is_canonical():
         other = [tuple(-c for c in v) if rng.random() < 0.5 else tuple(v)
                  for v in other]
         assert echelon_lattice_basis(other) == want, (gens, other)
+
+
+def _coordinates(gens, e):
+    """Rational c with sum c_j gens[j] = e, for independent gens, exactly."""
+    k = len(gens)
+    rows = [[Fraction(g[i]) for g in gens] + [Fraction(e[i])]
+            for i in range(len(e))]
+    for c in range(k):
+        p = next(r for r in range(c, len(rows)) if rows[r][c])
+        rows[c], rows[p] = rows[p], rows[c]
+        for r in range(len(rows)):
+            if r != c and rows[r][c]:
+                f = rows[r][c] / rows[c][c]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+    assert all(not row[k] for row in rows[k:]), "e is outside the span"
+    return [rows[c][k] / rows[c][c] for c in range(k)]
+
+
+def test_echelon_basis_spans_the_generated_lattice():
+    """E = echelon(B) and B generate one lattice: each side lies in the other."""
+    rng = random.Random(41)
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        bits = rng.choice((3, 12, 40))
+        gens = [tuple(rng.randint(-(1 << bits), 1 << bits) for _ in range(n))
+                for _ in range(rng.randint(1, n))]
+        basis = echelon_lattice_basis(gens)
+        assert len(basis) == len(gens)  # independent generators, same rank
+        levels = [max(i for i, c in enumerate(v) if c) for v in basis]
+        for b in gens:
+            # Exact elimination from the top level down leaves nothing.
+            r = list(b)
+            for v, lev in zip(reversed(basis), reversed(levels)):
+                q, rem = divmod(r[lev], v[lev])
+                assert rem == 0, (gens, b)
+                r = [x - q * y for x, y in zip(r, v)]
+            assert not any(r), (gens, b)
+        for e in basis:
+            assert all(c.denominator == 1 for c in _coordinates(gens, e)), (gens, e)
 
 
 def test_lattice_count_vs_brute():

@@ -199,6 +199,18 @@ def test_congruence_obstruction():
     assert not ok and w is None
 
 
+def test_content_decides_before_search():
+    # The example form scaled by the prime 401 > _EXHAUSTIVE_CAP vanishes
+    # identically mod 401, so N = 1, 2 are refused without a base-point search.
+    form = CubicForm((401, 0, 0, 401, 0, 0, 401), (0, 0, 1, 0, 0, 1), (0, 0, 1, 0, 0, 1))
+    for N in (1, 2):
+        assert congruence_solvable(form, N) == (False, None)
+        assert local_report(form, N)["verdict"] == "congruence-obstruction"
+    rep = local_report(form, 401)
+    assert rep["local"]["modulus"] == 401
+    assert rep["witness"] == [379, 357, 204, 200, 77, 18, 288]
+
+
 def test_congruence_guards(f_star):
     with pytest.raises(DomainError):
         congruence_solvable(f_star, 1, 0)
