@@ -48,12 +48,20 @@ def growth_audit(counter, sizes, claimed_exponent: float) -> GrowthAudit:
 
 
 def _power_residue_counts(k: int, q: int) -> np.ndarray:
-    """counts[m] = #{1 <= x <= q : x^k = m (mod q)}."""
+    """counts[m] = #{1 <= x <= q : x^k = m (mod q)}, for k >= 1.
+
+    x^k by repeated squaring on the residues: they stay below q <= _POWER_CAP,
+    so every product fits in int64.
+    """
     x = np.arange(1, q + 1, dtype=np.int64) % q
     acc = np.ones(q, dtype=np.int64)
-    for _ in range(k):
-        acc = acc * x % q
-    return np.bincount(acc, minlength=q)
+    while True:
+        if k & 1:
+            acc = acc * x % q
+        k >>= 1
+        if not k:
+            return np.bincount(acc, minlength=q)
+        x = x * x % q
 
 
 def power_congruence_count(k: int, q: int, m: int) -> int:
@@ -64,10 +72,8 @@ def power_congruence_count(k: int, q: int, m: int) -> int:
         raise DomainError("q must be positive")
     if q > _POWER_CAP:
         raise ResourceLimitError(f"q={q} exceeds the cap {_POWER_CAP}")
-    if q <= _POWER_SPLIT:
-        return int(_power_residue_counts(k, q)[m % q])
     # Multiplicative splitting: the count over Z/q is the product over the
-    # prime-power parts (CRT preserves x^k = m).
+    # prime-power parts (CRT preserves x^k = m); q = 1 is the empty product.
     total = 1
     for p, e in factorize(q):
         total *= int(_power_residue_counts(k, p ** e)[m % p ** e])
@@ -76,6 +82,8 @@ def power_congruence_count(k: int, q: int, m: int) -> int:
 
 def power_congruence_audit(k: int, qmax: int) -> GrowthAudit:
     """Worst count over all m, probed at every q, against q^(1 - 1/k)."""
+    if k < 2:
+        raise DomainError("k must be at least 2")
     if qmax < 4:
         raise DomainError("qmax too small to audit")
     if qmax > _POWER_SPLIT:

@@ -6,18 +6,19 @@ splits the echelon basis into components with pairwise disjoint coordinate
 supports.  The lattice is their direct sum and the box is a product over
 coordinates, so each component is projected onto its own support and
 counted there by the descent over echelon levels; the descent sees all n
-coordinates only for a basis that does not split.  Coordinate subspaces,
-such as the linear spaces of forms with a vanishing block quantity, split
-into unit vectors, each one closed-form interval count.
+coordinates only for a basis that does not split.  The descent is one loop
+in Python integers, exact for any entries and any box.
+
+Union counts (counting.union_space_count) meet only components of rank at
+most 2.  Each space of forms.linear_spaces is a 4-space cut out by L1 on
+x1..x3 and two independent covectors on x4..x7, so every intersection of
+spaces is the direct sum of a rank-2 part of ker L1 and a part of rank at
+most 2 on x4..x7, and its echelon basis splits along that sum.  Coordinate
+subspaces split further into unit vectors, each one closed-form interval
+count.
 """
 
 from __future__ import annotations
-
-import numpy as np
-
-# Above this magnitude the vectorized inner loop could overflow int64, so the
-# counter falls back to exact Python integers.
-_SAFE = 1 << 62
 
 
 def integer_kernel(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -162,33 +163,26 @@ def _descent_count(b, lo: int, hi: int) -> int:
     """Box count for an echelon basis b (levels ascending), by descent.
 
     Fixes the coefficients from the top level down; each coordinate owned
-    by a level bounds that level's coefficient to an interval.
+    by a level bounds that level's coefficient to an interval, and at the
+    bottom level the interval's length is the count.
     """
     n = len(b[0])
-    levels = []
-    for v in b:
-        lev = max(i for i in range(n) if v[i])
-        levels.append(lev)
+    levels = [max(i for i in range(n) if v[i]) for v in b]
     if levels != sorted(levels):
         raise AssertionError("echelon basis levels out of order")
     # Coordinates above the top level are identically zero on the lattice.
     if levels[-1] < n - 1 and not lo <= 0 <= hi:
         return 0
-    k = len(b)
-    owned = []
-    prev = -1
-    for c in range(k):
-        owned.append(range(prev + 1, levels[c] + 1))
-        prev = levels[c]
+    owned = [range(prev + 1, lev + 1) for prev, lev in zip([-1] + levels, levels)]
 
-    def t_range(c: int, partial: list[int]):
+    def descend(c: int, partial: list[int]) -> int:
         tlo, thi = None, None
         for i in owned[c]:
             a = b[c][i]
             base = partial[i]
             if a == 0:
                 if not lo <= base <= hi:
-                    return 1, 0
+                    return 0
                 continue
             if a > 0:
                 l, h = _ceildiv(lo - base, a), (hi - base) // a
@@ -196,55 +190,12 @@ def _descent_count(b, lo: int, hi: int) -> int:
                 l, h = _ceildiv(base - hi, -a), (base - lo) // (-a)
             tlo = l if tlo is None else max(tlo, l)
             thi = h if thi is None else min(thi, h)
-        return tlo, thi
-
-    def descend(c: int, partial: list[int]) -> int:
-        tlo, thi = t_range(c, partial)
         if tlo is None or tlo > thi:
             return 0
         if c == 0:
             return thi - tlo + 1
-        if c == 1:
-            fast = _bottom_pair(partial, tlo, thi)
-            if fast is not None:
-                return fast
-        total = 0
         vec = b[c]
-        for t in range(tlo, thi + 1):
-            total += descend(c - 1, [p + t * v for p, v in zip(partial, vec)])
-        return total
+        return sum(descend(c - 1, [p + t * v for p, v in zip(partial, vec)])
+                   for t in range(tlo, thi + 1))
 
-    def _bottom_pair(partial, tlo, thi):
-        # Vectorized count over (t_1, t_0): only safe within int64 range.
-        tmax = max(abs(tlo), abs(thi))
-        limit = max(
-            abs(partial[i]) + abs(b[1][i]) * tmax for i in range(levels[1] + 1)
-        )
-        if limit >= _SAFE or (thi - tlo + 1) > 50_000_000:
-            return None
-        ts = np.arange(tlo, thi + 1, dtype=np.int64)
-        count = None
-        mask = np.ones(len(ts), dtype=bool)
-        for i in owned[0]:
-            a = b[0][i]
-            base = partial[i] + b[1][i] * ts
-            if a == 0:
-                mask &= (base >= lo) & (base <= hi)
-                continue
-            if a > 0:
-                l = -((base - lo) // a)
-                h = (hi - base) // a
-            else:
-                l = -((hi - base) // (-a))
-                h = (base - lo) // (-a)
-            count = (l, h) if count is None else (
-                np.maximum(count[0], l),
-                np.minimum(count[1], h),
-            )
-        if count is None:
-            per = np.ones(len(ts), dtype=np.int64)
-        else:
-            per = np.maximum(count[1] - count[0] + 1, 0)
-        return int(per[mask].sum())
-
-    return descend(k - 1, [0] * n)
+    return descend(len(b) - 1, [0] * n)

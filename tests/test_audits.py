@@ -17,8 +17,9 @@ from cubic7.oracles import power_count_brute, surface_count_brute
 
 
 def test_power_congruence_count_vs_brute():
-    for k in (2, 3):
-        for q in (4, 7, 8, 9, 12, 30):
+    # x^k by repeated squaring: about 40 squarings at k = 10^12 + 1.
+    for k in (2, 3, 10 ** 12 + 1):
+        for q in (1, 4, 7, 8, 9, 12, 30):
             for m in range(q):
                 assert power_congruence_count(k, q, m) == power_count_brute(k, q, m)
 
@@ -30,16 +31,19 @@ def test_power_congruence_fixed_values():
 
 
 def test_power_congruence_multiplicative_path():
-    # Above the direct-scan threshold the count is assembled from the
-    # prime-power parts; check against a direct scan oracle.
+    # The count is assembled from the prime-power parts; check a modulus
+    # with six of them against a direct scan oracle.
     q = 30030  # 2 * 3 * 5 * 7 * 11 * 13
     for m in (0, 1, 4, 12167):
         assert power_congruence_count(3, q, m) == power_count_brute(3, q, m)
 
 
 def test_power_congruence_guards():
-    with pytest.raises(DomainError):
-        power_congruence_count(1, 8, 1)
+    for k in (1, 0, -2):
+        with pytest.raises(DomainError, match="k must be at least 2"):
+            power_congruence_count(k, 8, 1)
+        with pytest.raises(DomainError, match="k must be at least 2"):
+            power_congruence_audit(k, 60)
     with pytest.raises(DomainError):
         power_congruence_count(2, 0, 1)
     with pytest.raises(ResourceLimitError):

@@ -173,6 +173,8 @@ def test_error_exit_codes(capsys, tmp_path):
     assert code == 3 and "resource" in err
     code, _, err = run_cli(capsys, "count", "--N", "1", "--P", "0")
     assert code == 2
+    code, out, err = run_cli(capsys, "audit", "power", "--k", "0")
+    assert code == 2 and out == "" and "k must be at least 2" in err
     for threads in ("0", "-3"):
         code, out, err = run_cli(capsys, "--threads", threads, "integral",
                                  "--samples", "10000")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubic7 import counting
+from cubic7 import counting, lattice
 from cubic7.counting import (
     _DENSE_CAP,
     _GRID_CAP,
@@ -473,12 +473,34 @@ def test_lattice_space_count(f_star):
     assert count("pos") == 0
 
 
-def test_union_counts_vs_membership(f_star, f_fac1, f_fac2):
-    for form in (f_star, f_fac1, f_fac2):
+def test_union_counts_vs_membership(monkeypatch, f_star, f_fac1, f_fac2):
+    # L1 and L2 are not coordinate forms here, so the kernels split into
+    # components of rank 2 and the descent runs over two levels.
+    rank2 = CubicForm((1, 2, 3, 1, 1, 1, 1), (0, 0, 1, 0, 0, 1), (0, 3, -1, 2, 0, 0))
+    ranks = []
+    descent = lattice._descent_count
+
+    def spy(b, lo, hi):
+        ranks.append(len(b))
+        return descent(b, lo, hi)
+
+    monkeypatch.setattr(lattice, "_descent_count", spy)
+    for form in (f_star, f_fac1, f_fac2, rank2):
         spaces = linear_spaces(form)
         got = union_space_count(spaces, "sym", 2)
         brute = union_membership_brute(form, [sp.covectors for sp in spaces], 2)
         assert got == brute
+    assert max(ranks) == 2
+    spaces = linear_spaces(rank2)
+    assert [sp.tag for sp in spaces] == ["1", "2", "3"]
+    assert union_space_count(spaces, "sym", 2) == 351
+    nonneg = CubicForm(rank2.a, rank2.q1, rank2.q2, "nonneg")
+    covs = [sp.covectors for sp in spaces]
+    assert union_space_count(spaces, "nonneg", 2) == 3
+    assert union_membership_brute(nonneg, covs, 2) == 3
+    # Sym-box counts recorded by the descent with an int64 bottom pair.
+    for P, pinned in ((64, 190700313), (128, 3013092501), (203, 18990064989)):
+        assert union_space_count(spaces, "sym", P) == pinned
     assert union_space_count(linear_spaces(f_star), "sym", 2) == 625
     assert union_space_count(linear_spaces(f_fac1), "sym", 2) == 1525
     assert union_space_count(linear_spaces(f_fac2), "sym", 2) == 1525

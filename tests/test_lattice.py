@@ -114,17 +114,22 @@ def test_lattice_count_vs_brute():
             rows.append(tuple(row))
         systems.append(rows)
     points = list(itertools.product(range(-3, 4), repeat=5))
+    # Scaling is exact, #{y in sL : s*lo <= y <= s*hi} = #{x in L : lo <= x <= hi},
+    # and puts every entry and bound above 2^63.
+    s = (1 << 70) + 1
     split = 0
     for rows in systems:
         basis = echelon_lattice_basis(integer_kernel(rows))
         if basis and _splits(basis):
             split += 1
+        big = [tuple(s * c for c in v) for v in basis]
         on = [x for x in points
               if all(sum(c * t for c, t in zip(r, x)) == 0 for r in rows)]
         for lo, hi in ((-3, 3), (1, 3), (-3, -1)):
             got = count_lattice_points_in_box(basis, lo, hi)
             brute = sum(1 for x in on if all(lo <= t <= hi for t in x))
             assert got == brute
+            assert count_lattice_points_in_box(big, s * lo, s * hi) == got
     assert split >= 10
 
 
