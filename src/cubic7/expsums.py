@@ -3,9 +3,12 @@
 S_block(q, a) sums e(a * L*Q / q) over a full residue cube; the cube-term
 sum runs over one residue line.  Both are read off exact int64 residue
 histograms.  The block histogram comes from a unimodular frame in which
-L*Q = g*X1*Q'(X): homogeneity of degree 3 reduces the q^3 cube to one
-plane per divisor of q, O(q^2) work in all (see mod_histogram), with
-counts identical to a full scan.  The normalized term
+L*Q = g*X1*Q'(X), by one of two routes with counts identical to a full
+scan (see mod_histogram).  At a prime p >= 5 with g a unit mod p, the
+point counts of the conics Q'(1, Y) = w, closed forms in quadratic
+character sums, give it in O(p) work.  Every other modulus takes the frame
+method: homogeneity of degree 3 reduces the q^3 cube to one plane per
+divisor of q, O(q^2) work in all.  The normalized term
 
     S(q; N) = q^-7 * sum_{gcd(a,q)=1} S1 S2 S3 e(-aN/q)
 
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import content, factorize, primes_up_to
+from .arith import content, factorize, inverse_mod, is_prime, primes_up_to
 from .errors import DomainError, ResourceLimitError
 from .forms import _SLAB, CubicForm, block_frame, block_value, cube_residues
 
@@ -45,11 +48,32 @@ def _phase_table(m: int):
 def mod_histogram(l, q, m: int) -> np.ndarray:
     """Counts of L*Q mod m over the full residue cube (x, y, z mod m).
 
-    Exact int64 counts from a unimodular frame, without visiting the m^3
+    Exact int64 counts, equal to a full scan, without visiting the m^3
     cells.  x -> Vx (V from forms.block_frame) permutes the cube and turns
     the block into B(X) = g*X1*Q'(X1, X2, X3), homogeneous of degree 3.
-    Each X1 = t is d*u with d = gcd(t, m) and u a unit mod m, and X -> uX
-    gives B(t, u*Y2, u*Y3) = u^3 * B(d, Y2, Y3): the slice X1 = t is the
+    Two routes read the histogram off that frame:
+
+    - a prime m = p >= 5 with g a unit mod p: the closed form of
+      _prime_histogram, O(p) work from conic point counts;
+    - every other modulus (2, 3, prime powers, composites, and p | g):
+      the frame method of _frame_histogram, O(m^2) work.
+    """
+    if m < 1:
+        raise DomainError("modulus must be positive")
+    if m > MOD_CAP:
+        raise ResourceLimitError(f"modulus {m} exceeds the cap {MOD_CAP}")
+    _, lv, qv = block_frame(l, q)
+    if m >= 5 and lv[0] % m and is_prime(m):
+        return _prime_histogram(lv[0], qv, m)
+    return _frame_histogram(lv, qv, m)
+
+
+def _frame_histogram(lv, qv, m: int) -> np.ndarray:
+    """mod_histogram by the frame method, for any modulus m.
+
+    lv, qv are the frame coefficients of forms.block_frame.  Each X1 = t is
+    d*u with d = gcd(t, m) and u a unit mod m, and X -> uX gives
+    B(t, u*Y2, u*Y3) = u^3 * B(d, Y2, Y3): the slice X1 = t is the
     histogram H_d of the plane B(d, Y) pushed forward by v -> u^3 v.
     B(d, Y) mod m is a multiple of d and depends on Y mod n = m/d only, so
     H_d is counted on the n x n plane (each cell d^2 times) and u matters
@@ -58,11 +82,6 @@ def mod_histogram(l, q, m: int) -> np.ndarray:
     pushed cells, under 3 m^2 in all, in row chunks of at most
     forms._SLAB cells.  For L = 0 every cell lands on residue 0.
     """
-    if m < 1:
-        raise DomainError("modulus must be positive")
-    if m > MOD_CAP:
-        raise ResourceLimitError(f"modulus {m} exceeds the cap {MOD_CAP}")
-    _, lv, qv = block_frame(l, q)
     # Reduced coefficients keep |B(d, Y)| below 2 m^5 <= 2^61 in int64.
     lv = tuple(c % m for c in lv)
     qv = tuple(c % m for c in qv)
@@ -86,6 +105,82 @@ def mod_histogram(l, q, m: int) -> np.ndarray:
             idx = cubes[s : s + step, None] * vals % m
             np.add.at(counts, idx, mult[s : s + step, None] * weights)
     return counts
+
+
+def _prime_histogram(g: int, qv, p: int) -> np.ndarray:
+    """mod_histogram at a prime p >= 5 with g a unit mod p, in O(p).
+
+    The plane X1 = 0 puts p^2 cells on residue 0.  For a unit t, Y -> tY
+    turns the slice X1 = t into g*t^3*Q'(1, Y), so it is the plane count
+    N(w) = #{Y in F_p^2 : Q'(1, Y) = w} of _plane_counts pushed forward by
+    w -> g t^3 w.  Residue 0 gets p^2 + (p - 1) N(0).  For p = 2 mod 3,
+    t^3 runs once over the units, so every v != 0 gets the sum of N over
+    the units, p^2 - N(0).  For p = 1 mod 3, t^3 runs three times over the
+    cubes, so v != 0 gets 3 times the sum of N over the coset of v/g in
+    the units modulo cubes.
+    """
+    n = _plane_counts(qv, p)
+    counts = np.zeros(p, dtype=np.int64)
+    counts[0] = p * p + (p - 1) * n[0]
+    if p % 3 == 2:
+        counts[1:] = p * p - n[0]
+        return counts
+    # Coset labels 0, 1, 2 on the cubes, r * cubes and r^2 * cubes for a
+    # non-cube r; the label of x/y is label(x) - label(y) mod 3.
+    u = np.arange(1, p, dtype=np.int64)
+    cubes = u * u % p * u % p
+    r = int(np.flatnonzero(np.bincount(cubes, minlength=p)[1:] == 0)[0]) + 1
+    label = np.zeros(p, dtype=np.int64)
+    label[r * cubes % p] = 1
+    label[r * r * cubes % p] = 2
+    sums = np.zeros(3, dtype=np.int64)
+    np.add.at(sums, label[1:], n[1:])
+    counts[1:] = 3 * sums[(label[1:] - label[g % p]) % 3]
+    return counts
+
+
+def _plane_counts(qv, p: int) -> np.ndarray:
+    """N(w) = #{(y, z) mod p : Q'(1, y, z) = w} for w mod p, p >= 5 prime.
+
+    Q'(1, y, z) = A1 + A2 y^2 + A3 z^2 + B1 yz + B2 z + B3 y.  With A3 a
+    unit (y and z swapped if only A2 is), each y has 1 + chi(D) roots z,
+    D = alpha y^2 + beta y + gamma + 4 A3 w, so N(w) = p + sum_y chi(D):
+    -chi(alpha) off the one w where D has a double root and (p - 1)
+    chi(alpha) there; 0 when only alpha vanishes; p chi(gamma + 4 A3 w)
+    when alpha and beta do.  With A2 = A3 = 0 the plane is a hyperbola
+    B1 (y + B2/B1)(z + B3/B1) + const, a linear plane, or a constant.
+    """
+    A1, A2, A3, B1, B2, B3 = (c % p for c in qv)
+    if A3 == 0:
+        A2, A3, B2, B3 = A3, A2, B3, B2
+    n = np.zeros(p, dtype=np.int64)
+    if A3:
+        chi = _legendre_table(p)
+        alpha = (B1 * B1 - 4 * A2 * A3) % p
+        beta = (2 * B1 * B2 - 4 * A3 * B3) % p
+        gamma = (B2 * B2 - 4 * A1 * A3) % p
+        if alpha:
+            n += p - chi[alpha]
+            kappa = (beta * beta - 4 * alpha * gamma) * inverse_mod(16 * alpha * A3, p)
+            n[kappa % p] = p + (p - 1) * chi[alpha]
+        elif beta:
+            n += p
+        else:
+            n += p + p * chi[(gamma + 4 * A3 * np.arange(p, dtype=np.int64)) % p]
+    elif B1:
+        n += p - 1
+        n[(A1 - B2 * B3 * inverse_mod(B1, p)) % p] = 2 * p - 1
+    elif B2 or B3:
+        n += p
+    else:
+        n[A1] = p * p
+    return n
+
+
+def _legendre_table(p: int) -> np.ndarray:
+    """chi[w] = the Legendre symbol (w / p) for w mod p, p an odd prime."""
+    y = np.arange(p, dtype=np.int64)
+    return np.bincount(y * y % p, minlength=p) - 1
 
 
 def _gather(hist: np.ndarray, m: int, mult: int) -> complex:

@@ -160,7 +160,7 @@ def _split_supports(b) -> list[tuple[set[int], list[int]]]:
 
 
 def _descent_count(b, lo: int, hi: int) -> int:
-    """Box count for an echelon basis b (levels ascending), by descent.
+    """Box count for an echelon basis b (levels strictly ascending), by descent.
 
     Fixes the coefficients from the top level down; each coordinate owned
     by a level bounds that level's coefficient to an interval, and at the
@@ -168,8 +168,8 @@ def _descent_count(b, lo: int, hi: int) -> int:
     """
     n = len(b[0])
     levels = [max(i for i in range(n) if v[i]) for v in b]
-    if levels != sorted(levels):
-        raise AssertionError("echelon basis levels out of order")
+    if any(s >= t for s, t in zip(levels, levels[1:])):
+        raise AssertionError("echelon basis levels not strictly ascending")
     # Coordinates above the top level are identically zero on the lattice.
     if levels[-1] < n - 1 and not lo <= 0 <= hi:
         return 0

@@ -8,10 +8,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cubic7.arith import content, factorize
+from cubic7 import expsums
+from cubic7.arith import content, factorize, primes_up_to
 from cubic7.errors import DomainError, ResourceLimitError
 from cubic7.expsums import (
     MOD_CAP,
+    _frame_histogram,
+    _prime_histogram,
     _unit_products,
     block_sum_any,
     mod_histogram,
@@ -55,11 +58,146 @@ def test_mod_histogram_vs_brute(f_star):
         blocks.append((l, q))
     # L content sharing a factor with m exercises the g*d*u^3 multiplier.
     blocks += [((2, 0, 4), (1, -3, 2, 0, 5, 1)), ((3, -6, 0), (2, 2, 1, -1, 0, 3))]
-    for m in (2, 3, 5, 6, 8, 9, 12, 16, 24, 25, 27, 32):
+    # 5, 7, 11 and 13 take the closed form, the other moduli the frame.
+    for m in (2, 3, 5, 6, 7, 8, 9, 11, 12, 13, 16, 24, 25, 27, 32):
         for l, q in blocks:
             h = mod_histogram(l, q, m)
             assert h.dtype == np.int64
             assert h.tolist() == _residue_counts(l, q, m)
+
+
+def _routes(l, q, p):
+    """(closed form, frame method) histograms of one block at a prime p."""
+    _, lv, qv = block_frame(l, q)
+    return _prime_histogram(lv[0], qv, p), _frame_histogram(lv, qv, p)
+
+
+def test_prime_histogram_on_fixture_forms(f_star, f_fac1, f_iii):
+    # f_star is the example form of the CLI.
+    blocks = {b for form in (f_star, f_fac1, f_iii) for b in form.blocks()}
+    assert len(blocks) == 3
+    for p in primes_up_to(599)[2:]:
+        for l, q in blocks:
+            closed, frame = _routes(l, q, p)
+            assert closed.dtype == np.int64
+            assert (closed == frame).all(), (l, q, p)
+
+
+def _branch(qv, p):
+    """Which case of expsums._plane_counts the frame coefficients take."""
+    A1, A2, A3, B1, B2, B3 = (c % p for c in qv)
+    if A2 or A3:
+        if not A3:
+            A2, A3, B2, B3 = A3, A2, B3, B2
+        if (B1 * B1 - 4 * A2 * A3) % p:
+            return "nondegenerate"
+        if (2 * B1 * B2 - 4 * A3 * B3) % p:
+            return "square, linear part across"
+        return "square, linear part along"
+    if B1:
+        return "hyperbola"
+    return "linear plane" if B2 or B3 else "constant plane"
+
+
+def _frame_block(rng, p, branch):
+    """Frame coefficients mod p (then shifted by multiples of p) in a branch."""
+    def unit():
+        return rng.randrange(1, p)
+
+    def inv(x):
+        return pow(x, -1, p)
+
+    A1, B2, B3 = (rng.randrange(p) for _ in range(3))
+    if branch == "nondegenerate":
+        A3, A2, B1 = unit(), rng.randrange(p), rng.randrange(p)
+        while (B1 * B1 - 4 * A2 * A3) % p == 0:
+            B1 = rng.randrange(p)
+    elif branch.startswith("square"):
+        # alpha = B1^2 - 4 A2 A3 = 0; beta = 2 B1 B2 - 4 A3 B3 = 0 or not.
+        A3, B1 = unit(), rng.randrange(p)
+        A2 = B1 * B1 * inv(4 * A3) % p
+        along = B1 * B2 * inv(2 * A3) % p
+        if branch.endswith("along"):
+            B3 = along
+        elif B3 == along:
+            B3 = (B3 + 1) % p
+    else:
+        A2 = A3 = 0
+        B1 = unit() if branch == "hyperbola" else 0
+        if branch == "linear plane" and B2 == B3 == 0:
+            B3 = unit()
+        if branch == "constant plane":
+            B2 = B3 = 0
+    qv = [A1, A2, A3, B1, B2, B3]
+    if rng.random() < 0.5:  # the A3 = 0 < A2 cases, y and z swapped
+        qv = [A1, A3, A2, B1, B3, B2]
+    return tuple(c + p * rng.randint(-3, 3) for c in qv)
+
+
+_BRANCHES = (
+    "nondegenerate",
+    "square, linear part across",
+    "square, linear part along",
+    "hyperbola",
+    "linear plane",
+    "constant plane",
+)
+
+
+def test_prime_histogram_every_branch():
+    # L = (c, 0, 0) is its own frame, so Q is chosen in frame coordinates;
+    # fully random blocks add frames that block_frame computes itself.
+    rng = random.Random(2024)
+    seen = set()
+    zero_q = 0
+    for p in (5, 7, 11, 13, 17, 19, 29, 31):
+        cases = []
+        for branch in _BRANCHES:
+            for _ in range(4):
+                c = rng.choice((1, -1)) * rng.randrange(1, p) + p * rng.randint(-2, 2)
+                cases.append(((c, 0, 0), _frame_block(rng, p, branch)))
+        cases.append(((1, 0, 0), (p, 0, -2 * p, 0, 3 * p, 0)))  # Q = 0 mod p
+        for _ in range(12):
+            l = tuple(rng.randint(-9, 9) for _ in range(3))
+            q = tuple(rng.choice((0, 0, 1, -1, p, 2, -3, 5)) for _ in range(6))
+            cases.append((l, q))
+        for l, q in cases:
+            _, lv, qv = block_frame(l, q)
+            if lv[0] % p == 0:
+                continue
+            seen.add((_branch(qv, p), p % 3))
+            zero_q += all(c % p == 0 for c in qv)
+            closed, frame = _routes(l, q, p)
+            assert (closed == frame).all(), (l, q, p)
+    assert seen == {(b, r) for b in _BRANCHES for r in (1, 2)}
+    assert zero_q >= 8
+
+
+@pytest.mark.parametrize("p", [4091, 4093])
+def test_prime_histogram_near_cap(p):
+    assert p % 3 == (2 if p == 4091 else 1)
+    closed, frame = _routes((3, -5, 7), (1, -2, 3, 4, -5, 6), p)
+    assert (closed == frame).all()
+    assert int(closed.sum()) == p ** 3
+
+
+def test_mod_histogram_routes(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("wrong route")
+
+    l, q = (3, -5, 7), (1, -2, 3, 4, -5, 6)
+    build = mod_histogram.__wrapped__  # uncached
+    monkeypatch.setattr(expsums, "_prime_histogram", refuse)
+    _, lv, qv = block_frame(l, q)
+    for m in (2, 3, 25, 27, 121, 6):
+        assert (build(l, q, m) == _frame_histogram(lv, qv, m)).all()
+    # p | content(L): g = 7 is not a unit mod 7.
+    assert build((7, 14, 0), q, 7).tolist() == _residue_counts((7, 14, 0), q, 7)
+    monkeypatch.undo()
+    monkeypatch.setattr(expsums, "_frame_histogram", refuse)
+    for p in (5, 7, 11, 13, 4093):
+        assert int(build(l, q, p).sum()) == p ** 3
+    assert int(build((7, 14, 0), q, 11).sum()) == 11 ** 3
 
 
 @pytest.mark.parametrize("m, p", [(4096, 2), (1024, 2), (729, 3), (625, 5)])

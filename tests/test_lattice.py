@@ -2,6 +2,8 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
 from cubic7 import lattice
 from cubic7.lattice import (
     count_lattice_points_in_box,
@@ -173,3 +175,14 @@ def test_coordinate_kernel_takes_split_path(monkeypatch):
         [(1, 0, 0, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0, 0), (0, 0, 0, 0, 0, 0, 1)]))
     assert count_lattice_points_in_box(basis, -P, P) == (2 * P + 1) ** 4
     assert count_lattice_points_in_box(basis, 1, P) == 0
+
+
+@pytest.mark.parametrize("basis", [
+    [(0, 1), (1, 0)],  # levels out of order
+    [(1, 1), (0, 1)],  # equal levels: level 1 would own no coordinate
+])
+def test_descent_refuses_levels_not_strictly_ascending(basis):
+    """The descent takes echelon bases only; the box count takes any basis."""
+    with pytest.raises(AssertionError):
+        lattice._descent_count(basis, -1, 1)
+    assert count_lattice_points_in_box(basis, -1, 1) == 9
