@@ -4,18 +4,21 @@ Each ternary block contributes a value histogram over the box; the count of
 f = N is a convolution of the two histograms against the cube term.  All
 arithmetic is exact.  A histogram is a sorted array of distinct values with
 int64 multiplicities; the values are int64 when the a priori bound proves
-they fit and Python integers (object dtype) otherwise.  On the sym box a
+they fit and Python integers (object dtype) otherwise.  The slabs are
+scanned, sorted in place and counted by run lengths in int32 when a second
+bound proves that every intermediate of L*Q fits int32, and in int64
+otherwise; the stored values are int64 either way.  On the sym box a
 histogram scans half the grid: L*Q(-x) = -L*Q(x), so the slabs x1 < 0 are
 the mirror of the slabs x1 > 0, and only those and the plane x1 = 0 are
-enumerated, each int64 slab sorted in place and counted by run lengths.
-Both grid caps still apply to the full box.  The cube term is
+enumerated.  Both grid caps still apply to the full box.  The cube term is
 folded once into the narrower histogram, g = h * {a7 t^3}, by 2P+1 dense
-slice adds; every N is then one int64 dot of the other histogram's counts
-against g.  An entry of g is at most the folded total (v and w fix t), so g
-is int32 below 2^31, and every partial sum of a dot is at most total1 *
-total2 <= _GRID_CAP^2 < 2^63.  Big-int histograms, a failed 2^63 bound or a
-fold window above _DENSE_CAP fall back to sparse Python-int sums per cube
-target.
+slice adds; on the sym box g is even, so only its half w >= 0 is added up
+and the rest mirrored.  Every N is then one int64 dot of the other
+histogram's counts against g.  An entry of g is at most the folded total
+(v and w fix t), so g is int32 below 2^31, and every partial sum of a dot
+is at most total1 * total2 <= _GRID_CAP^2 < 2^63.  Big-int histograms, a
+failed 2^63 bound or a fold window above _DENSE_CAP fall back to sparse
+Python-int sums per cube target.
 """
 
 from __future__ import annotations
@@ -46,7 +49,8 @@ class BlockHistogram:
     """Multiset of one block's values over the box, value -> multiplicity.
 
     vals is a sorted array of distinct values, int64 when the a priori bound
-    certifies it and object dtype (Python ints) otherwise; cnts is int64.
+    certifies it and object dtype (Python ints) otherwise, never the int32
+    of the slabs it was scanned from; cnts is int64.
     """
 
     __slots__ = ("vals", "cnts")
@@ -90,10 +94,12 @@ def _merge_unique(*parts):
     return v[starts], np.add.reduceat(c[order], starts)
 
 
-def _scan_int64(l, q, r, xs):
-    """Sorted (vals, cnts) of L*Q over xs x r x r: each slab is sorted in
-    place and its runs are merged into the running histogram."""
-    vals = cnts = np.empty(0, dtype=np.int64)
+def _scan_slabs(l, q, r, xs):
+    """Sorted (vals, cnts) of L*Q over xs x r x r in the dtype of r: each
+    slab is sorted in place and its runs are merged into the running
+    histogram."""
+    vals = np.empty(0, dtype=r.dtype)
+    cnts = np.empty(0, dtype=np.int64)
     for _, v in block_slabs(l, q, r, xs):
         v.sort()
         starts = _runs(v)
@@ -111,9 +117,11 @@ def _scan_big(l, q, r, xs):
 
 
 def _histogram_scan(l, q, box: str, P: int):
-    """(lo, hi, scan) for value_histogram, after the guards that refuse the
+    """(r, scan) for value_histogram, after the guards that refuse the
     histogram before anything is allocated: P >= 1, the grid cap, and the
-    big-integer grid cap when the int64 bound fails."""
+    big-integer grid cap when the int64 bound fails.  r is the coordinate
+    range, int32 when every intermediate of block_slabs provably fits int32
+    and int64 otherwise."""
     if P < 1:
         raise DomainError("P must be at least 1")
     lo, hi = box_interval(box, P)
@@ -125,16 +133,19 @@ def _histogram_scan(l, q, box: str, P: int):
             f"block grid {m}^3 = {m ** 3} cells exceeds the cap {_GRID_CAP}; "
             f"the {box} box allows P <= {pmax}"
         )
-    # |L*Q| <= sum|l| * R * sum|q| * R^2 with R the largest |coordinate|.
+    # |L*Q| <= sum|l| * R * sum|q| * R^2 with R the largest |coordinate|;
+    # every partial sum of L is within sum|l| * R, and of Q within
+    # sum|q| * R^2, so the largest of the three bounds the whole evaluation.
     R = max(abs(lo), abs(hi))
-    scan = _scan_int64
-    if sum(map(abs, l)) * sum(map(abs, q)) * R ** 3 >= _INT64_SAFE:
+    sl, sq = sum(map(abs, l)), sum(map(abs, q))
+    if sl * sq * R ** 3 >= _INT64_SAFE:
         if m ** 3 > _GRID_CAP_BIG:
             raise ResourceLimitError(
                 "coefficients too large for the int64 path at this P"
             )
-        scan = _scan_big
-    return lo, hi, scan
+        return np.arange(lo, hi + 1, dtype=np.int64), _scan_big
+    narrow = max(sl * R, sq * R * R, sl * sq * R ** 3) < _INT32_LIMIT
+    return np.arange(lo, hi + 1, dtype=np.int32 if narrow else np.int64), _scan_slabs
 
 
 @functools.lru_cache(maxsize=16)
@@ -144,24 +155,31 @@ def value_histogram(l, q, box: str, P: int) -> BlockHistogram:
     On the sym box only the slabs x1 > 0 and the plane x1 = 0 are scanned:
     L*Q(-x) = -L*Q(x) and the box is symmetric, so the slabs x1 < 0 are the
     mirror v -> -v of the slabs x1 > 0 (reversed values, reversed counts).
-    The pos and nonneg boxes are scanned in full.
+    The pos and nonneg boxes are scanned in full.  int32 scans are widened
+    to int64 once, at the end.
     """
-    lo, hi, scan = _histogram_scan(l, q, box, P)
-    r = np.arange(lo, hi + 1, dtype=np.int64)
+    r, scan = _histogram_scan(l, q, box, P)
     if box != "sym":
-        return BlockHistogram(*scan(l, q, r, r))
-    vals, cnts = scan(l, q, r, r[P + 1 :])
-    return BlockHistogram(*_merge_unique(
-        (vals, cnts), (-vals[::-1], cnts[::-1]), scan(l, q, r, r[P : P + 1])))
+        vals, cnts = scan(l, q, r, r)
+    else:
+        vals, cnts = scan(l, q, r, r[P + 1 :])
+        vals, cnts = _merge_unique(
+            (vals, cnts), (-vals[::-1], cnts[::-1]), scan(l, q, r, r[P : P + 1]))
+    if vals.dtype == np.int32:
+        vals = vals.astype(np.int64)
+    return BlockHistogram(vals, cnts)
 
 
-def _cube_fold(h: BlockHistogram, cubes):
+def _cube_fold(h: BlockHistogram, cubes, sym: bool = False):
     """(gmin, g) with g[w - gmin] = #{(v, t) : v + a7 t^3 = w}, v counted
     with its multiplicity in h and a7 t^3 running over `cubes`; None when
     the fold window is wider than _DENSE_CAP.
 
     Given w and v, the cube a7 t^3 = w - v fixes t, so no entry of g
-    exceeds h.total(): g is int32 below 2^31 and int64 otherwise.
+    exceeds h.total(): g is int32 below 2^31 and int64 otherwise.  With
+    sym the caller asserts that h and the cubes are odd-symmetric (the sym
+    box), so g is even: only the tiles for w >= 0 are added up, and the
+    half w < 0 is their mirror.
     """
     vmin = int(h.vals[0])
     width = int(h.vals[-1]) - vmin + 1
@@ -170,25 +188,31 @@ def _cube_fold(h: BlockHistogram, cubes):
     if width + span > _DENSE_CAP:
         return None
     dtype = np.int32 if h.total() < _INT32_LIMIT else np.int64
+    # g before the temporary dense copy: the returned g then takes a free
+    # block of the heap, and dense, freed on return, sits at its top.
+    g = np.zeros(width + span, dtype=dtype)
     dense = np.zeros(width, dtype=dtype)
     dense[h.vals - vmin] = h.cnts
-    g = np.zeros(width + span, dtype=dtype)
     starts = [c - cmin for c in cubes]
+    # w = 0 sits at the middle of g's odd-length window when g is even.
+    mid = len(g) // 2 if sym else 0
     # The same 2P+1 slice adds, tiled so each tile of g stays in cache.
-    for s in range(0, len(g), _FOLD_TILE):
+    for s in range(mid, len(g), _FOLD_TILE):
         e = min(s + _FOLD_TILE, len(g))
         tile = g[s:e]
         for o in starts:
             a, b = max(s, o), min(e, o + width)
             if a < b:
                 tile[a - s : b - s] += dense[a - o : b - o]
+    if sym:
+        g[:mid] = g[:mid:-1]
     return vmin + cmin, g
 
 
-def _fold(h1: BlockHistogram, h2: BlockHistogram, cubes):
+def _fold(h1: BlockHistogram, h2: BlockHistogram, cubes, sym: bool = False):
     """(other, gmin, g): the cube term folded into the narrower histogram,
     or None when an int64 count is not certified exact or the fold is
-    refused by _cube_fold.
+    refused by _cube_fold; sym is passed on to _cube_fold.
 
     A count sums nonnegative terms to R(N; P) <= total1 * total2, so every
     product and partial sum of its dot is exact below 2^63.
@@ -199,7 +223,7 @@ def _fold(h1: BlockHistogram, h2: BlockHistogram, cubes):
         narrow, other = h2, h1
     else:
         narrow, other = h1, h2
-    folded = _cube_fold(narrow, cubes)
+    folded = _cube_fold(narrow, cubes, sym)
     if folded is None:
         return None
     return (other, *folded)
@@ -243,7 +267,7 @@ def representation_counts(form: CubicForm, Ns, P: int) -> list[int]:
     h1 = value_histogram(form.l1, form.q1, form.box, P)
     h2 = value_histogram(form.l2, form.q2, form.box, P)
     cubes = [form.a7 * t ** 3 for t in box_range(form.box, P)]
-    fold = _fold(h1, h2, cubes)
+    fold = _fold(h1, h2, cubes, form.box == "sym")
     if fold is None:
         if h1.is_big != h2.is_big:
             # Python-int values on both sides once, not per cube target.

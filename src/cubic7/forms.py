@@ -66,9 +66,12 @@ def block_value(l, q, x, y, z):
 def block_slabs(l, q, r, xs=None):
     """Yield (first flat index, L*Q values) over the grid xs x r x r in x-slabs.
 
-    r and xs (default r) are int64 coordinate arrays, and (xs[i], r[j], r[k])
-    has flat index (i * n + j) * n + k with n = len(r); with the default xs
-    that is the index of the point in the cube r^3.  The yielded array is
+    r and xs (default r) are coordinate arrays of one integer dtype, and
+    (xs[i], r[j], r[k]) has flat index (i * n + j) * n + k with n = len(r);
+    with the default xs that is the index of the point in the cube r^3.  The
+    values are computed and yielded in r's dtype, so the caller must choose
+    one in which every partial sum of L and Q and the product L*Q fit
+    (counting passes int32 only under that bound).  The yielded array is
     overwritten by the next slab, so the caller may sort or reduce it in
     place: one slab buffer is reused throughout, and no slab costs a fresh
     allocation.
@@ -82,7 +85,7 @@ def block_slabs(l, q, r, xs=None):
     base = A2 * Y * Y + A3 * Z * Z + B1 * Y * Z
     lin = np.empty_like(base)
     step = max(1, _SLAB // (n * n))
-    vbuf = np.empty((min(step, len(xs)), n, n), dtype=np.int64)
+    vbuf = np.empty((min(step, len(xs)), n, n), dtype=r.dtype)
     for s in range(0, len(xs), step):
         xb = xs[s : s + step].tolist()
         v = vbuf[: len(xb)]

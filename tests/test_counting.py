@@ -9,11 +9,13 @@ from cubic7 import counting, lattice
 from cubic7.counting import (
     _DENSE_CAP,
     _GRID_CAP,
+    _INT32_LIMIT,
     _INT64_SAFE,
     BlockHistogram,
     _cube_fold,
     _fold,
     _fold_count,
+    _histogram_scan,
     _pair_count_sparse,
     chi,
     count_representations,
@@ -193,17 +195,74 @@ def test_histogram_int64_boundary(l, q, box, P, above):
     # path); either way the histogram must be the exact one.
     lo, hi = box_interval(box, P)
     unit = sum(map(abs, l)) * max(abs(lo), abs(hi)) ** 3
-    target = -(-_INT64_SAFE // unit) if above else (_INT64_SAFE - 1) // unit
-    k, rest = divmod(target, sum(map(abs, q)))
-    q = [k * c for c in q]
-    i = max(range(6), key=lambda j: abs(q[j]))
-    q[i] += rest if q[i] > 0 else -rest
-    q = tuple(q)
+    q = _scale_to(q, unit, _INT64_SAFE, above)
     bound = unit * sum(map(abs, q))
     assert (bound >= _INT64_SAFE) == above and abs(bound - _INT64_SAFE) <= unit
     h = value_histogram(l, q, box, P)
     assert h.is_big == above
     assert dict(h.items()) == block_values_brute(l, q, box, P)
+
+
+def _scale_to(c, unit, limit, above):
+    """c scaled so that sum|c| * unit is the largest value below limit, or
+    the first value not below it when above."""
+    target = -(-limit // unit) if above else (limit - 1) // unit
+    k, rest = divmod(target, sum(map(abs, c)))
+    c = [k * v for v in c]
+    i = max(range(len(c)), key=lambda j: abs(c[j]))
+    c[i] += rest if c[i] > 0 else -rest
+    return tuple(c)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    l=st.tuples(*[st.integers(-9, 9)] * 3).filter(any),
+    q=st.tuples(*[st.integers(-9, 9)] * 6).filter(any),
+    zero=st.sampled_from(("neither", "L", "Q")),
+    box=st.sampled_from(BOX_KINDS),
+    P=st.integers(1, 2),
+    above=st.booleans(),
+)
+def test_histogram_int32_boundary(l, q, zero, box, P, above):
+    # The slabs are int32 exactly when max(sum|l| R, sum|q| R^2,
+    # sum|l| sum|q| R^3) < 2^31.  For L, Q != 0 the product term is the
+    # largest and q is scaled; for L = 0 the Q term bounds, for Q = 0 the L
+    # term, and the nonzero factor is scaled.  Either side of the boundary
+    # the histogram is the exact one, stored as int64.
+    R = max(map(abs, box_interval(box, P)))
+    if zero == "L":
+        unit = R * R
+        l, q = (0, 0, 0), _scale_to(q, unit, _INT32_LIMIT, above)
+    elif zero == "Q":
+        unit = R
+        l, q = _scale_to(l, unit, _INT32_LIMIT, above), (0,) * 6
+    else:
+        unit = sum(map(abs, l)) * R ** 3
+        q = _scale_to(q, unit, _INT32_LIMIT, above)
+    sl, sq = sum(map(abs, l)), sum(map(abs, q))
+    bound = max(sl * R, sq * R * R, sl * sq * R ** 3)
+    assert (bound >= _INT32_LIMIT) == above and abs(bound - _INT32_LIMIT) <= unit
+    r, _ = _histogram_scan(l, q, box, P)
+    assert r.dtype == (np.int64 if above else np.int32)
+    h = value_histogram(l, q, box, P)
+    assert h.vals.dtype == np.int64
+    assert dict(h.items()) == block_values_brute(l, q, box, P)
+
+
+@pytest.mark.parametrize("l, q, slab", [
+    ((0, 0, 0), (COEFF_CAP,) * 6, np.int64),
+    ((COEFF_CAP,) * 3, (0,) * 6, np.int32),
+    ((0, 0, 0), (-COEFF_CAP, 0, 0, 0, 0, 0), np.int64),
+])
+def test_histogram_degenerate_block_at_grid_cap(l, q, slab):
+    # L*Q vanishes, so the product bound is 0, but a factor alone passes
+    # 2^31 when L = 0: a product-only check would pick int32 and overflow.
+    P = 203  # the largest sym radius the grid cap allows
+    r, _ = _histogram_scan(l, q, "sym", P)
+    assert r.dtype == slab
+    h = value_histogram.__wrapped__(l, q, "sym", P)
+    assert h.vals.dtype == np.int64
+    assert dict(h.items()) == {0: (2 * P + 1) ** 3}
 
 
 def _sorted_arrays(hist):
@@ -266,6 +325,23 @@ def test_histogram_build_memory():
     assert peak < 40e6
 
 
+def test_count_memory(f_fac1):
+    # Cold histograms of f_fac1 at P = 128 and their fold: int32 slabs and
+    # the half-window fold peaked at about 94 MB under tracemalloc, int64
+    # slabs and the full fold at about 114 MB.
+    import tracemalloc
+
+    value_histogram.cache_clear()
+    tracemalloc.start()
+    try:
+        count_representations(f_fac1, 0, 128)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        value_histogram.cache_clear()
+    assert peak < 105e6
+
+
 def test_fold_vs_sparse(f_star, f_fac1, f_iii):
     # Targets at both edges of the value-sum window and just outside it,
     # and Ns at both edges of the fold's own range and just outside it; the
@@ -315,6 +391,28 @@ def test_fold_vs_sparse(f_star, f_fac1, f_iii):
                 assert _fold_count(*fold, n_lo - 1) == _fold_count(*fold, n_hi + 1) == 0
                 assert representation_counts(form_b, Ns, P) == [
                     count_representations(form_b, N, P) for N in Ns]
+
+
+@pytest.mark.parametrize("a7", [1, -1, 2, -7])
+def test_sym_cube_fold_is_the_full_fold(a7, f_star, f_fac1, f_iii):
+    # On the sym box the fold is even: adding only its half w >= 0 and
+    # mirroring it gives the full fold entry for entry.
+    for form in (f_star, f_fac1, f_iii):
+        for P in (1, 2, 5, 64):
+            cubes = [a7 * t ** 3 for t in box_range("sym", P)]
+            for l, q in form.blocks():
+                h = value_histogram(l, q, "sym", P)
+                gmin, g = _cube_fold(h, cubes)
+                half_gmin, half = _cube_fold(h, cubes, sym=True)
+                assert half_gmin == gmin and np.array_equal(half, g)
+    # The pos and nonneg boxes keep the full fold, and their counts are
+    # still the enumerated ones.
+    for form in (f_star, f_fac1, f_iii):
+        for box in ("pos", "nonneg"):
+            form_b = CubicForm(form.a[:6] + (a7,), form.q1, form.q2, box)
+            table = representation_counts_brute(form_b, 2)
+            Ns = sorted(table) + [min(table) - 1, max(table) + 1]
+            assert representation_counts(form_b, Ns, 2) == [table.get(N, 0) for N in Ns]
 
 
 def _point_histogram(v: int, c: int) -> BlockHistogram:
