@@ -3,29 +3,29 @@
 Each ternary block contributes a value histogram over the box; the count of
 f = N is a convolution of the two histograms against the cube term.  All
 arithmetic is exact.  A histogram is a sorted array of distinct values with
-int64 multiplicities; the values are int64 when the a priori bound proves
-they fit and Python integers (object dtype) otherwise.  The slabs are
-scanned, sorted in place and counted by run lengths in int32 when a second
-bound proves that every intermediate of L*Q fits int32, and in int64
-otherwise; the stored values are int64 either way.  On the sym box a
-histogram scans half the grid: L*Q(-x) = -L*Q(x), so the slabs x1 < 0 are
-the mirror of the slabs x1 > 0, and only those and the plane x1 = 0 are
-enumerated.  Both grid caps still apply to the full box.  The cube term is
-folded once into the narrower histogram, g = h * {a7 t^3}, by 2P+1 dense
-slice adds; on the sym box g is even, so only its half w >= 0 is added up
-and the rest mirrored.  Every N is then one int64 dot of the other
+int64 multiplicities.  One scan builds it for every integer width: the
+slabs are computed, sorted in place and counted by run lengths in the
+narrowest of int32, int64 and object (Python ints) that an a priori bound
+proves holds every intermediate of L*Q.  The values are then stored as
+int64 when every one lies in (-2^62, 2^62), so that every sum and
+difference of two values fits int64, and as Python ints otherwise.  On the
+sym box a histogram scans half the grid: L*Q(-x) = -L*Q(x), so the slabs
+x1 < 0 are the mirror of the slabs x1 > 0, and only those and the plane
+x1 = 0 are enumerated.  Both grid caps still apply to the full box.  The
+cube term is folded once into the narrower histogram, g = h * {a7 t^3}, by
+2P+1 dense slice adds; on the sym box g is even, so only its half w >= 0 is
+added up and the rest mirrored.  Every N is then one int64 dot of the other
 histogram's counts against g.  An entry of g is at most the folded total
 (v and w fix t), so g is int32 below 2^31, and every partial sum of a dot
 is at most total1 * total2 <= _GRID_CAP^2 < 2^63.  Big-int histograms, a
 failed 2^63 bound or a fold window above _DENSE_CAP fall back to sparse
-Python-int sums per cube target.
+pair sums per cube target, accumulated in Python ints.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,24 +33,24 @@ import numpy as np
 from . import lattice
 from .arith import icbrt, icbrt_exact
 from .errors import DomainError, ResourceLimitError
-from .forms import CubicForm, block_slabs, block_value, box_interval, box_range
+from .forms import CubicForm, block_slabs, box_interval, box_range
 from .payload import Payload
 
 _GRID_CAP = 68_000_000  # lattice points per block enumeration
-_GRID_CAP_BIG = 2_000_000  # same, on the exact big-integer fallback path
+_GRID_CAP_BIG = 2_000_000  # same, when the value bound reaches _INT64_SAFE
 _DENSE_CAP = 200_000_000  # cube-fold window width
 _FOLD_TILE = 1 << 17  # fold entries per cache tile
-_INT64_SAFE = 1 << 62
-_INT32_LIMIT = 1 << 31  # fold entries below this are int32
-_INT64_LIMIT = 1 << 63  # counts below this are exact int64 dots
+_INT64_SAFE = 1 << 62  # stored values strictly inside +-this are int64
+_INT32_LIMIT = 1 << 31  # slab bounds and fold entries below this are int32
+_INT64_LIMIT = 1 << 63  # slab bounds and counts below this are exact int64
 
 
 class BlockHistogram:
     """Multiset of one block's values over the box, value -> multiplicity.
 
-    vals is a sorted array of distinct values, int64 when the a priori bound
-    certifies it and object dtype (Python ints) otherwise, never the int32
-    of the slabs it was scanned from; cnts is int64.
+    vals is a sorted array of distinct values, int64 when every value lies
+    in (-2^62, 2^62) and object dtype (Python ints) otherwise, whatever the
+    dtype of the slabs it was scanned from; cnts is int64.
     """
 
     __slots__ = ("vals", "cnts")
@@ -97,31 +97,23 @@ def _merge_unique(*parts):
 def _scan_slabs(l, q, r, xs):
     """Sorted (vals, cnts) of L*Q over xs x r x r in the dtype of r: each
     slab is sorted in place and its runs are merged into the running
-    histogram."""
+    histogram.  Object slabs sort stably: timsort finds their runs."""
+    kind = "stable" if r.dtype == object else None
     vals = np.empty(0, dtype=r.dtype)
     cnts = np.empty(0, dtype=np.int64)
     for _, v in block_slabs(l, q, r, xs):
-        v.sort()
+        v.sort(kind=kind)
         starts = _runs(v)
         vals, cnts = _merge_unique((vals, cnts), (v[starts], np.diff(starts, append=len(v))))
     return vals, cnts
 
 
-def _scan_big(l, q, r, xs):
-    """Sorted (vals, cnts) of L*Q over xs x r x r in Python integers."""
-    pts = itertools.product(xs.tolist(), r.tolist(), r.tolist())
-    hist = Counter(itertools.starmap(functools.partial(block_value, l, q), pts))
-    vals = sorted(hist)
-    return (np.array(vals, dtype=object),
-            np.array([hist[v] for v in vals], dtype=np.int64))
-
-
 def _histogram_scan(l, q, box: str, P: int):
-    """(r, scan) for value_histogram, after the guards that refuse the
-    histogram before anything is allocated: P >= 1, the grid cap, and the
-    big-integer grid cap when the int64 bound fails.  r is the coordinate
-    range, int32 when every intermediate of block_slabs provably fits int32
-    and int64 otherwise."""
+    """The coordinate range r of value_histogram's scan, after the guards
+    that refuse the histogram before anything is allocated: P >= 1, the
+    grid cap, and the big-integer grid cap when the value bound reaches
+    2^62.  r is in the narrowest of int32, int64 and object (Python ints)
+    that holds every intermediate of block_slabs."""
     if P < 1:
         raise DomainError("P must be at least 1")
     lo, hi = box_interval(box, P)
@@ -133,19 +125,15 @@ def _histogram_scan(l, q, box: str, P: int):
             f"block grid {m}^3 = {m ** 3} cells exceeds the cap {_GRID_CAP}; "
             f"the {box} box allows P <= {pmax}"
         )
-    # |L*Q| <= sum|l| * R * sum|q| * R^2 with R the largest |coordinate|;
-    # every partial sum of L is within sum|l| * R, and of Q within
-    # sum|q| * R^2, so the largest of the three bounds the whole evaluation.
+    # With R the largest |coordinate|, every partial sum of L is within
+    # sum|l| * R, of Q within sum|q| * R^2, and of L*Q within their product.
     R = max(abs(lo), abs(hi))
     sl, sq = sum(map(abs, l)), sum(map(abs, q))
-    if sl * sq * R ** 3 >= _INT64_SAFE:
-        if m ** 3 > _GRID_CAP_BIG:
-            raise ResourceLimitError(
-                "coefficients too large for the int64 path at this P"
-            )
-        return np.arange(lo, hi + 1, dtype=np.int64), _scan_big
-    narrow = max(sl * R, sq * R * R, sl * sq * R ** 3) < _INT32_LIMIT
-    return np.arange(lo, hi + 1, dtype=np.int32 if narrow else np.int64), _scan_slabs
+    bound = max(sl * R, sq * R * R, sl * sq * R ** 3)
+    if bound >= _INT64_SAFE and m ** 3 > _GRID_CAP_BIG:
+        raise ResourceLimitError("coefficients too large for the int64 path at this P")
+    dtype = object if bound >= _INT64_LIMIT else np.int64 if bound >= _INT32_LIMIT else np.int32
+    return np.arange(lo, hi + 1, dtype=dtype)
 
 
 @functools.lru_cache(maxsize=16)
@@ -155,19 +143,19 @@ def value_histogram(l, q, box: str, P: int) -> BlockHistogram:
     On the sym box only the slabs x1 > 0 and the plane x1 = 0 are scanned:
     L*Q(-x) = -L*Q(x) and the box is symmetric, so the slabs x1 < 0 are the
     mirror v -> -v of the slabs x1 > 0 (reversed values, reversed counts).
-    The pos and nonneg boxes are scanned in full.  int32 scans are widened
-    to int64 once, at the end.
+    The pos and nonneg boxes are scanned in full.  The values are stored as
+    int64 when all of them lie in (-2^62, 2^62), and as Python ints
+    otherwise.
     """
-    r, scan = _histogram_scan(l, q, box, P)
+    r = _histogram_scan(l, q, box, P)
     if box != "sym":
-        vals, cnts = scan(l, q, r, r)
+        vals, cnts = _scan_slabs(l, q, r, r)
     else:
-        vals, cnts = scan(l, q, r, r[P + 1 :])
+        vals, cnts = _scan_slabs(l, q, r, r[P + 1 :])
         vals, cnts = _merge_unique(
-            (vals, cnts), (-vals[::-1], cnts[::-1]), scan(l, q, r, r[P : P + 1]))
-    if vals.dtype == np.int32:
-        vals = vals.astype(np.int64)
-    return BlockHistogram(vals, cnts)
+            (vals, cnts), (-vals[::-1], cnts[::-1]), _scan_slabs(l, q, r, r[P : P + 1]))
+    fits = -_INT64_SAFE < int(vals[0]) and int(vals[-1]) < _INT64_SAFE
+    return BlockHistogram(vals.astype(np.int64 if fits else object, copy=False), cnts)
 
 
 def _cube_fold(h: BlockHistogram, cubes, sym: bool = False):
@@ -241,18 +229,23 @@ def _fold_count(other: BlockHistogram, gmin: int, g, N: int) -> int:
 
 
 def _pair_count_sparse(h1: BlockHistogram, h2: BlockHistogram, t: int) -> int:
-    if t < int(h1.vals[0]) + int(h2.vals[0]) or t > int(h1.vals[-1]) + int(h2.vals[-1]):
-        return 0
+    """#{(v, w) : v + w = t} with v from h1 and w from h2, of one dtype."""
     if len(h1.vals) > len(h2.vals):
         h1, h2 = h2, h1  # shift the shorter histogram, search the longer
-    # Object dtype as soon as either block is big, so t - v stays exact.
-    w = np.subtract(t, h1.vals, dtype=np.result_type(h1.vals, h2.vals))
+    # Only v with t - v in h2's range can pair.  So t and every t - v lie
+    # within sums of two values, which int64 holds for int64 histograms.
+    lo = max(t - int(h2.vals[-1]), int(h1.vals[0]))
+    hi = min(t - int(h2.vals[0]), int(h1.vals[-1]))
+    if lo > hi:
+        return 0
+    i0 = int(np.searchsorted(h1.vals, lo, side="left"))
+    i1 = int(np.searchsorted(h1.vals, hi, side="right"))
+    w = t - h1.vals[i0:i1]
     idx = np.searchsorted(h2.vals, w)
-    idx[idx >= len(h2.vals)] = 0
     mask = h2.vals[idx] == w
     # Python-int accumulation: this path runs exactly when the int64 fold
     # is refused.
-    c1 = h1.cnts[mask].tolist()
+    c1 = h1.cnts[i0:i1][mask].tolist()
     c2 = h2.cnts[idx[mask]].tolist()
     return sum(a * b for a, b in zip(c1, c2))
 

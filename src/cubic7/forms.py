@@ -50,9 +50,10 @@ _SLAB = 1 << 22  # grid cells per slab of block_slabs
 def block_value(l, q, x, y, z):
     """Value of the ternary block L(x,y,z) * Q(x,y,z); broadcasts over arrays.
 
-    Its callers: counting._scan_big (Python ints), CubicForm.value and the
-    plane grids of expsums.mod_histogram (broadcast int64 arrays).  The Monte
-    Carlo density performs the same float operations in place (density._sum).
+    Its callers: CubicForm.value and transform_block's self-check (Python
+    ints), and the plane grids of expsums.mod_histogram (broadcast int64
+    arrays).  The Monte Carlo density performs the same float operations in
+    place (density._sum).
     """
     a1, a2, a3 = l
     A1, A2, A3, B1, B2, B3 = q
@@ -66,12 +67,13 @@ def block_value(l, q, x, y, z):
 def block_slabs(l, q, r, xs=None):
     """Yield (first flat index, L*Q values) over the grid xs x r x r in x-slabs.
 
-    r and xs (default r) are coordinate arrays of one integer dtype, and
-    (xs[i], r[j], r[k]) has flat index (i * n + j) * n + k with n = len(r);
-    with the default xs that is the index of the point in the cube r^3.  The
-    values are computed and yielded in r's dtype, so the caller must choose
-    one in which every partial sum of L and Q and the product L*Q fit
-    (counting passes int32 only under that bound).  The yielded array is
+    r and xs (default r) are coordinate arrays of one dtype, int32, int64 or
+    object (Python ints, exact at any size), and (xs[i], r[j], r[k]) has
+    flat index (i * n + j) * n + k with n = len(r); with the default xs that
+    is the index of the point in the cube r^3.  The values are computed and
+    yielded in r's dtype, so the caller must choose one in which every
+    partial sum of L and Q and the product L*Q fit (counting picks the
+    narrowest under an a priori bound).  The yielded array is
     overwritten by the next slab, so the caller may sort or reduce it in
     place: one slab buffer is reused throughout, and no slab costs a fresh
     allocation.

@@ -1,8 +1,9 @@
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cubic7 import counting, lattice
@@ -10,6 +11,7 @@ from cubic7.counting import (
     _DENSE_CAP,
     _GRID_CAP,
     _INT32_LIMIT,
+    _INT64_LIMIT,
     _INT64_SAFE,
     BlockHistogram,
     _cube_fold,
@@ -101,11 +103,12 @@ def test_histogram_int64_block_skips_big_integer_cap():
 
 
 def test_histogram_big_integer_path():
-    # Coefficients at the cap overflow the int64 certification bound at
-    # this radius, forcing the exact big-integer fallback.
+    # Coefficients at the cap pass 2^63 in the a priori bound at this
+    # radius, so the slabs are Python ints, and the values pass 2^62.
     c = COEFF_CAP
     l = (c, c, c)
     q = (c, c, c, c, c, c)
+    assert _histogram_scan(l, q, "pos", 100).dtype == object
     h = value_histogram(l, q, "pos", 100)
     assert h.is_big
     assert h.total() == 100 ** 3
@@ -116,10 +119,17 @@ def test_histogram_big_integer_path():
     assert min(v for v, _ in h.items()) == 18 * c * c
 
 
+def _pair_sum(da, db, cubes, N):
+    """R(N) from two brute-force block histograms and the cube values."""
+    small, other = (da, db) if len(da) <= len(db) else (db, da)
+    return sum(n * other.get(N - t - v, 0) for t in cubes for v, n in small.items())
+
+
 def test_big_int_counts_vs_brute():
-    # A block at the cap first overflows the int64 bound on the pos box at
-    # P = 62.  With block 2 = x4 x5^2 the pair is mixed (object and int64
-    # values), and N = +-10^30 does not fit int64 at all.
+    # A block at the cap first has a value at or above 2^62 on the pos box
+    # at P = 62: its top value, at the far corner, is the a priori bound.
+    # With block 2 = x4 x5^2 the pair is mixed (object and int64 values),
+    # and N = +-10^30 does not fit int64 at all.
     c, P = COEFF_CAP, 62
     l1, q1 = (c, c, c), (c, c, c, c, c, c)
     l2, q2 = (1, 0, 0), (0, 1, 0, 0, 0, 0)
@@ -128,32 +138,58 @@ def test_big_int_counts_vs_brute():
     assert not value_histogram(l2, q2, "pos", P).is_big
     d1 = block_values_brute(l1, q1, "pos", P)
     d2 = block_values_brute(l2, q2, "pos", P)
+    assert max(d1) == 18 * c * c * P ** 3 >= _INT64_SAFE
     cubes = [3 * t ** 3 for t in box_range("pos", P)]
-
-    def pair_sum(da, db, N):
-        small, other = (da, db) if len(da) <= len(db) else (db, da)
-        return sum(n * other.get(N - t - v, 0) for t in cubes for v, n in small.items())
-
     rng = random.Random(17)
     mixed = CubicForm(l1 + l2 + (3,), q1, q2, "pos")
     swapped = CubicForm(l2 + l1 + (3,), q2, q1, "pos")
     Ns = [mixed.value([rng.randint(1, P) for _ in range(7)]) for _ in range(4)]
     Ns += [0, 10 ** 30, -10 ** 30]
-    want = [pair_sum(d1, d2, N) for N in Ns]
+    want = [_pair_sum(d1, d2, cubes, N) for N in Ns]
     assert min(want[:4]) > 0 and want[4:] == [0, 0, 0]
     assert representation_counts(mixed, Ns, P) == want
     assert representation_counts(swapped, Ns, P) == want
     # Both blocks big.
     both = CubicForm(l1 + l1 + (3,), q1, q1, "pos")
     N = both.value([rng.randint(1, P) for _ in range(7)])
-    want = pair_sum(d1, d1, N)
+    want = _pair_sum(d1, d1, cubes, N)
     assert want > 0
     assert representation_counts(both, [N, 10 ** 30], P) == [want, 0]
 
 
+def test_big_bound_int64_values_take_the_fold(monkeypatch):
+    # sum|l| sum|q| R^3 passes 2^62 at the cap on the pos box at P = 62, but
+    # with mixed signs every value lies in (-2^62, 2^62): the block is
+    # stored as int64, and its counts take the int64 fold.
+    c, P = COEFF_CAP, 62
+    l1, q1 = (c, -c, c), (c, -c, c, -c, c, -c)
+    l2, q2 = (1, 0, 0), (1, 0, 0, 0, 0, 0)
+    assert 18 * c * c * P ** 3 >= _INT64_SAFE
+    d1 = block_values_brute(l1, q1, "pos", P)
+    d2 = block_values_brute(l2, q2, "pos", P)
+    assert max(map(abs, d1)) < _INT64_SAFE
+    h1 = value_histogram(l1, q1, "pos", P)
+    assert h1.vals.dtype == np.int64 and dict(h1.items()) == d1
+    cubes = [3 * t ** 3 for t in box_range("pos", P)]
+    assert _fold(h1, value_histogram(l2, q2, "pos", P), cubes) is not None
+
+    def refuse(*args):
+        raise AssertionError("sparse path taken")
+
+    monkeypatch.setattr(counting, "_pair_count_sparse", refuse)
+    rng = random.Random(20)
+    form = CubicForm(l1 + l2 + (3,), q1, q2, "pos")
+    Ns = [form.value([rng.randint(1, P) for _ in range(7)]) for _ in range(4)]
+    Ns += [0, 10 ** 30, -10 ** 30]
+    want = [_pair_sum(d1, d2, cubes, N) for N in Ns]
+    assert min(want[:4]) > 0
+    assert representation_counts(form, Ns, P) == want
+
+
 def test_mixed_pair_counts_vs_brute(monkeypatch):
-    # Lowering the int64 bound makes block 1 an object-dtype histogram at a
-    # radius the full 7-grid brute force reaches, beside an int64 block 2.
+    # Lowering the int64 limits makes block 1 an object-dtype scan and
+    # histogram at a radius the full 7-grid brute force reaches, beside an
+    # int64 block 2.
     # Every sparse pair count must then see Python-int values on both sides.
     form = CubicForm((2, -1, 3, 1, 0, 0, 2), (1, 2, -1, 0, 3, 1),
                      (0, 1, 0, 0, 0, 0), "sym")
@@ -166,9 +202,11 @@ def test_mixed_pair_counts_vs_brute(monkeypatch):
         return _pair_count_sparse(h1, h2, t)
 
     monkeypatch.setattr(counting, "_INT64_SAFE", 100)
+    monkeypatch.setattr(counting, "_INT64_LIMIT", 100)
     monkeypatch.setattr(counting, "_pair_count_sparse", spy)
     value_histogram.cache_clear()
     try:
+        assert _histogram_scan(form.l1, form.q1, "sym", P).dtype == object
         assert value_histogram(form.l1, form.q1, "sym", P).is_big
         assert not value_histogram(form.l2, form.q2, "sym", P).is_big
         table = representation_counts_brute(form, P)
@@ -179,28 +217,6 @@ def test_mixed_pair_counts_vs_brute(monkeypatch):
     finally:
         value_histogram.cache_clear()
     assert dtypes == {np.dtype(object)}
-
-
-@settings(max_examples=80, deadline=None)
-@given(
-    l=st.tuples(*[st.integers(-9, 9)] * 3).filter(any),
-    q=st.tuples(*[st.integers(-9, 9)] * 6).filter(any),
-    box=st.sampled_from(BOX_KINDS),
-    P=st.integers(1, 2),
-    above=st.booleans(),
-)
-def test_histogram_int64_boundary(l, q, box, P, above):
-    # Scale q so the a priori bound sum|l| * sum|q| * R^3 sits just below
-    # _INT64_SAFE (int64 path) or at the first value not below it (big-int
-    # path); either way the histogram must be the exact one.
-    lo, hi = box_interval(box, P)
-    unit = sum(map(abs, l)) * max(abs(lo), abs(hi)) ** 3
-    q = _scale_to(q, unit, _INT64_SAFE, above)
-    bound = unit * sum(map(abs, q))
-    assert (bound >= _INT64_SAFE) == above and abs(bound - _INT64_SAFE) <= unit
-    h = value_histogram(l, q, box, P)
-    assert h.is_big == above
-    assert dict(h.items()) == block_values_brute(l, q, box, P)
 
 
 def _scale_to(c, unit, limit, above):
@@ -214,39 +230,59 @@ def _scale_to(c, unit, limit, above):
     return tuple(c)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(
     l=st.tuples(*[st.integers(-9, 9)] * 3).filter(any),
     q=st.tuples(*[st.integers(-9, 9)] * 6).filter(any),
     zero=st.sampled_from(("neither", "L", "Q")),
     box=st.sampled_from(BOX_KINDS),
     P=st.integers(1, 2),
+    limit=st.sampled_from((_INT32_LIMIT, _INT64_SAFE, _INT64_LIMIT)),
     above=st.booleans(),
 )
-def test_histogram_int32_boundary(l, q, zero, box, P, above):
-    # The slabs are int32 exactly when max(sum|l| R, sum|q| R^2,
-    # sum|l| sum|q| R^3) < 2^31.  For L, Q != 0 the product term is the
-    # largest and q is scaled; for L = 0 the Q term bounds, for Q = 0 the L
-    # term, and the nonzero factor is scaled.  Either side of the boundary
-    # the histogram is the exact one, stored as int64.
+# The top value of an all-positive block on the pos box is the bound itself,
+# so at or above 2^62 it is stored as objects; with mixed signs the values
+# stay far inside and are stored as int64.
+@example((1, 1, 1), (1,) * 6, "neither", "pos", 2, _INT64_SAFE, True)
+@example((1, -1, 1), (1, -1, 1, -1, 1, -1), "neither", "sym", 2, _INT64_SAFE, True)
+def test_histogram_dtype_boundary(l, q, zero, box, P, limit, above):
+    # With B = max(sum|l| R, sum|q| R^2, sum|l| sum|q| R^3), the slabs are
+    # int32 below 2^31, int64 below 2^63 and Python ints otherwise, and B at
+    # or above 2^62 meets the big-integer grid cap.  For L, Q != 0 the
+    # product term is the largest and q is scaled; for L = 0 the Q term
+    # bounds, for Q = 0 the L term, and the nonzero factor is scaled to just
+    # below the limit or the first value not below it.  The stored values
+    # are objects exactly when one of them leaves (-2^62, 2^62), and the
+    # histogram is the exact one either way.
     R = max(map(abs, box_interval(box, P)))
     if zero == "L":
         unit = R * R
-        l, q = (0, 0, 0), _scale_to(q, unit, _INT32_LIMIT, above)
+        l, q = (0, 0, 0), _scale_to(q, unit, limit, above)
     elif zero == "Q":
         unit = R
-        l, q = _scale_to(l, unit, _INT32_LIMIT, above), (0,) * 6
+        l, q = _scale_to(l, unit, limit, above), (0,) * 6
     else:
         unit = sum(map(abs, l)) * R ** 3
-        q = _scale_to(q, unit, _INT32_LIMIT, above)
+        q = _scale_to(q, unit, limit, above)
     sl, sq = sum(map(abs, l)), sum(map(abs, q))
     bound = max(sl * R, sq * R * R, sl * sq * R ** 3)
-    assert (bound >= _INT32_LIMIT) == above and abs(bound - _INT32_LIMIT) <= unit
-    r, _ = _histogram_scan(l, q, box, P)
-    assert r.dtype == (np.int64 if above else np.int32)
-    h = value_histogram(l, q, box, P)
-    assert h.vals.dtype == np.int64
-    assert dict(h.items()) == block_values_brute(l, q, box, P)
+    assert (bound >= limit) == above and abs(bound - limit) <= unit
+    r = _histogram_scan(l, q, box, P)
+    if bound >= _INT64_LIMIT:
+        assert r.dtype == object
+    else:
+        assert r.dtype == (np.int64 if bound >= _INT32_LIMIT else np.int32)
+    with mock.patch.object(counting, "_GRID_CAP_BIG", len(r) ** 3 - 1):
+        if bound >= _INT64_SAFE:
+            with pytest.raises(ResourceLimitError, match="coefficients too large"):
+                _histogram_scan(l, q, box, P)
+        else:
+            assert np.array_equal(_histogram_scan(l, q, box, P), r)
+    brute = block_values_brute(l, q, box, P)
+    h = value_histogram.__wrapped__(l, q, box, P)
+    big = not all(-_INT64_SAFE < v < _INT64_SAFE for v in brute)
+    assert h.vals.dtype == (object if big else np.int64)
+    assert dict(h.items()) == brute
 
 
 @pytest.mark.parametrize("l, q, slab", [
@@ -258,8 +294,7 @@ def test_histogram_degenerate_block_at_grid_cap(l, q, slab):
     # L*Q vanishes, so the product bound is 0, but a factor alone passes
     # 2^31 when L = 0: a product-only check would pick int32 and overflow.
     P = 203  # the largest sym radius the grid cap allows
-    r, _ = _histogram_scan(l, q, "sym", P)
-    assert r.dtype == slab
+    assert _histogram_scan(l, q, "sym", P).dtype == slab
     h = value_histogram.__wrapped__(l, q, "sym", P)
     assert h.vals.dtype == np.int64
     assert dict(h.items()) == {0: (2 * P + 1) ** 3}
@@ -303,9 +338,11 @@ def test_sym_histogram_half_scan(monkeypatch, f_fac1):
     for P in (64, 128):
         for l, q in (*f_fac1.blocks(), dense):
             _assert_hist(value_histogram.__wrapped__(l, q, "sym", P), *_full_scan(l, q, P))
-    # The big-integer path mirrors the same way.
+    # The object scan mirrors the same way.
     monkeypatch.setattr(counting, "_INT64_SAFE", 100)
+    monkeypatch.setattr(counting, "_INT64_LIMIT", 100)
     for l, q in blocks[-3:]:
+        assert _histogram_scan(l, q, "sym", 4).dtype == object
         h = value_histogram.__wrapped__(l, q, "sym", 4)
         assert h.is_big
         _assert_hist(h, *_sorted_arrays(block_values_brute(l, q, "sym", 4)))
