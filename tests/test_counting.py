@@ -230,22 +230,7 @@ def _scale_to(c, unit, limit, above):
     return tuple(c)
 
 
-@settings(max_examples=120, deadline=None)
-@given(
-    l=st.tuples(*[st.integers(-9, 9)] * 3).filter(any),
-    q=st.tuples(*[st.integers(-9, 9)] * 6).filter(any),
-    zero=st.sampled_from(("neither", "L", "Q")),
-    box=st.sampled_from(BOX_KINDS),
-    P=st.integers(1, 2),
-    limit=st.sampled_from((_INT32_LIMIT, _INT64_SAFE, _INT64_LIMIT)),
-    above=st.booleans(),
-)
-# The top value of an all-positive block on the pos box is the bound itself,
-# so at or above 2^62 it is stored as objects; with mixed signs the values
-# stay far inside and are stored as int64.
-@example((1, 1, 1), (1,) * 6, "neither", "pos", 2, _INT64_SAFE, True)
-@example((1, -1, 1), (1, -1, 1, -1, 1, -1), "neither", "sym", 2, _INT64_SAFE, True)
-def test_histogram_dtype_boundary(l, q, zero, box, P, limit, above):
+def _check_dtype_boundary(l, q, zero, box, P, limit, above):
     # With B = max(sum|l| R, sum|q| R^2, sum|l| sum|q| R^3), the slabs are
     # int32 below 2^31, int64 below 2^63 and Python ints otherwise, and B at
     # or above 2^62 meets the big-integer grid cap.  For L, Q != 0 the
@@ -283,6 +268,33 @@ def test_histogram_dtype_boundary(l, q, zero, box, P, limit, above):
     big = not all(-_INT64_SAFE < v < _INT64_SAFE for v in brute)
     assert h.vals.dtype == (object if big else np.int64)
     assert dict(h.items()) == brute
+
+
+_BOUNDARY_BLOCKS = dict(
+    l=st.tuples(*[st.integers(-9, 9)] * 3).filter(any),
+    q=st.tuples(*[st.integers(-9, 9)] * 6).filter(any),
+    zero=st.sampled_from(("neither", "L", "Q")),
+    box=st.sampled_from(BOX_KINDS),
+    P=st.integers(1, 2),
+    above=st.booleans(),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(**_BOUNDARY_BLOCKS)
+def test_histogram_int32_boundary(l, q, zero, box, P, above):
+    _check_dtype_boundary(l, q, zero, box, P, _INT32_LIMIT, above)
+
+
+@settings(max_examples=80, deadline=None)
+@given(limit=st.sampled_from((_INT64_SAFE, _INT64_LIMIT)), **_BOUNDARY_BLOCKS)
+# The top value of an all-positive block on the pos box is the bound itself,
+# so at or above 2^62 it is stored as objects; with mixed signs the values
+# stay far inside and are stored as int64.
+@example((1, 1, 1), (1,) * 6, "neither", "pos", 2, _INT64_SAFE, True)
+@example((1, -1, 1), (1, -1, 1, -1, 1, -1), "neither", "sym", 2, _INT64_SAFE, True)
+def test_histogram_int64_boundary(l, q, zero, box, P, limit, above):
+    _check_dtype_boundary(l, q, zero, box, P, limit, above)
 
 
 @pytest.mark.parametrize("l, q, slab", [
