@@ -9,17 +9,18 @@ narrowest of int32, int64 and object (Python ints) that an a priori bound
 proves holds every intermediate of L*Q.  The values are then stored as
 int64 when every one lies in (-2^62, 2^62), so that every sum and
 difference of two values fits int64, and as Python ints otherwise.  On the
-sym box a histogram scans half the grid: L*Q(-x) = -L*Q(x), so the slabs
-x1 < 0 are the mirror of the slabs x1 > 0, and only those and the plane
-x1 = 0 are enumerated.  Both grid caps still apply to the full box.  The
-cube term is folded once into the narrower histogram, g = h * {a7 t^3}, by
-2P+1 dense slice adds; on the sym box g is even, so only its half w >= 0 is
-added up and the rest mirrored.  Every N is then one int64 dot of the other
-histogram's counts against g.  An entry of g is at most the folded total
-(v and w fix t), so g is int32 below 2^31, and every partial sum of a dot
-is at most total1 * total2 <= _GRID_CAP^2 < 2^63.  Big-int histograms, a
-failed 2^63 bound or a fold window above _DENSE_CAP fall back to sparse
-pair sums per cube target, accumulated in Python ints.
+sym box L*Q(-x) = -L*Q(x), so the histogram is even: a scan of |L*Q| over
+the slabs x1 > 0 and the plane x1 = 0 gives it, the counts at u and -u
+together, and the signed values are written once at the end.  Both grid
+caps still apply to the full box.  The cube term is folded once into the
+narrower histogram, g = h * {a7 t^3}, by 2P+1 dense slice adds; when that
+histogram and the cubes are symmetric (the sym box), g is even, and only
+its half w >= 0 is added up and stored.  Every N is then one int64 dot of
+the other histogram's counts against g.  An entry of g is at most the
+folded total (v and w fix t), so g is int32 below 2^31, and every partial
+sum of a dot is at most total1 * total2 <= _GRID_CAP^2 < 2^63.  Big-int
+histograms, a failed 2^63 bound or a fold window above _DENSE_CAP fall
+back to sparse pair sums per cube target, accumulated in Python ints.
 """
 
 from __future__ import annotations
@@ -94,14 +95,17 @@ def _merge_unique(*parts):
     return v[starts], np.add.reduceat(c[order], starts)
 
 
-def _scan_slabs(l, q, r, xs):
-    """Sorted (vals, cnts) of L*Q over xs x r x r in the dtype of r: each
-    slab is sorted in place and its runs are merged into the running
-    histogram.  Object slabs sort stably: timsort finds their runs."""
+def _scan_slabs(l, q, r, xs, absolute: bool = False):
+    """Sorted (vals, cnts) of L*Q over xs x r x r in the dtype of r, or of
+    |L*Q| with absolute: each slab is sorted in place and its runs are
+    merged into the running histogram.  Object slabs sort stably: timsort
+    finds their runs."""
     kind = "stable" if r.dtype == object else None
     vals = np.empty(0, dtype=r.dtype)
     cnts = np.empty(0, dtype=np.int64)
     for _, v in block_slabs(l, q, r, xs):
+        if absolute:
+            np.abs(v, out=v)
         v.sort(kind=kind)
         starts = _runs(v)
         vals, cnts = _merge_unique((vals, cnts), (v[starts], np.diff(starts, append=len(v))))
@@ -140,34 +144,43 @@ def _histogram_scan(l, q, box: str, P: int):
 def value_histogram(l, q, box: str, P: int) -> BlockHistogram:
     """Histogram of L*Q over the box of radius P (exact multiplicities).
 
-    On the sym box only the slabs x1 > 0 and the plane x1 = 0 are scanned:
-    L*Q(-x) = -L*Q(x) and the box is symmetric, so the slabs x1 < 0 are the
-    mirror v -> -v of the slabs x1 > 0 (reversed values, reversed counts).
-    The pos and nonneg boxes are scanned in full.  The values are stored as
-    int64 when all of them lie in (-2^62, 2^62), and as Python ints
-    otherwise.
+    On the sym box x -> -x maps the box onto itself and L*Q to -L*Q, so the
+    histogram is even, h(-u) = h(u), and only |L*Q| is counted, on the
+    slabs x1 > 0 and on the plane x1 = 0.  With A(u) the count of |v| = u
+    on x1 > 0 (the slabs x1 < 0 are their mirror) and C(u) that on the
+    plane, which is symmetric itself, h(u) = A(u) + C(u)/2 for u > 0 and
+    h(0) = 2 A(0) + C(0).  The pos and nonneg boxes are scanned in full.
+    The values are stored as int64 when all of them lie in (-2^62, 2^62),
+    and as Python ints otherwise.
     """
     r = _histogram_scan(l, q, box, P)
     if box != "sym":
         vals, cnts = _scan_slabs(l, q, r, r)
-    else:
-        vals, cnts = _scan_slabs(l, q, r, r[P + 1 :])
-        vals, cnts = _merge_unique(
-            (vals, cnts), (-vals[::-1], cnts[::-1]), _scan_slabs(l, q, r, r[P : P + 1]))
-    fits = -_INT64_SAFE < int(vals[0]) and int(vals[-1]) < _INT64_SAFE
-    return BlockHistogram(vals.astype(np.int64 if fits else object, copy=False), cnts)
+        fits = -_INT64_SAFE < int(vals[0]) and int(vals[-1]) < _INT64_SAFE
+        return BlockHistogram(vals.astype(np.int64 if fits else object, copy=False), cnts)
+    u, a = _scan_slabs(l, q, r, r[P + 1 :], absolute=True)
+    a *= 2
+    u, c = _merge_unique((u, a), _scan_slabs(l, q, r, r[P : P + 1], absolute=True))
+    # c = 2 A + C is h(0) at u[0] = 0 (the origin lies on the plane) and
+    # twice h(u) after it.
+    c[1:] //= 2
+    n = len(u)
+    vals = np.empty(2 * n - 1, dtype=np.int64 if int(u[-1]) < _INT64_SAFE else object)
+    vals[n - 1 :] = u
+    np.negative(vals[n:], out=vals[: n - 1][::-1])
+    return BlockHistogram(vals, np.concatenate((c[:0:-1], c)))
 
 
-def _cube_fold(h: BlockHistogram, cubes, sym: bool = False):
+def _cube_fold(h: BlockHistogram, cubes):
     """(gmin, g) with g[w - gmin] = #{(v, t) : v + a7 t^3 = w}, v counted
-    with its multiplicity in h and a7 t^3 running over `cubes`; None when
-    the fold window is wider than _DENSE_CAP.
+    with its multiplicity in h and a7 t^3 running over the list `cubes`;
+    None when the fold window is wider than _DENSE_CAP.
 
     Given w and v, the cube a7 t^3 = w - v fixes t, so no entry of g
-    exceeds h.total(): g is int32 below 2^31 and int64 otherwise.  With
-    sym the caller asserts that h and the cubes are odd-symmetric (the sym
-    box), so g is even: only the tiles for w >= 0 are added up, and the
-    half w < 0 is their mirror.
+    exceeds h.total(): g is int32 below 2^31 and int64 otherwise.  When h
+    and the cubes are both symmetric under v -> -v (the sym box; checked on
+    the arrays), g is even: only its half w >= 0 is added up and stored,
+    gmin is None, and g(w) = g[|w|].
     """
     vmin = int(h.vals[0])
     width = int(h.vals[-1]) - vmin + 1
@@ -176,31 +189,31 @@ def _cube_fold(h: BlockHistogram, cubes, sym: bool = False):
     if width + span > _DENSE_CAP:
         return None
     dtype = np.int32 if h.total() < _INT32_LIMIT else np.int64
+    even = (cubes == [-c for c in reversed(cubes)]
+            and np.array_equal(h.vals, -h.vals[::-1]) and np.array_equal(h.cnts, h.cnts[::-1]))
+    # w = 0 sits at the middle of an even fold's odd-length window.
+    mid = (width + span) // 2 if even else 0
     # g before the temporary dense copy: the returned g then takes a free
     # block of the heap, and dense, freed on return, sits at its top.
-    g = np.zeros(width + span, dtype=dtype)
+    g = np.zeros(width + span - mid, dtype=dtype)
     dense = np.zeros(width, dtype=dtype)
     dense[h.vals - vmin] = h.cnts
     starts = [c - cmin for c in cubes]
-    # w = 0 sits at the middle of g's odd-length window when g is even.
-    mid = len(g) // 2 if sym else 0
     # The same 2P+1 slice adds, tiled so each tile of g stays in cache.
-    for s in range(mid, len(g), _FOLD_TILE):
-        e = min(s + _FOLD_TILE, len(g))
-        tile = g[s:e]
+    for s in range(mid, width + span, _FOLD_TILE):
+        e = min(s + _FOLD_TILE, width + span)
+        tile = g[s - mid : e - mid]
         for o in starts:
             a, b = max(s, o), min(e, o + width)
             if a < b:
                 tile[a - s : b - s] += dense[a - o : b - o]
-    if sym:
-        g[:mid] = g[:mid:-1]
-    return vmin + cmin, g
+    return (None if even else vmin + cmin), g
 
 
-def _fold(h1: BlockHistogram, h2: BlockHistogram, cubes, sym: bool = False):
+def _fold(h1: BlockHistogram, h2: BlockHistogram, cubes):
     """(other, gmin, g): the cube term folded into the narrower histogram,
     or None when an int64 count is not certified exact or the fold is
-    refused by _cube_fold; sym is passed on to _cube_fold.
+    refused by _cube_fold.
 
     A count sums nonnegative terms to R(N; P) <= total1 * total2, so every
     product and partial sum of its dot is exact below 2^63.
@@ -211,14 +224,19 @@ def _fold(h1: BlockHistogram, h2: BlockHistogram, cubes, sym: bool = False):
         narrow, other = h2, h1
     else:
         narrow, other = h1, h2
-    folded = _cube_fold(narrow, cubes, sym)
+    folded = _cube_fold(narrow, cubes)
     if folded is None:
         return None
     return (other, *folded)
 
 
-def _fold_count(other: BlockHistogram, gmin: int, g, N: int) -> int:
-    """#{(v, w) : v + w = N} with v from `other` and w from the fold g."""
+def _fold_count(other: BlockHistogram, gmin: int | None, g, N: int) -> int:
+    """#{(v, w) : v + w = N} with v from `other` and w from the fold g,
+    read as g[w - gmin].  An even fold (gmin None) holds g(w) = g(-w) for
+    w >= 0 only: w >= 0 reads it from 0, and w < 0 reads its reversed view
+    g[:0:-1], which starts at w = 1 - len(g)."""
+    if gmin is None:
+        return _fold_count(other, 0, g, N) + _fold_count(other, 1 - len(g), g[:0:-1], N)
     lo = max(N - (gmin + len(g) - 1), int(other.vals[0]))
     hi = min(N - gmin, int(other.vals[-1]))
     if lo > hi:
@@ -260,7 +278,7 @@ def representation_counts(form: CubicForm, Ns, P: int) -> list[int]:
     h1 = value_histogram(form.l1, form.q1, form.box, P)
     h2 = value_histogram(form.l2, form.q2, form.box, P)
     cubes = [form.a7 * t ** 3 for t in box_range(form.box, P)]
-    fold = _fold(h1, h2, cubes, form.box == "sym")
+    fold = _fold(h1, h2, cubes)
     if fold is None:
         if h1.is_big != h2.is_big:
             # Python-int values on both sides once, not per cube target.

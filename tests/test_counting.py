@@ -360,6 +360,35 @@ def test_sym_histogram_half_scan(monkeypatch, f_fac1):
         _assert_hist(h, *_sorted_arrays(block_values_brute(l, q, "sym", 4)))
 
 
+@pytest.mark.parametrize("l, q", [
+    ((1, 0, 0), (1, -2, 0, 3, 0, 1)),  # L = x1: the plane x1 = 0 holds only zeros
+    ((1, 0, 0), (1, 1, 1, 0, 0, 0)),  # |v| >= 1 on x1 > 0, 0 on the plane: disjoint
+    ((0, 0, 0), (1, -2, 0, 3, 0, 1)),  # L = 0
+    ((2, -1, 3), (0,) * 6),  # Q = 0
+    ((0, 1, -1), (1, 0, 2, -1, 0, 3)),  # L free of x1
+])
+def test_sym_histogram_abs_edge_cases(monkeypatch, l, q):
+    # The sym histogram counts |L*Q| on x1 > 0 and on the plane x1 = 0 and
+    # writes the signed values once; zero-only planes, L = 0, Q = 0 and
+    # disjoint |v| sets on the half and the plane must give the full scan.
+    for P in (1, 2, 5):
+        brute = _sorted_arrays(block_values_brute(l, q, "sym", P))
+        h = value_histogram.__wrapped__(l, q, "sym", P)
+        assert h.vals.dtype == np.int64 and h.cnts.dtype == np.int64
+        _assert_hist(h, *brute)
+        _assert_hist(h, *_full_scan(l, q, P))
+    # The same through object slabs; with _INT64_SAFE = 1 only 0 fits int64,
+    # so the values are stored as objects unless every one is 0.
+    monkeypatch.setattr(counting, "_INT64_SAFE", 1)
+    monkeypatch.setattr(counting, "_INT64_LIMIT", 1)
+    for P in (1, 3):
+        assert _histogram_scan(l, q, "sym", P).dtype == object
+        brute = block_values_brute(l, q, "sym", P)
+        h = value_histogram.__wrapped__(l, q, "sym", P)
+        assert h.is_big == any(brute)
+        _assert_hist(h, *_sorted_arrays(brute))
+
+
 def test_histogram_build_memory():
     # A cold sym histogram sorts half-grid slab buffers in place; the full
     # scan through np.unique peaked at about 58 MB here.
@@ -375,9 +404,10 @@ def test_histogram_build_memory():
 
 
 def test_count_memory(f_fac1):
-    # Cold histograms of f_fac1 at P = 128 and their fold: int32 slabs and
-    # the half-window fold peaked at about 94 MB under tracemalloc, int64
-    # slabs and the full fold at about 114 MB.
+    # Cold histograms of f_fac1 at P = 128 and their fold: the |L*Q| scan
+    # and the even fold stored for w >= 0 peak at about 68.5 MB under
+    # tracemalloc, in block 1's slab merges; the signed half scan with its
+    # mirror merge and the fold mirrored in full peaked at about 94 MB.
     import tracemalloc
 
     value_histogram.cache_clear()
@@ -388,7 +418,7 @@ def test_count_memory(f_fac1):
     finally:
         tracemalloc.stop()
         value_histogram.cache_clear()
-    assert peak < 105e6
+    assert peak < 80e6
 
 
 def test_fold_vs_sparse(f_star, f_fac1, f_iii):
@@ -410,6 +440,11 @@ def test_fold_vs_sparse(f_star, f_fac1, f_iii):
                 fold = _fold(h1, h2, cubes)
                 assert fold is not None
                 other, gmin, g = fold
+                # Only the sym box gives an even fold, stored for w >= 0;
+                # the checks below read it over its whole window.
+                assert (gmin is None) == (box == "sym")
+                if gmin is None:
+                    gmin, g = 1 - len(g), np.concatenate((g[:0:-1], g))
                 assert g.dtype == np.int32
                 narrow = h2 if other is h1 else h1
                 gmax = gmin + len(g) - 1
@@ -442,18 +477,37 @@ def test_fold_vs_sparse(f_star, f_fac1, f_iii):
                     count_representations(form_b, N, P) for N in Ns]
 
 
+def _lopsided(h: BlockHistogram) -> BlockHistogram:
+    """h with a zero count appended at vmax + 1: no longer symmetric, so
+    _cube_fold adds up its whole window, whose last entry is then 0."""
+    return BlockHistogram(np.append(h.vals, h.vals[-1] + 1), np.append(h.cnts, 0))
+
+
 @pytest.mark.parametrize("a7", [1, -1, 2, -7])
 def test_sym_cube_fold_is_the_full_fold(a7, f_star, f_fac1, f_iii):
-    # On the sym box the fold is even: adding only its half w >= 0 and
-    # mirroring it gives the full fold entry for entry.
+    # On the sym box the fold is even: the half window holds the full
+    # fold's entries for w >= 0, entry for entry, and a count that reads
+    # g[|w|] is the count over the full window, on both sides of N = 0 and
+    # just outside the window.
+    rng = random.Random(a7)
     for form in (f_star, f_fac1, f_iii):
         for P in (1, 2, 5, 64):
             cubes = [a7 * t ** 3 for t in box_range("sym", P)]
-            for l, q in form.blocks():
-                h = value_histogram(l, q, "sym", P)
-                gmin, g = _cube_fold(h, cubes)
-                half_gmin, half = _cube_fold(h, cubes, sym=True)
-                assert half_gmin == gmin and np.array_equal(half, g)
+            h1, h2 = (value_histogram(l, q, "sym", P) for l, q in form.blocks())
+            for h, other in ((h1, h2), (h2, h1)):
+                gmin, g = _cube_fold(_lopsided(h), cubes)
+                assert g[-1] == 0
+                g = g[:-1]
+                assert gmin == -(len(g) // 2) and np.array_equal(g, g[::-1])
+                half_gmin, half = _cube_fold(h, cubes)
+                assert half_gmin is None and half.dtype == g.dtype
+                assert np.array_equal(half, g[-gmin:])
+                n_lo, n_hi = int(other.vals[0]) + gmin, int(other.vals[-1]) - gmin
+                Ns = [n_lo - 1, n_lo, rng.randint(n_lo, -1), 0,
+                      rng.randint(1, n_hi), n_hi, n_hi + 1]
+                counts = [_fold_count(other, None, half, N) for N in Ns]
+                assert counts == [_fold_count(other, gmin, g, N) for N in Ns]
+                assert counts[0] == counts[-1] == 0 and counts[1] > 0 and counts[-2] > 0
     # The pos and nonneg boxes keep the full fold, and their counts are
     # still the enumerated ones.
     for form in (f_star, f_fac1, f_iii):
@@ -462,6 +516,25 @@ def test_sym_cube_fold_is_the_full_fold(a7, f_star, f_fac1, f_iii):
             table = representation_counts_brute(form_b, 2)
             Ns = sorted(table) + [min(table) - 1, max(table) + 1]
             assert representation_counts(form_b, Ns, 2) == [table.get(N, 0) for N in Ns]
+
+
+def test_cube_fold_half_window_needs_symmetry():
+    # The half window needs symmetric values, symmetric counts and
+    # symmetric cubes; breaking any one keeps the full window.  Either way
+    # every entry over the whole window is the direct sum.
+    cases = [([-1, 1], [1, 1], [-1, 0, 1], True),
+             ([-1, 2], [1, 1], [-1, 0, 1], False),
+             ([-1, 1], [1, 2], [-1, 0, 1], False),
+             ([-1, 1], [1, 1], [-1, 0, 2], False)]
+    for vals, cnts, cubes, even in cases:
+        h = BlockHistogram(np.array(vals, dtype=np.int64), np.array(cnts, dtype=np.int64))
+        gmin, g = _cube_fold(h, cubes)
+        assert (gmin is None) == even
+        if even:
+            gmin, g = 1 - len(g), np.concatenate((g[:0:-1], g))
+        assert gmin == vals[0] + min(cubes) and len(g) == vals[-1] + max(cubes) - gmin + 1
+        assert g.tolist() == [sum(h.count_of(w - c) for c in cubes)
+                              for w in range(gmin, gmin + len(g))]
 
 
 def _point_histogram(v: int, c: int) -> BlockHistogram:
