@@ -192,7 +192,7 @@ def _run(args) -> dict:
         est = singular_series(form, N, args.Qmax)
         return {"N": N, "value": est.value, "Qmax": est.Q,
                 "tail": list(est.tail_indicator),
-                "per_prime": prime_power_profile(form, N, args.Qmax)}
+                "per_prime": prime_power_profile(est.terms)}
     if cmd == "integral":
         res = singular_integral(form, args.target, eps0=args.eps,
                                 samples=args.samples, seed=args.seed,

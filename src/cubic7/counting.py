@@ -140,7 +140,7 @@ def _histogram_scan(l, q, box: str, P: int):
     return np.arange(lo, hi + 1, dtype=dtype)
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=2)
 def value_histogram(l, q, box: str, P: int) -> BlockHistogram:
     """Histogram of L*Q over the box of radius P (exact multiplicities).
 
@@ -151,7 +151,8 @@ def value_histogram(l, q, box: str, P: int) -> BlockHistogram:
     plane, which is symmetric itself, h(u) = A(u) + C(u)/2 for u > 0 and
     h(0) = 2 A(0) + C(0).  The pos and nonneg boxes are scanned in full.
     The values are stored as int64 when all of them lie in (-2^62, 2^62),
-    and as Python ints otherwise.
+    and as Python ints otherwise.  The cache holds the two blocks of one
+    radius: every caller reuses only the histograms just built.
     """
     r = _histogram_scan(l, q, box, P)
     if box != "sym":

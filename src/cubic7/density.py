@@ -150,7 +150,8 @@ def _block_stats(plan, thetas, eps_levels, seed: int, index: int, count: int):
 
 def _sample_pass(form: CubicForm, thetas, eps_levels, samples: int,
                  seed: int, threads: int):
-    """Per-theta hit lists (one count per eps level), f_min and f_max."""
+    """Per-theta hit lists (one count per eps level), f_min and f_max, from
+    the blocks run on threads workers and combined in block order."""
     if threads < 1:
         raise DomainError("threads must be at least 1")
     nblocks = (samples + BLOCK - 1) // BLOCK
@@ -160,22 +161,9 @@ def _sample_pass(form: CubicForm, thetas, eps_levels, samples: int,
     def run(i: int):
         return _block_stats(plan, thetas, eps_levels, seed, i, sizes[i])
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, range(nblocks)))
-    else:
-        results = [run(i) for i in range(nblocks)]
-
-    hits = [[0] * len(eps_levels) for _ in thetas]
-    f_min = math.inf
-    f_max = -math.inf
-    for block_hits, lo, hi in results:  # block order: deterministic combination
-        for acc, h in zip(hits, block_hits):
-            for k in range(len(eps_levels)):
-                acc[k] += h[k]
-        f_min = min(f_min, lo)
-        f_max = max(f_max, hi)
-    return hits, f_min, f_max
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        hits, lows, highs = zip(*pool.map(run, range(nblocks)))
+    return np.sum(hits, axis=0).tolist(), min(lows), max(highs)
 
 
 @dataclass(frozen=True)

@@ -89,13 +89,16 @@ def predict_representations(form: CubicForm, Ns, qmax: int = 400,
     if min(Ns) < 1:
         raise DomainError("representation targets must be positive")
     Ps = [max(1, icbrt(N)) for N in Ns]
-    # One cube fold per natural radius serves every N at that radius.
+    # One cube fold and one pair of block zero counts per natural radius
+    # serve every N at that radius.
     by_radius: dict[int, list[int]] = {}
     for N, P in zip(Ns, Ps):
         by_radius.setdefault(P, []).append(N)
     actuals = {}
+    zeros = {}
     for P, group in by_radius.items():
         actuals.update(zip(group, representation_counts(form, group, P)))
+        zeros[P] = block_zero_counts(form, P)
     # One sampling pass serves every theta = N / P^3.
     integrals = density_ladders(form, [N / P ** 3 for N, P in zip(Ns, Ps)],
                                 eps0, samples, seed, threads, target="n")
@@ -103,7 +106,7 @@ def predict_representations(form: CubicForm, Ns, qmax: int = 400,
     for N, P, integ in zip(Ns, Ps, integrals):
         actual = actuals[N]
         ch = chi(N, form.a7, form.box, P)
-        n1, n2 = block_zero_counts(form, P)
+        n1, n2 = zeros[P]
         latt = ch * n1 * n2
         series = singular_series(form, N, qmax)
         circle = N ** (4.0 / 3.0) * series.value * integ.value

@@ -19,8 +19,9 @@ depend only on the class of a in (Z/q)^* modulo cubes (x -> cx permutes
 residues and scales every residue histogram's argument by c^3), so each
 product is computed once per class, which is one class or three for a
 prime power; see _unit_products for why the reuse is exact bit for bit.
-Everything here is single threaded and summed with math.fsum, so results
-are bit-stable.
+The products are kept as arrays over the units.  One terms list serves a
+series' value, tails and per-prime rows.  Everything here is single
+threaded and summed with math.fsum, so results are bit-stable.
 """
 
 from __future__ import annotations
@@ -243,7 +244,8 @@ def s3(q: int, a: int, a7: int) -> complex:
 
 @functools.lru_cache(maxsize=4096)
 def _unit_products(a, q1, q2, q: int):
-    """[(a_unit, S1*S2*S3 / q^7)] for one modulus, reused across all N.
+    """(units, t) for one modulus q >= 2, reused across all N: the units of
+    Z/q in increasing order (int64) and S1*S2*S3 / q^7 at each (complex128).
 
     The product is computed once per class of units modulo cubes, at the
     class's smallest unit, and shared by every unit u*c^3 of the class.
@@ -253,38 +255,34 @@ def _unit_products(a, q1, q2, q: int):
     included, since c stays a unit mod modulus/c0) then sums the same
     multiset of float products as the gather at u, and fsum is correctly
     rounded.  A prime power q has one class when 3 does not divide phi(q)
-    and three otherwise.
+    and three otherwise.  Both arrays are read-only: the cache shares them.
     """
     l1, l2, a7 = a[0:3], a[3:6], a[6]
     scale = float(q) ** -7
-    units = [u for u in range(1, q + 1) if math.gcd(u, q) == 1]
-    cubes = {u * u * u % q for u in units}
-    by_residue = {}
-    for u in units:
-        if u % q in by_residue:
-            continue
-        t = (
-            block_sum_any(l1, q1, q, u)
-            * block_sum_any(l2, q2, q, u)
-            * s_cube(a7, q, u)
-            * scale
-        )
-        for c in cubes:
-            by_residue[u * c % q] = t
-    return tuple((u, by_residue[u % q]) for u in units)
+    todo = np.gcd(np.arange(q, dtype=np.int64), q) == 1
+    units = np.flatnonzero(todo).astype(np.int64)
+    cubes = np.flatnonzero(np.bincount(units ** 3 % q, minlength=q))
+    t = np.empty(q, dtype=np.complex128)
+    while todo.any():
+        u = int(np.argmax(todo))  # the smallest unit of a class not yet done
+        k = u * cubes % q
+        t[k] = (block_sum_any(l1, q1, q, u) * block_sum_any(l2, q2, q, u)
+                * s_cube(a7, q, u) * scale)
+        todo[k] = False
+    t = t[units]
+    units.flags.writeable = t.flags.writeable = False
+    return units, t
 
 
 def singular_term(form: CubicForm, q: int, N: int) -> float:
-    """S(q; N): one normalized term of the singular series (real part)."""
+    """S(q; N): one normalized term of the singular series, the fsum over
+    the units u of the real part of t(u) e(-uN/q), one float per unit."""
     if q == 1:
         return 1.0
     cos_t, sin_t = _phase_table(q)
-    nq = N % q
-    re = []
-    for u, t in _unit_products(form.a, form.q1, form.q2, q):
-        k = (-u * nq) % q
-        re.append(t.real * cos_t[k] - t.imag * sin_t[k])
-    return math.fsum(re)
+    units, t = _unit_products(form.a, form.q1, form.q2, q)
+    k = -units * (N % q) % q
+    return math.fsum((t.real * cos_t[k] - t.imag * sin_t[k]).tolist())
 
 
 @dataclass(frozen=True)
@@ -304,16 +302,19 @@ def singular_series(form: CubicForm, N: int, Qmax: int) -> SeriesEstimate:
     Qmax/2, Qmax, a direct view of how fast the partial sums settle.
     """
     terms = singular_series_terms(form, N, Qmax)
-    tails = []
-    for qp in (Qmax // 4, Qmax // 2, Qmax):
-        if qp >= 2:
-            tails.append((qp, abs(_prefix(terms, qp) - _prefix(terms, qp // 2))))
-    return SeriesEstimate(_prefix(terms, Qmax), Qmax, tuple(terms), tuple(tails))
+    tails = tuple((qp, _tail(terms, qp)) for qp in (Qmax // 4, Qmax // 2, Qmax)
+                  if qp >= 2)
+    return SeriesEstimate(_prefix(terms, Qmax), Qmax, tuple(terms), tails)
 
 
 def _prefix(terms, Q: int) -> float:
     """fsum(terms[1..Q]), correctly rounded."""
     return math.fsum(terms[1 : Q + 1])
+
+
+def _tail(terms, Q: int) -> float:
+    """|series(Q) - series(Q // 2)|, the settling of the partial sums."""
+    return abs(_prefix(terms, Q) - _prefix(terms, Q // 2))
 
 
 def singular_series_terms(form: CubicForm, N: int, Qmax: int) -> list[float]:
@@ -334,9 +335,10 @@ def singular_series_terms(form: CubicForm, N: int, Qmax: int) -> list[float]:
     return terms
 
 
-def prime_power_profile(form: CubicForm, N: int, Qmax: int) -> list[dict]:
-    """Per-prime view: the S(p^k; N) terms actually entering the series."""
-    terms = singular_series_terms(form, N, Qmax)
+def prime_power_profile(terms) -> list[dict]:
+    """Per-prime view of a terms list (Qmax = len(terms) - 1): the
+    S(p^k; N) terms actually entering the series."""
+    Qmax = len(terms) - 1
     out = []
     for p in primes_up_to(Qmax):
         row = []
@@ -351,4 +353,4 @@ def prime_power_profile(form: CubicForm, N: int, Qmax: int) -> list[dict]:
 def series_tail_profile(form: CubicForm, N: int, q_points) -> list[tuple[int, float]]:
     """[(Q, |series(2Q) - series(Q)|)] for the requested checkpoints."""
     terms = singular_series_terms(form, N, 2 * max(q_points))
-    return [(Q, abs(_prefix(terms, 2 * Q) - _prefix(terms, Q))) for Q in q_points]
+    return [(Q, _tail(terms, 2 * Q)) for Q in q_points]

@@ -106,6 +106,19 @@ def test_second_moment(f_star):
     assert second_moment(f_star.l1, f_star.q1, 20) == 1404208
 
 
+def test_second_moment_vs_item_loop(f_star, f_fac1, f_iii):
+    # The int64 dot minus c(0)^2 equals the loop over the nonzero values, on
+    # int32 and int64 slabs (the last block's values pass 2^31 at P = 20).
+    big = 1 << 20
+    blocks = (*f_star.blocks(), *f_fac1.blocks(), *f_iii.blocks(),
+              ((big, 3, -big), (big, -1, 7, big, 0, -big)))
+    for l, q in blocks:
+        for P in (1, 2, 7, 20, 40):
+            h = value_histogram(l, q, "sym", P)
+            want = sum(c * c for n, c in h.items() if n != 0)
+            assert second_moment(l, q, P) == want, (l, q, P)
+
+
 def test_second_moment_audit(f_star):
     audit = second_moment_audit(f_star.l1, f_star.q1, (4, 8, 16))
     assert audit.claimed_exponent == 3.0

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from cubic7 import checks
+from cubic7 import checks, expsums
 from cubic7.cli import DEFAULT_FORM, main
 from cubic7.counting import count_representations
 from cubic7.forms import form_to_dict
@@ -67,6 +67,23 @@ def test_series_payload(capsys):
     assert any(row["p"] == 2 for row in payload["per_prime"])
     code, out, _ = run_cli(capsys, "series", "--N", "1", "--zero", "--Qmax", "40")
     assert json.loads(out)["N"] == 0
+
+
+def test_series_one_terms_pass(capsys, monkeypatch):
+    # The value, the tails and per_prime all come from one terms list.
+    real = expsums.singular_series_terms
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(expsums, "singular_series_terms", spy)
+    code, out, _ = run_cli(capsys, "series", "--N", "5", "--Qmax", "60")
+    assert code == 0
+    assert calls == [(DEFAULT_FORM, 5, 60)]
+    fresh = expsums.prime_power_profile(real(DEFAULT_FORM, 5, 60))
+    assert json.loads(out)["per_prime"] == fresh
 
 
 def test_integral_deterministic(capsys):

@@ -2,7 +2,7 @@ import pytest
 
 from cubic7 import experiment
 from cubic7.checks import verify
-from cubic7.counting import count_representations, count_zeros, value_histogram
+from cubic7.counting import chi, count_representations, count_zeros, value_histogram
 from cubic7.errors import DomainError, ResourceLimitError
 from cubic7.experiment import (
     block_zero_counts,
@@ -76,6 +76,20 @@ def test_predict_representations_rows(f_star):
         predict_representations(f_star, ())
     with pytest.raises(DomainError):
         predict_representations(f_star, (0,))
+
+
+def test_predict_representations_zero_counts_per_radius(f_fac1):
+    # N at interleaved radii 10 and 31: the counts and the block zero counts
+    # of each radius come from its two histograms, built once each.
+    Ns = (1000, 30000, 1001, 29999)
+    value_histogram.cache_clear()
+    rep = predict_representations(f_fac1, Ns, qmax=20, samples=20_000)
+    assert value_histogram.cache_info().misses == 4
+    assert [r["P"] for r in rep.rows] == [10, 31, 10, 31]
+    for r in rep.rows:
+        n1, n2 = block_zero_counts(f_fac1, r["P"])
+        assert r["actual"] == count_representations(f_fac1, r["N"], r["P"])
+        assert r["lattice"] == chi(r["N"], f_fac1.a7, f_fac1.box, r["P"]) * n1 * n2
 
 
 def test_predict_dispatch(f_star):

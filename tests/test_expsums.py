@@ -324,7 +324,8 @@ _CLASS_FORMS = (
 
 def test_expsums_constant_on_cube_classes():
     # S1, S2, S3 at every unit equal, with ==, their value at the class
-    # representative; _unit_products equals the per-unit product tuple.
+    # representative; _unit_products gives the units in order and the
+    # product at each of them.
     blocks = {b for form in _CLASS_FORMS for b in form.blocks()}
     cube_coeffs = {form.a7 for form in _CLASS_FORMS}
     qs = [q for q in range(2, 401) if len(factorize(q)) == 1]
@@ -339,10 +340,50 @@ def test_expsums_constant_on_cube_classes():
         for form in _CLASS_FORMS:
             s1, s2 = (s_blk[b] for b in form.blocks())
             s3v = s_cub[form.a7]
-            want = tuple(
-                (u, s1[u] * s2[u] * s3v[u] * float(q) ** -7) for u in sorted(rep)
-            )
-            assert _unit_products(form.a, form.q1, form.q2, q) == want
+            units, t = _unit_products(form.a, form.q1, form.q2, q)
+            assert units.tolist() == sorted(rep)
+            assert all(t[i] == s1[u] * s2[u] * s3v[u] * float(q) ** -7
+                       for i, u in enumerate(units.tolist()))
+
+
+def _per_unit_term(form, q, Ns):
+    """{N: S(q; N)} by a per-unit Python loop: the product at each class's
+    smallest unit copied to every unit of the class, then the list of real
+    parts t.real cos - t.imag sin in unit order, summed by one fsum."""
+    l1, l2, a7 = form.a[0:3], form.a[3:6], form.a[6]
+    units = [u for u in range(1, q + 1) if math.gcd(u, q) == 1]
+    cubes = {u * u * u % q for u in units}
+    by_residue = {}
+    for u in units:
+        if u % q in by_residue:
+            continue
+        t = (block_sum_any(l1, form.q1, q, u) * block_sum_any(l2, form.q2, q, u)
+             * s_cube(a7, q, u) * float(q) ** -7)
+        for c in cubes:
+            by_residue[u * c % q] = t
+    cos_t, sin_t = expsums._phase_table(q)
+    out = {}
+    for N in Ns:
+        re = []
+        for u in units:
+            t = by_residue[u % q]
+            k = (-u * (N % q)) % q
+            re.append(t.real * cos_t[k] - t.imag * sin_t[k])
+        out[N] = math.fsum(re)
+    return out
+
+
+def test_singular_term_matches_per_unit_loop(f_star, f_fac1, f_iii):
+    # The array path sums the same float list as the per-unit loop, so the
+    # terms agree with ==, also where the class products repeat (p = 1 mod 3
+    # and the powers of 3) and at N beyond the modulus.
+    Ns = (0, 1, 5, 96 ** 3 + 17)
+    qs = [q for q in range(2, 601) if len(factorize(q)) == 1]
+    for form in (f_star, f_fac1, f_iii):
+        for q in qs:
+            want = _per_unit_term(form, q, Ns)
+            for N in Ns:
+                assert singular_term(form, q, N) == want[N], (form, q, N)
 
 
 def test_singular_term_vs_brute(f_star, f_iii):
@@ -404,11 +445,15 @@ def test_series_zero_value(f_star):
 
 def test_prime_power_profile(f_star):
     terms = singular_series_terms(f_star, 0, 30)
-    prof = prime_power_profile(f_star, 0, 30)
+    prof = prime_power_profile(terms)
     rows = {r["p"]: r["terms"] for r in prof}
+    assert tuple(rows) == tuple(primes_up_to(30))
     assert rows[2] == [terms[2], terms[4], terms[8], terms[16]]
     assert rows[5] == [terms[5], terms[25]]
     assert rows[29] == [terms[29]]
+    # A SeriesEstimate's terms tuple reads the same.
+    assert prime_power_profile(singular_series(f_star, 0, 30).terms) == prof
+    assert prime_power_profile([0.0, 1.0]) == []
 
 
 def test_series_tail_profile(f_star):
