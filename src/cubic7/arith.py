@@ -1,9 +1,11 @@
-"""Small exact integer helpers: roots, factorization, CRT."""
+"""Exact integer helpers: roots, factorization, built-in inverses and CRT, power residues."""
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -61,10 +63,7 @@ def v_p(n: int, p: int) -> int:
 
 def content(coeffs) -> int:
     """gcd of a coefficient list (0 for the all-zero list)."""
-    g = 0
-    for c in coeffs:
-        g = math.gcd(g, c)
-    return g
+    return math.gcd(*coeffs)
 
 
 @lru_cache(maxsize=None)
@@ -105,27 +104,27 @@ def factorize(n: int) -> list[tuple[int, int]]:
 
 def crt_pair(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
     """Combine x = r1 (mod m1), x = r2 (mod m2) for coprime moduli."""
-    g, s, _ = _egcd(m1, m2)
-    if g != 1:
+    if math.gcd(m1, m2) != 1:
         raise DomainError("moduli not coprime")
     m = m1 * m2
-    return ((r1 + (r2 - r1) * s % m2 * m1) % m, m)
-
-
-def _egcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
+    return ((r1 + (r2 - r1) * pow(m1, -1, m2) % m2 * m1) % m, m)
 
 
 def inverse_mod(a: int, m: int) -> int:
-    g, s, _ = _egcd(a % m, m)
-    if g != 1:
+    if math.gcd(a, m) != 1:
         raise DomainError(f"{a} not invertible mod {m}")
-    return s % m
+    return pow(a, -1, m)
+
+
+def power_residues(k: int, n: int) -> np.ndarray:
+    """x^k mod n for x = 0, ..., n - 1 as int64, by repeated squaring on the
+    residues: every product is below n^2, so it is exact for n < 2^31."""
+    x = np.arange(n, dtype=np.int64)
+    acc = np.full(n, 1 % n, dtype=np.int64)
+    while k:
+        if k & 1:
+            acc = acc * x % n
+        k >>= 1
+        if k:
+            x = x * x % n
+    return acc

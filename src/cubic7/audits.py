@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fit
-from .arith import factorize
+from .arith import factorize, power_residues
 from .counting import value_histogram
 from .errors import DomainError, ResourceLimitError
 from .payload import Payload
@@ -41,6 +41,8 @@ def growth_audit(counter, sizes, claimed_exponent: float) -> GrowthAudit:
     sizes = [int(s) for s in sizes]
     if len(sizes) < 3:
         raise DomainError("need at least three probe sizes")
+    if any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise DomainError("probe sizes must be nonempty and increasing")
     probes = tuple((s, int(counter(s))) for s in sizes)
     slope, _ = fit.fit_loglog([s for s, _ in probes], [c for _, c in probes])
     const = max(c / s ** claimed_exponent for s, c in probes)
@@ -48,20 +50,8 @@ def growth_audit(counter, sizes, claimed_exponent: float) -> GrowthAudit:
 
 
 def _power_residue_counts(k: int, q: int) -> np.ndarray:
-    """counts[m] = #{1 <= x <= q : x^k = m (mod q)}, for k >= 1.
-
-    x^k by repeated squaring on the residues: they stay below q <= _POWER_CAP,
-    so every product fits in int64.
-    """
-    x = np.arange(1, q + 1, dtype=np.int64) % q
-    acc = np.ones(q, dtype=np.int64)
-    while True:
-        if k & 1:
-            acc = acc * x % q
-        k >>= 1
-        if not k:
-            return np.bincount(acc, minlength=q)
-        x = x * x % q
+    """counts[m] = #{1 <= x <= q : x^k = m (mod q)}, for k >= 1."""
+    return np.bincount(power_residues(k, q), minlength=q)
 
 
 def power_congruence_count(k: int, q: int, m: int) -> int:

@@ -19,7 +19,7 @@ import numpy as np
 from .counting import representation_counts, union_space_count, value_histogram
 from .density import box_volume, density_ladder, slab_volume
 from .errors import DegenerateBlockError, InvalidFormError
-from .expsums import s_block, series_tail_profile, singular_series
+from .expsums import s_block, series_tail_profile, singular_series, singular_term
 from .forms import (
     CubicForm,
     adjoint_matrix,
@@ -30,7 +30,7 @@ from .forms import (
     linear_spaces,
     transform_block,
 )
-from .local import block_local_case, local_report
+from .local import block_local_case, local_data, local_report
 from .oracles import (
     adjugate_brute,
     apply_unimodular,
@@ -216,7 +216,6 @@ def _check_prime_law(form: CubicForm) -> tuple[bool, str]:
 
 
 def _check_multiplicativity(form: CubicForm) -> tuple[bool, str]:
-    from .expsums import singular_term
     worst = 0.0
     pairs = [(3, 4), (4, 5), (3, 5), (5, 8), (7, 9)]
     for N in (0, 1, 2):
@@ -262,7 +261,6 @@ def _check_gamma_invariance(form: CubicForm) -> tuple[bool, str]:
 
 
 def _check_gamma_assembly(form: CubicForm) -> tuple[bool, str]:
-    from .local import local_data
     data = local_data(form)
     for row in data.primes:
         g1 = [b.gamma for b in row.blocks]

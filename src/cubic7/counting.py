@@ -31,10 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import lattice
+from . import fit, lattice
 from .arith import icbrt, icbrt_exact
 from .errors import DomainError, ResourceLimitError
-from .forms import CubicForm, block_slabs, box_interval, box_range
+from .forms import CubicForm, block_slabs, box_interval, box_range, linear_spaces
 from .payload import Payload
 
 _GRID_CAP = 68_000_000  # lattice points per block enumeration
@@ -112,6 +112,14 @@ def _scan_slabs(l, q, r, xs, absolute: bool = False):
     return vals, cnts
 
 
+def _value_bound(l, q, box: str, P: int) -> int:
+    """Bound on |every partial sum| of block_slabs over the box of radius P:
+    sum|l| R for L, sum|q| R^2 for Q, their product for L*Q (R = max |x|)."""
+    R = max(map(abs, box_interval(box, P)))
+    sl, sq = sum(map(abs, l)), sum(map(abs, q))
+    return max(sl * R, sq * R * R, sl * sq * R ** 3)
+
+
 def _histogram_scan(l, q, box: str, P: int):
     """The coordinate range r of value_histogram's scan, after the guards
     that refuse the histogram before anything is allocated: P >= 1, the
@@ -129,13 +137,16 @@ def _histogram_scan(l, q, box: str, P: int):
             f"block grid {m}^3 = {m ** 3} cells exceeds the cap {_GRID_CAP}; "
             f"the {box} box allows P <= {pmax}"
         )
-    # With R the largest |coordinate|, every partial sum of L is within
-    # sum|l| * R, of Q within sum|q| * R^2, and of L*Q within their product.
-    R = max(abs(lo), abs(hi))
-    sl, sq = sum(map(abs, l)), sum(map(abs, q))
-    bound = max(sl * R, sq * R * R, sl * sq * R ** 3)
+    bound = _value_bound(l, q, box, P)
     if bound >= _INT64_SAFE and m ** 3 > _GRID_CAP_BIG:
-        raise ResourceLimitError("coefficients too large for the int64 path at this P")
+        # Cells and bound grow with P, so the radii that pass are 1..pmax.
+        pmax = max((p for p in range(1, P) if _value_bound(l, q, box, p) < _INT64_SAFE
+                    or len(box_range(box, p)) ** 3 <= _GRID_CAP_BIG), default=0)
+        raise ResourceLimitError(
+            f"coefficients too large for the int64 path at this P: value bound {bound} >= "
+            f"2^62 and block grid {m}^3 = {m ** 3} cells exceeds the cap {_GRID_CAP_BIG}; "
+            f"the {box} box allows P <= {pmax} for these coefficients"
+        )
     dtype = object if bound >= _INT64_LIMIT else np.int64 if bound >= _INT32_LIMIT else np.int32
     return np.arange(lo, hi + 1, dtype=dtype)
 
@@ -361,9 +372,6 @@ def block_zero_counts(form: CubicForm, P: int) -> tuple[int, int]:
 
 def delta_constants(form: CubicForm, P_list) -> MainTermReport:
     """Lattice main-term constants from exact counts at each probe P."""
-    from . import fit
-    from .forms import linear_spaces
-
     P_list = tuple(int(P) for P in P_list)
     if len(P_list) < 2 or any(b <= a for a, b in zip(P_list, P_list[1:])):
         raise DomainError("need at least two strictly increasing probe radii")

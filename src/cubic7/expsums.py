@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import content, factorize, inverse_mod, is_prime, primes_up_to
+from .arith import content, factorize, inverse_mod, is_prime, power_residues, primes_up_to
 from .errors import DomainError, ResourceLimitError
 from .forms import _SLAB, CubicForm, block_frame, block_value, cube_residues
 
@@ -98,7 +98,7 @@ def _frame_histogram(lv, qv, m: int) -> np.ndarray:
             v = block_value(lv, qv, d, y[s : s + step, None], y) % m
             plane += np.bincount(v.ravel(), minlength=m)
         units = y[np.gcd(y, n) == 1]
-        cubes, mult = np.unique(units * units % n * units % n, return_counts=True)
+        cubes, mult = np.unique(power_residues(3, n)[units], return_counts=True)
         vals = np.flatnonzero(plane)
         weights = plane[vals] * (d * d)
         step = max(1, _SLAB // len(vals))
@@ -128,8 +128,7 @@ def _prime_histogram(g: int, qv, p: int) -> np.ndarray:
         return counts
     # Coset labels 0, 1, 2 on the cubes, r * cubes and r^2 * cubes for a
     # non-cube r; the label of x/y is label(x) - label(y) mod 3.
-    u = np.arange(1, p, dtype=np.int64)
-    cubes = u * u % p * u % p
+    cubes = power_residues(3, p)[1:]
     r = int(np.flatnonzero(np.bincount(cubes, minlength=p)[1:] == 0)[0]) + 1
     label = np.zeros(p, dtype=np.int64)
     label[r * cubes % p] = 1
@@ -156,7 +155,7 @@ def _plane_counts(qv, p: int) -> np.ndarray:
         A2, A3, B2, B3 = A3, A2, B3, B2
     n = np.zeros(p, dtype=np.int64)
     if A3:
-        chi = _legendre_table(p)
+        chi = np.bincount(power_residues(2, p), minlength=p) - 1  # chi[w] = (w / p)
         alpha = (B1 * B1 - 4 * A2 * A3) % p
         beta = (2 * B1 * B2 - 4 * A3 * B3) % p
         gamma = (B2 * B2 - 4 * A1 * A3) % p
@@ -176,12 +175,6 @@ def _plane_counts(qv, p: int) -> np.ndarray:
     else:
         n[A1] = p * p
     return n
-
-
-def _legendre_table(p: int) -> np.ndarray:
-    """chi[w] = the Legendre symbol (w / p) for w mod p, p an odd prime."""
-    y = np.arange(p, dtype=np.int64)
-    return np.bincount(y * y % p, minlength=p) - 1
 
 
 def _gather(hist: np.ndarray, m: int, mult: int) -> complex:
@@ -261,7 +254,7 @@ def _unit_products(a, q1, q2, q: int):
     scale = float(q) ** -7
     todo = np.gcd(np.arange(q, dtype=np.int64), q) == 1
     units = np.flatnonzero(todo).astype(np.int64)
-    cubes = np.flatnonzero(np.bincount(units ** 3 % q, minlength=q))
+    cubes = np.flatnonzero(np.bincount(power_residues(3, q)[units], minlength=q))
     t = np.empty(q, dtype=np.complex128)
     while todo.any():
         u = int(np.argmax(todo))  # the smallest unit of a class not yet done

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lattice
-from .arith import content, icbrt_exact, isqrt_exact
+from .arith import content, icbrt_exact, isqrt_exact, power_residues
 from .errors import DegenerateBlockError, DomainError, InvalidFormError
 from .payload import Payload
 
@@ -126,8 +126,7 @@ def block_frame(l, q):
 
 def cube_residues(a7: int, m: int) -> np.ndarray:
     """a7 * x^3 mod m for x = 0, ..., m - 1, as int64 (exact for m < 2^31)."""
-    x = np.arange(m, dtype=np.int64)
-    return (a7 % m) * ((x * x % m) * x % m) % m
+    return (a7 % m) * power_residues(3, m) % m
 
 
 def _integers(name: str, values) -> tuple[int, ...]:

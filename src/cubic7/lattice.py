@@ -1,7 +1,8 @@
 """Integer lattices: kernels of covector systems and exact box point counts.
 
 One column reduction, _column_reduce, serves the kernel bases, the block
-frames of forms.block_frame and the canonical echelon bases.  A box count
+frames of forms.block_frame and the canonical echelon bases; it reduces
+the covectors and the identity rows under them as one matrix.  A box count
 splits the echelon basis into components with pairwise disjoint coordinate
 supports.  The lattice is their direct sum and the box is a product over
 coordinates, so each component is projected onto its own support and
@@ -35,29 +36,16 @@ def integer_kernel(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
 def _column_reduce(rows):
     """(a, u, rank) with a = rows * u and u an integer n x n matrix of det +-1.
 
-    Only the first `rank` columns of a are nonzero, so the last n - rank
-    columns of u span the integer kernel.  For a single nonzero row L the
-    first column w of u has L.w = a[0][0] = +-content(L).
+    u is the n identity rows, carried under the m covectors through every
+    column subtraction and swap.  Only the first `rank` columns of a are
+    nonzero, so the last n - rank columns of u span the integer kernel.  For
+    a single nonzero row L the first column w of u has L.w = +-content(L).
     """
     if not rows:
         raise ValueError("need at least one covector")
     n = len(rows[0])
     m = len(rows)
-    a = [list(r) for r in rows]
-    u = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def col_sub(k: int, k0: int, q: int) -> None:
-        for t in range(m):
-            a[t][k] -= q * a[t][k0]
-        for t in range(n):
-            u[t][k] -= q * u[t][k0]
-
-    def col_swap(k: int, k0: int) -> None:
-        for t in range(m):
-            a[t][k], a[t][k0] = a[t][k0], a[t][k]
-        for t in range(n):
-            u[t][k], u[t][k0] = u[t][k0], u[t][k]
-
+    a = [list(r) for r in rows] + [[int(i == j) for j in range(n)] for i in range(n)]
     col = 0
     for i in range(m):
         while True:
@@ -69,12 +57,14 @@ def _column_reduce(rows):
                 if k != k0:
                     q = a[i][k] // a[i][k0]
                     if q:
-                        col_sub(k, k0, q)
+                        for r in a:
+                            r[k] -= q * r[k0]
         nz = [k for k in range(col, n) if a[i][k]]
         if nz:
-            col_swap(nz[0], col)
+            for r in a:
+                r[nz[0]], r[col] = r[col], r[nz[0]]
             col += 1
-    return a, u, col
+    return a[:m], a[m:], col
 
 
 def echelon_lattice_basis(basis: list[tuple[int, ...]]) -> list[tuple[int, ...]]:

@@ -1,5 +1,7 @@
+import math
 import random
 
+import numpy as np
 import pytest
 
 from cubic7.arith import (
@@ -12,6 +14,7 @@ from cubic7.arith import (
     inverse_mod,
     is_prime,
     isqrt_exact,
+    power_residues,
     primes_up_to,
     v_p,
 )
@@ -49,6 +52,8 @@ def test_vp_and_content():
     assert content((4, -6, 8)) == 2
     assert content((0, 0, 5)) == 5
     assert content((0, 0, 0)) == 0
+    assert content(()) == 0
+    assert content((-4, 6)) == content((-4, -6)) == 2
 
 
 def test_primes_and_factorize():
@@ -67,12 +72,40 @@ def test_crt_pair():
         r1, r2 = rng.randrange(m1), rng.randrange(m2)
         v, m = crt_pair(r1, m1, r2, m2)
         assert m == m1 * m2 and v % m1 == r1 and v % m2 == r2
+    # A modulus 1, negative residues and residues = 0 all give the
+    # representative in [0, m1 m2).
+    assert crt_pair(0, 1, 3, 5) == (3, 5)
+    assert crt_pair(2, 3, 7, 1) == (2, 3)
+    assert crt_pair(0, 1, 0, 1) == (0, 1)
+    assert crt_pair(-1, 3, -1, 5) == (14, 15)
+    assert crt_pair(-7, 4, 12, 9) == (21, 36)
+    assert crt_pair(8, 4, 0, 9) == (0, 36)
+    for m1, m2 in ((4, 6), (9, 3), (5, 5)):
+        with pytest.raises(DomainError, match="^moduli not coprime$"):
+            crt_pair(1, m1, 1, m2)
 
 
 def test_inverse_mod():
     assert inverse_mod(3, 7) * 3 % 7 == 1
-    with pytest.raises(DomainError):
-        inverse_mod(6, 9)
+    assert inverse_mod(5, 1) == inverse_mod(0, 1) == inverse_mod(-4, 1) == 0
+    assert inverse_mod(-3, 7) == 2
+    assert inverse_mod(10, 7) == inverse_mod(3, 7) == 5
+    for m in (2, 9, 100, 1009):
+        for a in range(-2 * m, 2 * m):
+            if math.gcd(a, m) == 1:
+                x = inverse_mod(a, m)
+                assert 0 <= x < m and a * x % m == 1
+    for a, m in ((6, 9), (0, 7), (14, 7), (-9, 6)):
+        with pytest.raises(DomainError, match=f"^{a} not invertible mod {m}$"):
+            inverse_mod(a, m)
+
+
+def test_power_residues():
+    for k in (0, 1, 2, 3, 4, 7, 10 ** 12 + 1):
+        for n in range(1, 400):
+            r = power_residues(k, n)
+            assert r.dtype == np.int64
+            assert r.tolist() == [pow(x, k, n) for x in range(n)]
 
 
 def test_fit_recovers_planted_parameters():

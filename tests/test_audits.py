@@ -144,6 +144,13 @@ def test_growth_audit_validation():
         growth_audit(lambda s: s, (10, 20), 1.0)
     with pytest.raises(DomainError):
         GrowthAudit(((10, 1), (10, 2), (20, 3)), 1.0, 1.0, 1.0)
+
+    def never(size):
+        raise AssertionError("counter ran before the sizes were checked")
+
+    for sizes in ((160, 20, 40), (20, 20, 40)):
+        with pytest.raises(DomainError, match="nonempty and increasing"):
+            growth_audit(never, sizes, 3.0)
     audit = growth_audit(lambda s: 2 * s * s, (5, 10, 20), 2.0)
     assert audit.fitted_exponent == pytest.approx(2.0)
     assert audit.max_constant == pytest.approx(2.0)

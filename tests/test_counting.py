@@ -88,13 +88,26 @@ def test_histogram_guards(f_star):
         value_histogram(f_star.l1, f_star.q1, "sym", 513)
 
 
-@pytest.mark.parametrize("box, P", [("pos", 126), ("sym", 63)])
-def test_histogram_big_integer_grid_cap(box, P):
+_C = COEFF_CAP
+
+
+@pytest.mark.parametrize("l, q, box, P, pmax", [
     # The first radius whose grid (126^3 or 127^3 cells) passes the
     # 2,000,000-cell cap of the big-integer path, for a block at COEFF_CAP.
-    c = COEFF_CAP
-    with pytest.raises(ResourceLimitError, match="coefficients too large"):
-        value_histogram((c, c, c), (c,) * 6, box, P)
+    ((_C, _C, _C), (_C,) * 6, "pos", 126, 125),
+    ((_C, _C, _C), (_C,) * 6, "sym", 63, 62),
+    # Here the value bound 2^40 P^3 stays below 2^62 up to P = 161.
+    ((_C, 0, 0), (_C, 0, 0, 0, 0, 0), "sym", 170, 161),
+], ids=["pos-126", "sym-63", "sym-170"])
+def test_histogram_big_integer_grid_cap(l, q, box, P, pmax):
+    m = len(box_range(box, P))
+    with pytest.raises(ResourceLimitError, match=(
+            rf"too large for the int64 path .* {m}\^3 = {m ** 3} cells exceeds "
+            rf"the cap 2000000; the {box} box allows P <= {pmax} ")):
+        value_histogram(l, q, box, P)
+    assert len(_histogram_scan(l, q, box, pmax)) == len(box_range(box, pmax))
+    with pytest.raises(ResourceLimitError, match=f"allows P <= {pmax} "):
+        _histogram_scan(l, q, box, pmax + 1)
 
 
 def test_histogram_int64_block_skips_big_integer_cap():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from cubic7 import lattice
+from cubic7.forms import COEFF_CAP
 from cubic7.lattice import (
     count_lattice_points_in_box,
     echelon_lattice_basis,
@@ -28,6 +29,89 @@ def test_integer_kernel_rank():
     for b in basis:
         for r in rows:
             assert sum(c * t for c, t in zip(r, b)) == 0
+
+
+def _column_reduce_two_matrices(rows):
+    """Reference column reduction on two matrices, a and u, each column
+    operation applied by a closure to one and then to the other."""
+    n = len(rows[0])
+    m = len(rows)
+    a = [list(r) for r in rows]
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def col_sub(k, k0, q):
+        for t in range(m):
+            a[t][k] -= q * a[t][k0]
+        for t in range(n):
+            u[t][k] -= q * u[t][k0]
+
+    def col_swap(k, k0):
+        for t in range(m):
+            a[t][k], a[t][k0] = a[t][k0], a[t][k]
+        for t in range(n):
+            u[t][k], u[t][k0] = u[t][k0], u[t][k]
+
+    col = 0
+    for i in range(m):
+        while True:
+            nz = [k for k in range(col, n) if a[i][k]]
+            if len(nz) <= 1:
+                break
+            k0 = min(nz, key=lambda k: abs(a[i][k]))
+            for k in nz:
+                if k != k0:
+                    q = a[i][k] // a[i][k0]
+                    if q:
+                        col_sub(k, k0, q)
+        nz = [k for k in range(col, n) if a[i][k]]
+        if nz:
+            col_swap(nz[0], col)
+            col += 1
+    return a, u, col
+
+
+def _det(mat):
+    """Determinant of a square integer matrix, by Bareiss elimination."""
+    a = [list(r) for r in mat]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            p = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if p is None:
+                return 0
+            a[k], a[p] = a[p], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1]
+
+
+def test_column_reduce_matches_two_matrix_reduction():
+    """One matrix with the identity rows under the covectors gives the same
+    (a, u, rank) as reducing a and u side by side, with a = rows * u and u
+    unimodular."""
+    assert _det([[2, 1], [7, 4]]) == 1 and _det([[0, 1], [1, 0]]) == -1
+    assert _det([[1, 2, 3], [4, 5, 6], [7, 8, 10]]) == -3
+    rng = random.Random(59)
+
+    def entry(kind):
+        if kind == 0:
+            return rng.randint(-6, 6)
+        if kind == 1:
+            return rng.randint(-COEFF_CAP, COEFF_CAP)
+        return rng.choice((-1, 1)) * (COEFF_CAP - rng.randint(0, 6)) * rng.randint(0, 1)
+
+    for _ in range(5000):
+        n, m, kind = rng.randint(1, 7), rng.randint(1, 5), rng.randrange(3)
+        rows = [tuple(entry(kind) for _ in range(n)) for _ in range(m)]
+        a, u, rank = lattice._column_reduce(rows)
+        assert (a, u, rank) == _column_reduce_two_matrices(rows), rows
+        assert a == [[sum(r[t] * u[t][k] for t in range(n)) for k in range(n)]
+                     for r in rows]
+        assert abs(_det(u)) == 1
+        assert all(not row[k] for row in a for k in range(rank, n))
 
 
 def test_echelon_basis_is_canonical():
