@@ -16,17 +16,15 @@ change results either: consecutive draws continue one stream, so the chunks
 of a block hold the points of one draw of the whole block, and each point's
 value and comparisons involve that point alone.
 
-Evaluation: each block allocates its buffers once and reuses them for every
-chunk.  A chunk is drawn into a (chunk, 7) buffer, copied once into a
-(7, chunk) buffer of contiguous columns, and mapped to the sym box there in
-place.  f is then computed from _plan's term lists, which drop the zero
-coefficients and the product by a coefficient 1 but otherwise perform
-forms.block_value's float operations in its order: ((c*x)*y) per term, the
-terms summed left to right, lin * quad per block, then (b1 + b2) +
-((a7*x7)*x7)*x7.  Dropping them is exact: x + (+-0.0) == x for every
-nonzero finite x and 1*x == x, so f can differ from CubicForm.value only in
-the sign of an exact zero (which needs x7 == 0 exactly): the hits never
-differ, and f_min or f_max only if it is such a zero.
+Evaluation: each block allocates its draw, column and theta test buffers
+once and reuses them for every chunk.  A chunk is drawn into a (chunk, 7)
+buffer, copied once into a (7, chunk) buffer of contiguous columns, and
+mapped to the sym box there in place.  f is then CubicForm.value on those
+columns, the evaluator of f for ints and floats alike.  Its block_value
+skips zero coefficients and the product by a coefficient 1, which is exact
+(x + (+-0.0) == x for nonzero finite x, and 1*x == x): f can differ from
+the full expression only in the sign of an exact zero, so no hit changes,
+and f_min or f_max only in the sign of a zero.
 
 One pass serves every theta: density_ladders draws and evaluates each chunk
 once and applies the test |f(x) - theta| <= eps to the same float array for
@@ -51,70 +49,32 @@ from .forms import CubicForm
 from .payload import Payload
 
 BLOCK = 1 << 19
-# Points evaluated at once: a block's buffers take about 0.6 MB, against
-# 60 MB for a whole block in one draw.  The size changes no result, but it
-# moves the peak RSS of later phases through glibc's dynamic mmap threshold
-# (freeing an mmapped buffer raises the threshold to the buffer's size), and
-# not monotonically: on the f_fac1 count job, 1 << 12 and 1 << 16 peak about
-# 7 MB lower than 1 << 11, 1 << 13 and 1 << 14.
+# Points evaluated at once: a block's buffers (the draw, its columns and the
+# theta test row) take about 0.5 MB, and with CubicForm.value's temporaries
+# a block peaks near 1.4 MB (tracemalloc), against 60 MB for a whole block
+# in one draw.  The size changes no result, but it moves the peak RSS of
+# later phases through glibc's dynamic mmap threshold (freeing an mmapped
+# buffer raises the threshold to the buffer's size), and not monotonically:
+# on the f_fac1 count job, 1 << 12 and 1 << 16 peak about 7 MB lower than
+# 1 << 11, 1 << 13 and 1 << 14.
 _CHUNK = 1 << 12
 _MASK64 = (1 << 64) - 1
-# The (i, j) of block_value's quadratic terms A1 x^2, A2 y^2, A3 z^2,
-# B1 y z, B2 z x, B3 x y.
-_QUAD = ((0, 0), (1, 1), (2, 2), (1, 2), (2, 0), (0, 1))
 
 
 def box_volume(box: str) -> float:
     return 128.0 if box == "sym" else 1.0
 
 
-def _plan(form: CubicForm):
-    """(blocks, cube, sym) for _block_stats.
-
-    Each block is (linear terms, quadratic terms) with the terms (c, i) and
-    (c, i, j) over the 7 coordinate columns in block_value's order and zero
-    coefficients dropped; a block whose Q vanishes is left out.  cube is the
-    one term (a7, 6, 6, 6).
-    """
-    blocks = []
-    for off, (l, q) in zip((0, 3), form.blocks()):
-        lin = tuple((float(c), off + i) for i, c in enumerate(l) if c)
-        quad = tuple((float(c), off + i, off + j)
-                      for (i, j), c in zip(_QUAD, q) if c)
-        if quad:
-            blocks.append((lin, quad))
-    return tuple(blocks), (float(form.a7), 6, 6, 6), form.box == "sym"
-
-
-def _sum(terms, x, out, tmp):
-    """The sum of the products ((c * x[i]) * x[j]) ... of terms, left to
-    right, in out (tmp holds each later term)."""
-    for k, (c, i, *rest) in enumerate(terms):
-        dst = tmp if k else out
-        if c != 1.0:
-            np.multiply(x[i], c, out=dst)
-        elif rest:
-            np.multiply(x[i], x[rest.pop(0)], out=dst)
-        else:
-            np.copyto(dst, x[i])
-        for j in rest:
-            dst *= x[j]
-        if k:
-            out += tmp
-    return out
-
-
-def _block_stats(plan, thetas, eps_levels, seed: int, index: int, count: int):
+def _block_stats(form, thetas, eps_levels, seed: int, index: int, count: int):
     """Per-theta hit lists, f_min and f_max of one block of count points.
 
     eps_levels must not increase: each level counts among the last one's hits.
     """
-    blocks, cube, sym = plan
     gen = np.random.Generator(np.random.Philox(key=[seed & _MASK64, index]))
     m = min(_CHUNK, count)
     draw = np.empty((m, 7))
     cols = np.empty((7, m))
-    bufs = np.empty((4, m))
+    tmp = np.empty(m)
     hits = [[0] * len(eps_levels) for _ in thetas]
     f_min = math.inf
     f_max = -math.inf
@@ -124,21 +84,12 @@ def _block_stats(plan, thetas, eps_levels, seed: int, index: int, count: int):
         gen.random(out=draw[:n])
         x = cols[:, :n]
         np.copyto(x, draw[:n].T)
-        if sym:
+        if form.box == "sym":
             x *= 2.0
             x -= 1.0
-        f, b, lin, tmp = bufs[:, :n]
-        for k, (lt, qt) in enumerate(blocks):
-            v = _sum(qt, x, b if k else f, tmp)
-            v *= _sum(lt, x, lin, tmp)
-            if k:
-                f += b
-        if blocks:
-            f += _sum((cube,), x, b, tmp)
-        else:
-            _sum((cube,), x, f, tmp)
+        f = form.value(x)
         for h, theta in zip(hits, thetas):
-            af = np.subtract(f, theta, out=tmp)
+            af = np.subtract(f, theta, out=tmp[:n])
             np.abs(af, out=af)
             for k, e in enumerate(eps_levels):
                 af = af[af <= e]
@@ -156,10 +107,9 @@ def _sample_pass(form: CubicForm, thetas, eps_levels, samples: int,
         raise DomainError("threads must be at least 1")
     nblocks = (samples + BLOCK - 1) // BLOCK
     sizes = [BLOCK] * (nblocks - 1) + [samples - BLOCK * (nblocks - 1)]
-    plan = _plan(form)
 
     def run(i: int):
-        return _block_stats(plan, thetas, eps_levels, seed, i, sizes[i])
+        return _block_stats(form, thetas, eps_levels, seed, i, sizes[i])
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         hits, lows, highs = zip(*pool.map(run, range(nblocks)))

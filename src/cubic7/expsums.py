@@ -82,6 +82,8 @@ def _frame_histogram(lv, qv, m: int) -> np.ndarray:
     Work: sum over d | m of (m/d)^2 plane cells and at most phi(m/d) * m/d
     pushed cells, under 3 m^2 in all, in row chunks of at most
     forms._SLAB cells.  For L = 0 every cell lands on residue 0.
+    block_value skips the frame's zero coefficients, so a chunk's value can be
+    a scalar (Q' = c*X1^2 or 0 mod m) or one row; it is broadcast to the chunk.
     """
     # Reduced coefficients keep |B(d, Y)| below 2 m^5 <= 2^61 in int64.
     lv = tuple(c % m for c in lv)
@@ -95,7 +97,8 @@ def _frame_histogram(lv, qv, m: int) -> np.ndarray:
         plane = np.zeros(m, dtype=np.int64)
         step = max(1, _SLAB // n)
         for s in range(0, n, step):
-            v = block_value(lv, qv, d, y[s : s + step, None], y) % m
+            rows = y[s : s + step, None]
+            v = np.broadcast_to(block_value(lv, qv, d, rows, y) % m, (len(rows), n))
             plane += np.bincount(v.ravel(), minlength=m)
         units = y[np.gcd(y, n) == 1]
         cubes, mult = np.unique(power_residues(3, n)[units], return_counts=True)

@@ -13,6 +13,8 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add, mul
 
 import numpy as np
 
@@ -47,20 +49,30 @@ def box_range(box: str, P: int) -> range:
 _SLAB = 1 << 22  # grid cells per slab of block_slabs
 
 
+def _terms_sum(terms):
+    """The sum of the products c*u*v... over terms (c, u, v, ...), each taken
+    left to right; a term with c == 0 is skipped and c == 1 is not multiplied
+    by.  The first product starts the sum (no 0 + t), and no term gives 0."""
+    products = (reduce(mul, fs if c == 1 else (c, *fs)) for c, *fs in terms if c)
+    return reduce(add, products, next(products, 0))
+
+
 def block_value(l, q, x, y, z):
     """Value of the ternary block L(x,y,z) * Q(x,y,z); broadcasts over arrays.
 
-    Its callers: CubicForm.value and transform_block's self-check (Python
-    ints), and the plane grids of expsums.mod_histogram (broadcast int64
-    arrays).  The Monte Carlo density performs the same float operations in
-    place (density._sum).
+    Each term of L and Q is (c*u)*v, added left to right as written, except
+    that zero coefficients are skipped and a coefficient 1 is not multiplied
+    by: exact for ints, and for floats (x + (+-0.0) == x, 1*x == x) up to
+    the sign of an exact zero.  Only kept terms broadcast, so the result can
+    be smaller than the arguments' broadcast.  Callers: CubicForm.value (ints,
+    and the Monte Carlo density's float columns), transform_block's check,
+    and the planes of expsums._frame_histogram (int64 arrays).
     """
     a1, a2, a3 = l
     A1, A2, A3, B1, B2, B3 = q
-    lin = a1 * x + a2 * y + a3 * z
-    quad = (
-        A1 * x * x + A2 * y * y + A3 * z * z + B1 * y * z + B2 * z * x + B3 * x * y
-    )
+    lin = _terms_sum(((a1, x), (a2, y), (a3, z)))
+    quad = _terms_sum(((A1, x, x), (A2, y, y), (A3, z, z),
+                       (B1, y, z), (B2, z, x), (B3, x, y)))
     return lin * quad
 
 
@@ -187,7 +199,7 @@ class CubicForm:
         return (
             block_value(self.l1, self.q1, x[0], x[1], x[2])
             + block_value(self.l2, self.q2, x[3], x[4], x[5])
-            + self.a7 * x[6] * x[6] * x[6]
+            + _terms_sum(((self.a7, x[6], x[6], x[6]),))
         )
 
 

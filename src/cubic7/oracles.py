@@ -31,7 +31,7 @@ def _form_value(form: CubicForm, x):
     return (
         _block(form.l1, form.q1, x[0], x[1], x[2])
         + _block(form.l2, form.q2, x[3], x[4], x[5])
-        + form.a7 * x[6] ** 3
+        + form.a7 * x[6] * x[6] * x[6]
     )
 
 

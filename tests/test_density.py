@@ -14,6 +14,7 @@ from cubic7.density import (
 )
 from cubic7.errors import DomainError
 from cubic7.forms import COEFF_CAP, CubicForm
+from cubic7.oracles import _form_value
 
 
 def test_box_volume():
@@ -148,17 +149,17 @@ def test_block_chunks_match_one_draw(f_star):
     # and a whole block stays far below the ~60 MB a single draw needs.
     import tracemalloc
 
-    from cubic7.density import _CHUNK, _block_stats, _plan
+    from cubic7.density import _CHUNK, _block_stats
 
     count, eps = 2 * _CHUNK + 12345, (0.1, 0.05, 0.025)
     u = np.random.Generator(np.random.Philox(key=[3, 5])).random((count, 7))
-    f = f_star.value(list((2.0 * u - 1.0).T))
+    f = _form_value(f_star, list((2.0 * u - 1.0).T))
     hits = [[int((np.abs(f - t) <= e).sum()) for e in eps] for t in (0.0, 0.5)]
-    assert _block_stats(_plan(f_star), (0.0, 0.5), eps, 3, 5, count) == (
+    assert _block_stats(f_star, (0.0, 0.5), eps, 3, 5, count) == (
         hits, float(f.min()), float(f.max()))
     tracemalloc.start()
     try:
-        _block_stats(_plan(f_star), (0.0,), eps, 0, 0, 1 << 19)
+        _block_stats(f_star, (0.0,), eps, 0, 0, 1 << 19)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -176,9 +177,10 @@ def _random_form(rng, box):
 
 
 def test_block_stats_match_brute_values(monkeypatch):
-    # The in-place evaluator (zero coefficients dropped, unit coefficients
-    # skipped, nested eps counts) gives exactly the hits, f_min and f_max of
-    # CubicForm.value on the same points, for any chunk size.
+    # The chunked evaluator (CubicForm.value with zero coefficients dropped
+    # and unit coefficients skipped, nested eps counts) gives exactly the
+    # hits, f_min and f_max of the oracle's full expression on the same
+    # points, for any chunk size.
     import cubic7.density as density
 
     rng = random.Random(2024)
@@ -194,12 +196,11 @@ def test_block_stats_match_brute_values(monkeypatch):
         u = np.random.Generator(np.random.Philox(key=[i, 2])).random((count, 7))
         if form.box == "sym":
             u = 2.0 * u - 1.0
-        f = form.value(list(u.T))
+        f = _form_value(form, list(u.T))
         thetas = (0.0, float(np.median(f)), float(f[0]))
         hits = [[int((np.abs(f - t) <= e).sum()) for e in eps] for t in thetas]
         expected = (hits, float(f.min()), float(f.max()))
         for chunk in (chunk0, 1000, 1 << 16):
             monkeypatch.setattr(density, "_CHUNK", chunk)
-            got = density._block_stats(density._plan(form), thetas, eps, i, 2,
-                                       count)
+            got = density._block_stats(form, thetas, eps, i, 2, count)
             assert got == expected

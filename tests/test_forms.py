@@ -28,7 +28,7 @@ from cubic7.forms import (
     load_form,
     transform_block,
 )
-from cubic7.oracles import adjugate_brute, apply_unimodular, random_unimodular
+from cubic7.oracles import _block, adjugate_brute, apply_unimodular, random_unimodular
 
 
 def _rand_block(rng):
@@ -51,6 +51,22 @@ def test_box_kinds():
 def test_block_value_hand_case():
     # L = x + 2z, Q = y^2 + 3xy at (1, 2, -1): L = -1, Q = 4 + 6 = 10.
     assert block_value((1, 0, 2), (0, 1, 0, 0, 0, 3), 1, 2, -1) == -10
+    # Skipping zero and unit coefficients is exact: Python ints give the
+    # oracle's int, float64 arrays its floats, and an all-zero Q gives 0.
+    rng = random.Random(26)
+    pool = (0, 0, 1, -1, 2, -2, COEFF_CAP, -COEFF_CAP)
+    u = 2.0 * np.random.default_rng(26).random((3, 500)) - 1.0
+    for _ in range(400):
+        l = tuple(rng.choice(pool) for _ in range(3))
+        q = tuple(rng.choice(pool) for _ in range(6))
+        x, y, z = (rng.choice((0, 1, -1, rng.randint(-10 ** 6, 10 ** 6)))
+                   for _ in range(3))
+        got = block_value(l, q, x, y, z)
+        assert type(got) is int and got == _block(l, q, x, y, z)
+        assert np.all(block_value(l, q, *u) == _block(l, q, *u))
+        zero = block_value(l, (0,) * 6, x, y, z)
+        assert type(zero) is int and zero == 0
+        assert np.all(block_value(l, (0,) * 6, *u) == 0)
 
 
 def test_cube_residues():
