@@ -113,8 +113,9 @@ def _scan_slabs(l, q, r, xs, absolute: bool = False):
 
 
 def _value_bound(l, q, box: str, P: int) -> int:
-    """Bound on |every partial sum| of block_slabs over the box of radius P:
-    sum|l| R for L, sum|q| R^2 for Q, their product for L*Q (R = max |x|)."""
+    """Bound on every intermediate of block_value over the box of radius P,
+    in any term order: sum|l| R for L, sum|q| R^2 for Q and each c*u*v,
+    and their product for L*Q (R = max |x|)."""
     R = max(map(abs, box_interval(box, P)))
     sl, sq = sum(map(abs, l)), sum(map(abs, q))
     return max(sl * R, sq * R * R, sl * sq * R ** 3)
@@ -125,7 +126,7 @@ def _histogram_scan(l, q, box: str, P: int):
     that refuse the histogram before anything is allocated: P >= 1, the
     grid cap, and the big-integer grid cap when the value bound reaches
     2^62.  r is in the narrowest of int32, int64 and object (Python ints)
-    that holds every intermediate of block_slabs."""
+    that holds every intermediate of block_value on block_slabs' planes."""
     if P < 1:
         raise DomainError("P must be at least 1")
     lo, hi = box_interval(box, P)

@@ -66,7 +66,7 @@ def block_value(l, q, x, y, z):
     the sign of an exact zero.  Only kept terms broadcast, so the result can
     be smaller than the arguments' broadcast.  Callers: CubicForm.value (ints,
     and the Monte Carlo density's float columns), transform_block's check,
-    and the planes of expsums._frame_histogram (int64 arrays).
+    and the planes of block_slabs and expsums._frame_histogram (arrays).
     """
     a1, a2, a3 = l
     A1, A2, A3, B1, B2, B3 = q
@@ -82,22 +82,17 @@ def block_slabs(l, q, r, xs=None):
     r and xs (default r) are coordinate arrays of one dtype, int32, int64 or
     object (Python ints, exact at any size), and (xs[i], r[j], r[k]) has
     flat index (i * n + j) * n + k with n = len(r); with the default xs that
-    is the index of the point in the cube r^3.  The values are computed and
-    yielded in r's dtype, so the caller must choose one in which every
-    partial sum of L and Q and the product L*Q fit (counting picks the
-    narrowest under an a priori bound).  The yielded array is
-    overwritten by the next slab, so the caller may sort or reduce it in
-    place: one slab buffer is reused throughout, and no slab costs a fresh
-    allocation.
+    is the index of the point in the cube r^3.  Each x-plane is filled with
+    block_value(l, q, x, r[:, None], r[None, :]), broadcast if a scalar, row
+    or column, in r's dtype: the caller picks one that holds every block_value
+    intermediate in any term order (counting: the narrowest under a bound).
+    The yielded array is overwritten by the next slab, so the caller may
+    sort or reduce it in place: one slab buffer is reused throughout.
     """
     xs = r if xs is None else xs
     n = len(r)
-    a1, a2, a3 = (int(v) for v in l)
-    A1, A2, A3, B1, B2, B3 = (int(v) for v in q)
+    l, q = tuple(map(int, l)), tuple(map(int, q))
     Y, Z = r[:, None], r[None, :]
-    liny = a2 * Y + a3 * Z
-    base = A2 * Y * Y + A3 * Z * Z + B1 * Y * Z
-    lin = np.empty_like(base)
     step = max(1, _SLAB // (n * n))
     vbuf = np.empty((min(step, len(xs)), n, n), dtype=r.dtype)
     for s in range(0, len(xs), step):
@@ -105,11 +100,7 @@ def block_slabs(l, q, r, xs=None):
         v = vbuf[: len(xb)]
         # One x-plane at a time: besides the slab, only n x n arrays exist.
         for plane, x in zip(v, xb):
-            np.add(base, A1 * x * x, out=plane)
-            plane += (B2 * x) * Z
-            plane += (B3 * x) * Y
-            np.add(liny, a1 * x, out=lin)
-            plane *= lin
+            plane[...] = block_value(l, q, x, Y, Z)
         yield s * n * n, v.ravel()
 
 

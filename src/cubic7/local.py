@@ -223,7 +223,7 @@ def _exhaustive_points(form: CubicForm, N: int, m: int, limit: int):
 def _f_mod_p_batch(form: CubicForm, xs: np.ndarray, p: int) -> np.ndarray:
     """f(x) mod p for each row of xs, reducing after every product.
 
-    Not block_slabs: p goes up to _MODULUS_CAP = 10^8, and unreduced terms
+    Not block_value: p goes up to _MODULUS_CAP = 10^8, and unreduced terms
     such as A1 * x * x overflow int64 once p passes about 1.2 * 10^6.
     """
     a = [v % p for v in form.a]

@@ -48,6 +48,11 @@ def test_histogram_export(capsys, tmp_path):
     assert data[0] == 15
     ns = sorted(data)
     assert ns == [int(n) for n, _ in rows[1:]]  # sorted by n, no duplicates
+    # zeros exports the same block histogram.
+    zpath = tmp_path / "zeros.csv"
+    code, _, _ = run_cli(capsys, "zeros", "--P", "1", "--histogram", str(zpath))
+    assert code == 0
+    assert zpath.read_bytes() == path.read_bytes()
 
 
 def test_spaces_csv(capsys):

@@ -61,6 +61,15 @@ def test_value_histogram_vs_brute(f_star):
             assert dict(h.items()) == brute
             assert h.total() == sum(brute.values())
             assert h.count_of(0) == brute.get(0, 0)
+    # Blocks whose block_value is a scalar, a column (x, y only), a row
+    # (x, z only) or zero on each x-plane: block_slabs broadcasts it.
+    planes = [((2, 0, 0), (3, 0, 0, 0, 0, 0)), ((1, 0, 0), (0, 1, 0, 0, 0, 0)),
+              ((0, 0, 1), (0, 0, 0, 0, 1, 0)), ((0, 1, 0), (0,) * 6)]
+    for box in ("sym", "pos", "nonneg"):
+        for P in (1, 2, 5):
+            for l, q in planes:
+                h = value_histogram(l, q, box, P)
+                assert dict(h.items()) == block_values_brute(l, q, box, P)
 
 
 def test_histogram_views(f_star):

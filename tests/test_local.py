@@ -74,6 +74,32 @@ def test_block_case_worked_examples():
     assert (d.case, d.gamma, d.gamma_prime) == ("iii", 3, 1)
     d = block_local_case((1, 0, 0), (1, 5, 0, 5, 0, 0), 5)
     assert (d.case, d.alpha, d.beta, d.gamma, d.gamma_prime) == ("i", 1, 0, 3, 2)
+    # Case (i) with F' or G' nonzero.  Each Q is x^2 = L^2 mod p, and with
+    # pivot x and a = (1, 0, 0): A' = A2, B' = B1, C' = A3, F' = B2, G' = B3.
+    # p = 2, Q = x^2 + 2z^2 + 2xy: A' = B' = 0, C' = 2, so alpha = 1; F' = 0,
+    # G' = 2, so beta = 1; gamma' = max(ceil(6/3), ceil(4/2)) = 2 and
+    # gamma = 2 gamma' - 1 = 3.
+    d = block_local_case((1, 0, 0), (1, 0, 2, 0, 0, 2), 2)
+    assert (d.case, d.alpha, d.beta, d.gamma, d.gamma_prime) == ("i", 1, 1, 3, 2)
+    # p = 3, Q = x^2 + 3z^2 + 3xy: C' = 3, so alpha = 1; G' = 3, so beta = 1;
+    # gamma' = max(ceil(6/3), ceil(4/2)) = 2 and gamma = 2 gamma' + 1 = 5.
+    d = block_local_case((1, 0, 0), (1, 0, 3, 0, 0, 3), 3)
+    assert (d.case, d.alpha, d.beta, d.gamma, d.gamma_prime) == ("i", 1, 1, 5, 2)
+    # p = 3, Q = x^2 + 81z^2 + 3xy: C' = 81, so alpha = 4; G' = 3, so beta = 1;
+    # the beta term sets gamma': ceil(16/2) = 8 > ceil(21/3) = 7, gamma = 17.
+    d = block_local_case((1, 0, 0), (1, 0, 81, 0, 0, 3), 3)
+    assert (d.case, d.alpha, d.beta, d.gamma, d.gamma_prime) == ("i", 4, 1, 17, 8)
+    # Assembly at p = 3 on a nondegenerate form with two zero-c blocks: c = 1
+    # and (c1, c2, c3) = (1, 1, 3), so j = (0, 0, 1) and nu0 = 1.  Block 1 is
+    # the (i, gamma 5, gamma' 2) block above.  Block 2, x(xy + z^2), is case
+    # (iv), gamma = gamma' = 0: xy + z^2 is not lambda x^2 mod 3, and as a
+    # nondegenerate conic mod 3 it is no product M(L + bM).  Then gamma' =
+    # min(2 + 0, 0 + 0) = 0, the cross term is 2*0 + 1 = 1, and
+    # gamma = max(0, min(5 + 1, 0 + 1, 1)) = 1.
+    form = CubicForm((1, 0, 0, 1, 0, 0, 3), (1, 0, 3, 0, 0, 3), (0, 0, 1, 0, 0, 1))
+    row = gamma_report(form, 3)
+    assert (row.j, row.gamma, row.gamma_prime) == ((0, 0, 1), 1, 0)
+    assert [b.case for b in row.blocks] == ["i", "iv"]
 
 
 def test_block_case_default(f_star):
@@ -154,17 +180,19 @@ def test_congruence_solvable_small_moduli(f_star):
 
 def test_block_reach_vs_residue_scan():
     # Reachable residues and first-hit witnesses against a plain scan of the
-    # residue cube in flat-index order, on unreduced random coefficients.
+    # residue cube in flat-index order, on unreduced random coefficients and
+    # on x*y^2, whose block_value is a column on each x-plane.
     rng = random.Random(29)
     for m in range(1, 31):
         l = tuple(rng.randint(-COEFF_CAP, COEFF_CAP) for _ in range(3))
         q = tuple(rng.randint(-COEFF_CAP, COEFF_CAP) for _ in range(6))
-        first = {}
-        for i, x in enumerate(itertools.product(range(m), repeat=3)):
-            first.setdefault(_block(l, q, *x) % m, i)
-        reach, wit = _block_reach(l, q, m)
-        assert set(np.flatnonzero(reach).tolist()) == set(first)
-        assert all(wit[r] == i for r, i in first.items())
+        for l, q in ((l, q), ((1, 0, 0), (0, 1, 0, 0, 0, 0))):
+            first = {}
+            for i, x in enumerate(itertools.product(range(m), repeat=3)):
+                first.setdefault(_block(l, q, *x) % m, i)
+            reach, wit = _block_reach(l, q, m)
+            assert set(np.flatnonzero(reach).tolist()) == set(first)
+            assert all(wit[r] == i for r, i in first.items())
 
 
 def test_block_reach_large_moduli():
