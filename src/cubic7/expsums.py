@@ -32,9 +32,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import content, factorize, inverse_mod, is_prime, power_residues, primes_up_to
+from .arith import factorize, inverse_mod, is_prime, power_residues, primes_up_to
 from .errors import DomainError, ResourceLimitError
-from .forms import _SLAB, CubicForm, block_frame, block_value, cube_residues
+from .forms import (
+    _SLAB, CubicForm, _block_content, block_frame, block_value, cube_residues,
+)
 
 MOD_CAP = 4096
 
@@ -192,21 +194,16 @@ def _gather(hist: np.ndarray, m: int, mult: int) -> complex:
 def block_sum_any(l, q, modulus: int, mult: int) -> complex:
     """Sum of e(mult * L*Q / modulus) over the full residue cube.
 
-    The block content g is pulled out first: with c0 = gcd(g, modulus) the
-    sum collapses to c0^3 copies of the primitive-block sum at modulus/c0.
-    No coprimality is required of mult (inner reduced sums need that).
+    The block content g is pulled out first (forms._block_content): with c0 =
+    gcd(g, modulus) the sum is c0^3 copies of the primitive-block sum at
+    modulus/c0, or modulus^3 for g = 0.  No coprimality is required of mult
+    (inner reduced sums need that).
     """
-    l = tuple(int(v) for v in l)
-    q = tuple(int(v) for v in q)
-    cl = content(l)
-    cq = content(q)
-    g = cl * cq
+    g, lp, qp = _block_content(tuple(int(v) for v in l), tuple(int(v) for v in q))
     c0 = math.gcd(g, modulus)
     mp = modulus // c0
     if mp == 1:
         return complex(modulus ** 3, 0.0)
-    lp = tuple(v // cl for v in l)
-    qp = tuple(v // cq for v in q)
     hist = mod_histogram(lp, qp, mp)
     mult2 = (mult * (g // c0)) % mp
     return (c0 ** 3) * _gather(hist, mp, mult2)

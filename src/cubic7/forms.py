@@ -4,7 +4,9 @@ Derived coefficient systems, block normal forms, classification, and the
 rational 4-dimensional linear spaces contained in f = 0.
 
 Quadratic coefficients are ordered (A1, A2, A3, B1, B2, B3) for
-A1*x^2 + A2*y^2 + A3*z^2 + B1*y*z + B2*z*x + B3*x*y.
+A1*x^2 + A2*y^2 + A3*z^2 + B1*y*z + B2*z*x + B3*x*y.  The block algebra in
+that order lives here once, for local and expsums too: _quad_terms,
+_block_factors, _gram_matrix, _product_coefficients and _block_content.
 """
 
 from __future__ import annotations
@@ -57,10 +59,41 @@ def _terms_sum(terms):
     return reduce(add, products, next(products, 0))
 
 
+def _quad_terms(q, x, y, z):
+    """Q's six terms (c, u, v), one per coefficient, in coefficient order."""
+    A1, A2, A3, B1, B2, B3 = q
+    return ((A1, x, x), (A2, y, y), (A3, z, z), (B1, y, z), (B2, z, x), (B3, x, y))
+
+
+def _block_factors(l, q, x, y, z):
+    """(L(x,y,z), Q(x,y,z)), each summed by _terms_sum in coefficient order."""
+    return _terms_sum(zip(l, (x, y, z))), _terms_sum(_quad_terms(q, x, y, z))
+
+
+def _gram_matrix(q):
+    """G, the Gram matrix of 2Q: x.G.x = 2Q(x), so the gradient of Q is G.x."""
+    A1, A2, A3, B1, B2, B3 = q
+    return ((2 * A1, B3, B2), (B3, 2 * A2, B1), (B2, B1, 2 * A3))
+
+
+def _product_coefficients(m, u):
+    """(A1, ..., B3) of the quadratic form (m.x)(u.x), a product of linear forms."""
+    return (m[0] * u[0], m[1] * u[1], m[2] * u[2], m[1] * u[2] + m[2] * u[1],
+            m[2] * u[0] + m[0] * u[2], m[0] * u[1] + m[1] * u[0])
+
+
+def _block_content(l, q):
+    """(content(L) * content(Q), L', Q') with L', Q' primitive; (0, l, q) if L*Q = 0."""
+    cl, cq = content(l), content(q)
+    if cl * cq == 0:
+        return 0, l, q
+    return cl * cq, tuple(v // cl for v in l), tuple(v // cq for v in q)
+
+
 def block_value(l, q, x, y, z):
     """Value of the ternary block L(x,y,z) * Q(x,y,z); broadcasts over arrays.
 
-    Each term of L and Q is (c*u)*v, added left to right as written, except
+    Each term of L and Q is (c*u)*v, added left to right (_block_factors), except
     that zero coefficients are skipped and a coefficient 1 is not multiplied
     by: exact for ints, and for floats (x + (+-0.0) == x, 1*x == x) up to
     the sign of an exact zero.  Only kept terms broadcast, so the result can
@@ -68,11 +101,7 @@ def block_value(l, q, x, y, z):
     and the Monte Carlo density's float columns), transform_block's check,
     and the planes of block_slabs and expsums._frame_histogram (arrays).
     """
-    a1, a2, a3 = l
-    A1, A2, A3, B1, B2, B3 = q
-    lin = _terms_sum(((a1, x), (a2, y), (a3, z)))
-    quad = _terms_sum(((A1, x, x), (A2, y, y), (A3, z, z),
-                       (B1, y, z), (B2, z, x), (B3, x, y)))
+    lin, quad = _block_factors(l, q, x, y, z)
     return lin * quad
 
 
@@ -114,8 +143,7 @@ def block_frame(l, q):
     columns of V.  For L = 0, V is the identity.
     """
     a, v, _ = lattice._column_reduce([tuple(int(c) for c in l)])
-    A1, A2, A3, B1, B2, B3 = (int(c) for c in q)
-    gram = ((2 * A1, B3, B2), (B3, 2 * A2, B1), (B2, B1, 2 * A3))
+    gram = _gram_matrix([int(c) for c in q])
     cols = list(zip(*v))
 
     def pair(s, t):
@@ -564,22 +592,11 @@ def content_decomposition(form: CubicForm):
     A block whose quadratic vanishes identically has no content-1 form and
     raises DegenerateBlockError.
     """
-    for i, q in enumerate((form.q1, form.q2), start=1):
-        if not any(q):
-            raise DegenerateBlockError(i)
-    g1 = content(form.l1) * content(form.q1)
-    g2 = content(form.l2) * content(form.q2)
-    c = math.gcd(math.gcd(g1, g2), abs(form.a7))
-    c1, c2, c3 = g1 // c, g2 // c, form.a7 // c
-    b1 = (
-        tuple(v // content(form.l1) for v in form.l1),
-        tuple(v // content(form.q1) for v in form.q1),
-    )
-    b2 = (
-        tuple(v // content(form.l2) for v in form.l2),
-        tuple(v // content(form.q2) for v in form.q2),
-    )
-    return c, (c1, c2, c3), b1, b2
+    (g1, *b1), (g2, *b2) = (_block_content(l, q) for l, q in form.blocks())
+    if not g1 * g2:  # L != 0, so g = 0 means Q = 0
+        raise DegenerateBlockError(2 if g1 else 1)
+    c = math.gcd(g1, g2, form.a7)
+    return c, (g1 // c, g2 // c, form.a7 // c), tuple(b1), tuple(b2)
 
 
 def classify(form: CubicForm) -> Classification:

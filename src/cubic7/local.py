@@ -33,11 +33,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import content, crt_pair, factorize, inverse_mod, is_prime, v_p
+from .arith import crt_pair, factorize, inverse_mod, is_prime, v_p
 from .errors import DegenerateBlockError, DomainError, ResourceLimitError
 from .forms import (
-    CubicForm, _permute_block, _primed, block_slabs, content_decomposition,
-    cube_residues,
+    CubicForm, _block_content, _block_factors, _gram_matrix, _permute_block, _primed,
+    _product_coefficients, _quad_terms, block_slabs, content_decomposition, cube_residues,
 )
 from .payload import Payload
 
@@ -49,19 +49,19 @@ def _pencil_product(l, q, p: int) -> bool:
     """Whether Q = M * (L + b*M) (mod p) for some b != 0 and M independent of L.
 
     Then L*Q is the product of three pairwise non-proportional linear forms
-    of the pencil spanned by L and M.  With L = 0 (mod p) it never holds.
+    of the pencil spanned by L and M; L must be nonzero mod p.  By unique
+    factorisation M * (L + b*M) is a multiple of L^2 exactly when M is a
+    multiple of L, so once such Q are refused, any match will do.
     """
-    pairs = ((1, 2), (2, 0), (0, 1))  # also the order of B1, B2, B3
+    if _is_scaled_square(l, q, p):
+        return False
     for b in range(1, p):
         # The squares fix each m[i] to a root of m * (l[i] + b*m) = q[i].
         roots = [[c for c in range(p) if (c * (l[i] + b * c) - q[i]) % p == 0]
                  for i in range(3)]
         for m in itertools.product(*roots):
-            if not any((l[j] * m[k] - l[k] * m[j]) % p for j, k in pairs):
-                continue  # M = 0 or M proportional to L
-            u = [l[i] + b * m[i] for i in range(3)]
-            if all((m[j] * u[k] + m[k] * u[j] - q[3 + n]) % p == 0
-                   for n, (j, k) in enumerate(pairs)):
+            pm = _product_coefficients(m, [li + b * mi for li, mi in zip(l, m)])
+            if all((c - d) % p == 0 for c, d in zip(q, pm)):
                 return True
     return False
 
@@ -77,15 +77,11 @@ class BlockLocalData(Payload):
 
 
 def _is_scaled_square(l, q, p: int) -> bool:
-    """Whether Q = lambda * L^2 (mod p) for some residue lambda (0 allowed)."""
-    a1, a2, a3 = (v % p for v in l)
-    piv, apiv = next((i, v) for i, v in enumerate((a1, a2, a3)) if v % p)
-    lam = q[piv] * inverse_mod(apiv * apiv % p, p) % p
-    sq = (
-        a1 * a1, a2 * a2, a3 * a3,
-        2 * a2 * a3, 2 * a1 * a3, 2 * a1 * a2,
-    )
-    return all((q[i] - lam * sq[i]) % p == 0 for i in range(6))
+    """Whether Q = lambda * L^2 (mod p) for a residue lambda (0 allowed); L != 0."""
+    a = [v % p for v in l]
+    piv = next(i for i, v in enumerate(a) if v)
+    lam = q[piv] * inverse_mod(a[piv] * a[piv], p) % p
+    return all((c - lam * s) % p == 0 for c, s in zip(q, _product_coefficients(a, a)))
 
 
 def block_local_case(l, q, p: int) -> BlockLocalData:
@@ -226,22 +222,13 @@ def _f_mod_p_batch(form: CubicForm, xs: np.ndarray, p: int) -> np.ndarray:
     Not block_value: p goes up to _MODULUS_CAP = 10^8, and unreduced terms
     such as A1 * x * x overflow int64 once p passes about 1.2 * 10^6.
     """
-    a = [v % p for v in form.a]
-    q1 = [v % p for v in form.q1]
-    q2 = [v % p for v in form.q2]
     c = [xs[:, i] for i in range(7)]
-
-    def block(l, q, i0):
-        x, y, z = c[i0], c[i0 + 1], c[i0 + 2]
-        lin = (l[0] * x + l[1] * y + l[2] * z) % p
-        quad = (
-            q[0] * (x * x % p) + q[1] * (y * y % p) + q[2] * (z * z % p)
-            + q[3] * (y * z % p) + q[4] * (z * x % p) + q[5] * (x * y % p)
-        ) % p
-        return lin * quad % p
-
-    cube = a[6] * ((c[6] * c[6] % p) * c[6] % p) % p
-    return (block(a[0:3], q1, 0) + block(a[3:6], q2, 3) + cube) % p
+    f = form.a7 % p * ((c[6] * c[6] % p) * c[6] % p) % p
+    for (l, q), (x, y, z) in zip(form.blocks(), (c[0:3], c[3:6])):
+        lin = sum(a % p * t for a, t in zip(l, (x, y, z))) % p
+        quad = sum(k % p * (u * v % p) for k, u, v in _quad_terms(q, x, y, z)) % p
+        f += lin * quad % p
+    return f % p
 
 
 def _base_points_mod_p(form: CubicForm, N: int, p: int, limit: int):
@@ -261,23 +248,15 @@ def _base_points_mod_p(form: CubicForm, N: int, p: int, limit: int):
     return out
 
 
-def _block_gradient(l, q, x) -> list[int]:
-    """[l_i * Q + L * dQ/dx_i] for one block L * Q at x = (x1, x2, x3)."""
-    A1, A2, A3, B1, B2, B3 = q
-    x1, x2, x3 = x
-    L = l[0] * x1 + l[1] * x2 + l[2] * x3
-    Q = A1 * x1 * x1 + A2 * x2 * x2 + A3 * x3 * x3 + B1 * x2 * x3 + B2 * x3 * x1 + B3 * x1 * x2
-    dQ = (2 * A1 * x1 + B2 * x3 + B3 * x2,
-          2 * A2 * x2 + B1 * x3 + B3 * x1,
-          2 * A3 * x3 + B1 * x2 + B2 * x1)
-    return [li * Q + L * d for li, d in zip(l, dQ)]
-
-
 def gradient(form: CubicForm, x) -> list[int]:
-    """Exact integer gradient of f at an integer point."""
-    return (_block_gradient(form.l1, form.q1, x[:3])
-            + _block_gradient(form.l2, form.q2, x[3:6])
-            + [3 * form.a7 * x[6] * x[6]])
+    """Exact integer gradient of f at an integer point: each block L*Q adds
+    l_i * Q + L * (G.v)_i at v, G the Gram matrix of 2Q (so G.v = grad Q)."""
+    out = []
+    for (l, q), v in zip(form.blocks(), (x[:3], x[3:6])):
+        L, Q = _block_factors(l, q, *v)
+        out += [li * Q + L * sum(g * t for g, t in zip(row, v))
+                for li, row in zip(l, _gram_matrix(q))]
+    return out + [3 * form.a7 * x[6] * x[6]]
 
 
 def _lift_to_prime_power(form: CubicForm, x0, N: int, p: int, k: int):
@@ -340,8 +319,7 @@ def congruence_solvable(form: CubicForm, N: int, modulus: int | None = None):
         raise ResourceLimitError(f"modulus {modulus} exceeds {_MODULUS_CAP}")
     # f vanishes identically mod its content c, so gcd(c, M) must divide N.
     # A zero Q contributes content 0, which the gcd ignores.
-    c = math.gcd(content(form.l1) * content(form.q1),
-                 content(form.l2) * content(form.q2), form.a7)
+    c = math.gcd(*(_block_content(l, q)[0] for l, q in form.blocks()), form.a7)
     if N % math.gcd(c, modulus):
         return False, None
     if modulus == 1:

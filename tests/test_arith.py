@@ -114,3 +114,6 @@ def test_fit_recovers_planted_parameters():
     assert abs(offset - 5.0) < 1e-9 and abs(slope - 3.0) < 1e-9
     expo, _ = fit_loglog(sizes, [2.0 * s ** 1.7 for s in sizes])
     assert abs(expo - 1.7) < 1e-9
+    # Probes with count <= 0 are dropped; fewer than two left fit nothing.
+    assert fit_loglog(sizes, [0, 5, 0, -1]) == (0.0, 0.0)
+    assert fit_loglog(sizes, [0] * 4) == (0.0, 0.0)

@@ -291,6 +291,7 @@ def test_s_cube_vs_brute():
                 got = s_cube(a7, m, mult)
                 want = cube_sum_brute(a7, m, mult)
                 assert abs(got - want) < 1e-9 * m
+        assert s_cube(a7, 1, 1) == 1  # one residue line of one point
 
 
 def test_s3_values(f_star):

@@ -118,6 +118,7 @@ def test_echelon_basis_is_canonical():
     """Generating sets of one lattice give one basis, in reduced echelon form."""
     assert echelon_lattice_basis([(-2, 2, 2), (3, -2, 0), (-2, 5, -2)]) == [
         (13, 0, 0), (5, 1, 0), (1, 0, 2)]
+    assert echelon_lattice_basis([]) == []
     rng = random.Random(29)
     for _ in range(400):
         n = rng.randint(1, 7)
@@ -216,7 +217,11 @@ def test_lattice_count_vs_brute():
             brute = sum(1 for x in on if all(lo <= t <= hi for t in x))
             assert got == brute
             assert count_lattice_points_in_box(big, s * lo, s * hi) == got
+        assert count_lattice_points_in_box(basis, 3, -3) == 0  # lo > hi
     assert split >= 10
+    # The zero lattice holds only the origin.
+    for lo, hi in ((-3, 3), (0, 0), (1, 3), (-3, -1)):
+        assert count_lattice_points_in_box([], lo, hi) == (1 if lo <= 0 <= hi else 0)
 
 
 def test_factorised_count_vs_descent():

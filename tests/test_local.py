@@ -225,6 +225,22 @@ def test_congruence_obstruction():
     form = CubicForm((3, 0, 0, 3, 0, 0, 3), (3, 0, 3, 0, 0, 3), (3, 0, 3, 0, 0, 3))
     ok, w = congruence_solvable(form, 1, 3)
     assert not ok and w is None
+    # f_k = k*x1(x1x2 + x3^2) + k*x4(x4x5 + x6^2) + x7^3 has content 1 and is
+    # x7^3 mod k, so only a search can refuse an N that is no cube mod k.
+    f9, f7 = (CubicForm((k, 0, 0, k, 0, 0, 1), (0, 0, 1, 0, 0, 1), (0, 0, 1, 0, 0, 1))
+              for k in (9, 7))
+    # Modulus 9 is searched exhaustively; the cubes mod 9 are 0, 1 and 8.
+    assert local_data(f9).modulus == 9
+    for N in (2, 3, 4):
+        assert congruence_solvable(f9, N) == (False, None)
+        assert local_report(f9, N)["verdict"] == "congruence-obstruction"
+    assert congruence_solvable(f9, 1) == (True, (0, 0, 0, 0, 0, 0, 1))
+    assert congruence_solvable(f9, 9) == (True, (0,) * 7)
+    # 7^4 is above the exhaustive cap, so the base points mod 7 come from a
+    # full scan; the cubes mod 7 are 0, 1 and 6, so N = 2 has none, and the
+    # base point of N = 1 lifts (its x7-partial is 3, a unit mod 7).
+    assert congruence_solvable(f7, 2, 7 ** 4) == (False, None)
+    assert congruence_solvable(f7, 1, 7 ** 4) == (True, (0, 0, 0, 0, 0, 0, 1))
 
 
 def test_content_decides_before_search():
