@@ -34,7 +34,7 @@ import numpy as np
 from . import fit, lattice
 from .arith import icbrt, icbrt_exact
 from .errors import DomainError, ResourceLimitError
-from .forms import CubicForm, block_slabs, box_interval, box_range, linear_spaces
+from .forms import _SLAB, CubicForm, block_value, box_interval, box_range, linear_spaces
 from .payload import Payload
 
 _GRID_CAP = 68_000_000  # lattice points per block enumeration
@@ -97,13 +97,25 @@ def _merge_unique(*parts):
 
 def _scan_slabs(l, q, r, xs, absolute: bool = False):
     """Sorted (vals, cnts) of L*Q over xs x r x r in the dtype of r, or of
-    |L*Q| with absolute: each slab is sorted in place and its runs are
-    merged into the running histogram.  Object slabs sort stably: timsort
-    finds their runs."""
+    |L*Q| with absolute.  Each x-plane is block_value(l, q, x, Y, Z),
+    broadcast if a scalar, row or column, written into one reused buffer
+    of at most forms._SLAB cells; each slab is sorted in place and its
+    runs are merged into the running histogram.  Object slabs sort stably:
+    timsort finds their runs."""
     kind = "stable" if r.dtype == object else None
+    n = len(r)
+    l, q = tuple(map(int, l)), tuple(map(int, q))
+    Y, Z = r[:, None], r[None, :]
+    step = max(1, _SLAB // (n * n))
+    vbuf = np.empty((min(step, len(xs)), n, n), dtype=r.dtype)
     vals = np.empty(0, dtype=r.dtype)
     cnts = np.empty(0, dtype=np.int64)
-    for _, v in block_slabs(l, q, r, xs):
+    for s in range(0, len(xs), step):
+        xb = xs[s : s + step].tolist()
+        # One x-plane at a time: besides the slab, only n x n arrays exist.
+        for plane, x in zip(vbuf, xb):
+            plane[...] = block_value(l, q, x, Y, Z)
+        v = vbuf[: len(xb)].ravel()
         if absolute:
             np.abs(v, out=v)
         v.sort(kind=kind)
@@ -126,7 +138,7 @@ def _histogram_scan(l, q, box: str, P: int):
     that refuse the histogram before anything is allocated: P >= 1, the
     grid cap, and the big-integer grid cap when the value bound reaches
     2^62.  r is in the narrowest of int32, int64 and object (Python ints)
-    that holds every intermediate of block_value on block_slabs' planes."""
+    that holds every intermediate of block_value on _scan_slabs' planes."""
     if P < 1:
         raise DomainError("P must be at least 1")
     lo, hi = box_interval(box, P)
@@ -313,28 +325,20 @@ def count_zeros(form: CubicForm, P: int) -> int:
     return count_representations(form, 0, P)
 
 
-def union_kernel_count(cov_sets, box: str, P: int) -> int:
-    """Box points on a union of covector kernels, by inclusion-exclusion.
+def union_space_count(spaces, box: str, P: int) -> int:
+    """Box points on the union of the spaces, by inclusion-exclusion.
 
     Each subset intersection is the integer kernel of the stacked covectors,
     counted directly in the box; no point set is ever materialized.
     """
     lo, hi = box_interval(box, P)
     total = 0
-    n = len(cov_sets)
-    for r in range(1, n + 1):
-        for subset in itertools.combinations(range(n), r):
-            rows = []
-            for i in subset:
-                rows.extend(cov_sets[i])
-            kernel = lattice.integer_kernel(rows)
-            cnt = lattice.count_lattice_points_in_box(kernel, lo, hi)
+    for r in range(1, len(spaces) + 1):
+        for subset in itertools.combinations(spaces, r):
+            rows = [c for sp in subset for c in sp.covectors]
+            cnt = lattice.count_lattice_points_in_box(lattice.integer_kernel(rows), lo, hi)
             total += cnt if r % 2 == 1 else -cnt
     return total
-
-
-def union_space_count(spaces, box: str, P: int) -> int:
-    return union_kernel_count([sp.covectors for sp in spaces], box, P)
 
 
 def chi(N: int, a7: int, box: str, P: int) -> int:

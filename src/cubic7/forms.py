@@ -48,7 +48,7 @@ def box_range(box: str, P: int) -> range:
     return range(lo, hi + 1)
 
 
-_SLAB = 1 << 22  # grid cells per slab of block_slabs
+_SLAB = 1 << 22  # grid cells per slab of counting._scan_slabs, per row chunk of expsums
 
 
 def _terms_sum(terms):
@@ -99,38 +99,11 @@ def block_value(l, q, x, y, z):
     the sign of an exact zero.  Only kept terms broadcast, so the result can
     be smaller than the arguments' broadcast.  Callers: CubicForm.value (ints,
     and the Monte Carlo density's float columns), transform_block's check,
-    and the planes of block_slabs and expsums._frame_histogram (arrays).
+    and the planes of counting._scan_slabs, local._block_reach and
+    expsums._frame_histogram (arrays).
     """
     lin, quad = _block_factors(l, q, x, y, z)
     return lin * quad
-
-
-def block_slabs(l, q, r, xs=None):
-    """Yield (first flat index, L*Q values) over the grid xs x r x r in x-slabs.
-
-    r and xs (default r) are coordinate arrays of one dtype, int32, int64 or
-    object (Python ints, exact at any size), and (xs[i], r[j], r[k]) has
-    flat index (i * n + j) * n + k with n = len(r); with the default xs that
-    is the index of the point in the cube r^3.  Each x-plane is filled with
-    block_value(l, q, x, r[:, None], r[None, :]), broadcast if a scalar, row
-    or column, in r's dtype: the caller picks one that holds every block_value
-    intermediate in any term order (counting: the narrowest under a bound).
-    The yielded array is overwritten by the next slab, so the caller may
-    sort or reduce it in place: one slab buffer is reused throughout.
-    """
-    xs = r if xs is None else xs
-    n = len(r)
-    l, q = tuple(map(int, l)), tuple(map(int, q))
-    Y, Z = r[:, None], r[None, :]
-    step = max(1, _SLAB // (n * n))
-    vbuf = np.empty((min(step, len(xs)), n, n), dtype=r.dtype)
-    for s in range(0, len(xs), step):
-        xb = xs[s : s + step].tolist()
-        v = vbuf[: len(xb)]
-        # One x-plane at a time: besides the slab, only n x n arrays exist.
-        for plane, x in zip(v, xb):
-            plane[...] = block_value(l, q, x, Y, Z)
-        yield s * n * n, v.ravel()
 
 
 def block_frame(l, q):
@@ -635,6 +608,6 @@ def load_form(path: str) -> CubicForm:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             d = json.load(fh)
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # bad JSON, bad UTF-8, an oversized int literal
             raise InvalidFormError(f"form file is not valid JSON: {e}") from e
     return form_from_dict(d)

@@ -37,7 +37,7 @@ from .arith import crt_pair, factorize, inverse_mod, is_prime, v_p
 from .errors import DegenerateBlockError, DomainError, ResourceLimitError
 from .forms import (
     CubicForm, _block_content, _block_factors, _gram_matrix, _permute_block, _primed,
-    _product_coefficients, _quad_terms, block_slabs, content_decomposition, cube_residues,
+    _product_coefficients, _quad_terms, block_value, content_decomposition, cube_residues,
 )
 from .payload import Payload
 
@@ -186,10 +186,13 @@ def _block_reach(l, q, m: int):
     # Reduced l, q and residues: |L*Q| <= 18 (m - 1)^5 < 2^63 for m <= 360.
     l = [v % m for v in l]
     q = [v % m for v in q]
+    r = np.arange(m, dtype=np.int64)
+    idx = np.arange(m * m)
     wit = np.full(m, m ** 3, dtype=np.int64)
-    for first, v in block_slabs(l, q, np.arange(m, dtype=np.int64)):
-        np.remainder(v, m, out=v)
-        np.minimum.at(wit, v, np.arange(first, first + len(v)))
+    # Residue (x, y, z) has flat index (x * m + y) * m + z.
+    for x in range(m):
+        v = np.broadcast_to(block_value(l, q, x, r[:, None], r) % m, (m, m))
+        np.minimum.at(wit, v.ravel(), x * m * m + idx)
     return wit < m ** 3, wit
 
 
@@ -231,10 +234,8 @@ def _f_mod_p_batch(form: CubicForm, xs: np.ndarray, p: int) -> np.ndarray:
     return f % p
 
 
-def _base_points_mod_p(form: CubicForm, N: int, p: int, limit: int):
-    """Up to `limit` solutions of f = N (mod p), exact for small p."""
-    if p <= _EXHAUSTIVE_CAP:
-        return _exhaustive_points(form, N, p, limit)
+def _search_points_mod_p(form: CubicForm, N: int, p: int, limit: int):
+    """Up to `limit` solutions of f = N (mod p) among 2^23 Philox draws."""
     out = []
     rng = np.random.Generator(np.random.Philox(key=[20240, p]))
     nm = N % p
@@ -283,13 +284,14 @@ def _solve_prime_power(form: CubicForm, N: int, p: int, k: int):
     if m <= _EXHAUSTIVE_CAP:
         pts = _exhaustive_points(form, N, m, 1)
         return (True, pts[0]) if pts else (False, None)
-    base = _base_points_mod_p(form, N, p, limit=500)
-    if not base:
-        if p <= _EXHAUSTIVE_CAP:
+    if p <= _EXHAUSTIVE_CAP:
+        base = _exhaustive_points(form, N, p, 500)
+        if not base:
             return False, None  # exhaustive base scan found nothing
-        raise ResourceLimitError(
-            f"no base point found mod {p}; cannot certify either way"
-        )
+    else:
+        base = _search_points_mod_p(form, N, p, 500)
+        if not base:
+            raise ResourceLimitError(f"no base point found mod {p}; cannot certify either way")
     if k == 1:
         return True, base[0]
     # Nonsingular points first: those lift unconditionally.

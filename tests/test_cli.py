@@ -207,6 +207,17 @@ def test_error_exit_codes(capsys, tmp_path):
         assert code == 2 and out == "" and "eps" in err
 
 
+@pytest.mark.parametrize("data", [
+    b'\xff\xfe{"a": [1, 0, 0, 1, 0, 0, 1]}',
+    b'{"a": [1, 0, 0, 1, 0, ' + b"1" * 4301 + b', 1]}',  # past Python's int-digit limit
+], ids=["not-utf8", "long-int"])
+def test_unreadable_form_file(capsys, tmp_path, data):
+    path = tmp_path / "form.json"
+    path.write_bytes(data)
+    code, out, err = run_cli(capsys, "--form", str(path), "classify")
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
 @pytest.mark.parametrize("text", ["1.5", "true", '"1"', "1e0"])
 def test_form_file_coefficients_must_be_integers(capsys, tmp_path, text):
     path = tmp_path / "form.json"

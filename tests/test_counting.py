@@ -32,7 +32,7 @@ from cubic7.forms import (
     BOX_KINDS,
     COEFF_CAP,
     CubicForm,
-    block_slabs,
+    block_value,
     box_interval,
     box_range,
     linear_spaces,
@@ -62,7 +62,7 @@ def test_value_histogram_vs_brute(f_star):
             assert h.total() == sum(brute.values())
             assert h.count_of(0) == brute.get(0, 0)
     # Blocks whose block_value is a scalar, a column (x, y only), a row
-    # (x, z only) or zero on each x-plane: block_slabs broadcasts it.
+    # (x, z only) or zero on each x-plane: _scan_slabs broadcasts it.
     planes = [((2, 0, 0), (3, 0, 0, 0, 0, 0)), ((1, 0, 0), (0, 1, 0, 0, 0, 0)),
               ((0, 0, 1), (0, 0, 0, 0, 1, 0)), ((0, 1, 0), (0,) * 6)]
     for box in ("sym", "pos", "nonneg"):
@@ -340,9 +340,16 @@ def _sorted_arrays(hist):
 
 
 def _full_scan(l, q, P):
-    """The sym histogram by np.unique over every slab of the whole grid."""
+    """The sym histogram by np.unique over groups of x-planes of the whole grid."""
     r = np.arange(-P, P + 1, dtype=np.int64)
-    parts = [np.unique(v, return_counts=True) for _, v in block_slabs(l, q, r)]
+    n = len(r)
+    parts = []
+    v = np.empty((64, n, n), dtype=np.int64)
+    for s in range(0, n, 64):
+        xs = r[s : s + 64].tolist()
+        for plane, x in zip(v, xs):
+            plane[...] = block_value(l, q, x, r[:, None], r)
+        parts.append(np.unique(v[: len(xs)], return_counts=True))
     vals, inv = np.unique(np.concatenate([u for u, _ in parts]), return_inverse=True)
     cnts = np.zeros(len(vals), dtype=np.int64)
     np.add.at(cnts, inv, np.concatenate([c for _, c in parts]))
@@ -366,7 +373,7 @@ def test_sym_histogram_half_scan(monkeypatch, f_fac1):
             h = value_histogram.__wrapped__(l, q, "sym", P)
             assert not h.is_big
             _assert_hist(h, *_sorted_arrays(block_values_brute(l, q, "sym", P)))
-    # Several slabs of block_slabs, the last one shorter, at P = 128.
+    # Several slabs of _scan_slabs, the last one shorter, at P = 128.
     dense = (tuple(rng.choice((-1, 1)) for _ in range(3)),
              tuple(rng.choice((-1, 1)) for _ in range(6)))
     for P in (64, 128):

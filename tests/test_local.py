@@ -181,12 +181,15 @@ def test_congruence_solvable_small_moduli(f_star):
 def test_block_reach_vs_residue_scan():
     # Reachable residues and first-hit witnesses against a plain scan of the
     # residue cube in flat-index order, on unreduced random coefficients and
-    # on x*y^2, whose block_value is a column on each x-plane.
+    # on blocks whose block_value is a column (x*y^2), a scalar (x^3) or zero
+    # (Q = 0) on each x-plane.
     rng = random.Random(29)
+    planes = [((1, 0, 0), (0, 1, 0, 0, 0, 0)), ((1, 0, 0), (1, 0, 0, 0, 0, 0)),
+              ((0, 1, 0), (0,) * 6)]
     for m in range(1, 31):
         l = tuple(rng.randint(-COEFF_CAP, COEFF_CAP) for _ in range(3))
         q = tuple(rng.randint(-COEFF_CAP, COEFF_CAP) for _ in range(6))
-        for l, q in ((l, q), ((1, 0, 0), (0, 1, 0, 0, 0, 0))):
+        for l, q in ((l, q), *planes):
             first = {}
             for i, x in enumerate(itertools.product(range(m), repeat=3)):
                 first.setdefault(_block(l, q, *x) % m, i)
