@@ -110,9 +110,11 @@ def surface_audit(A: int, N: int, sizes) -> GrowthAudit:
 
 def second_moment(l, q, P: int) -> int:
     """Sum of c(n)^2 over n != 0 for one block on the Sym box."""
-    h = value_histogram(tuple(l), tuple(q), "sym", P)
-    # Exact in int64: the sum of c^2 is at most (sum of c)^2 <= _GRID_CAP^2.
-    return int(h.cnts @ h.cnts) - h.count_of(0) ** 2
+    _, c = value_histogram(tuple(l), tuple(q), "sym", P)._half()
+    # The sym histogram is even and stored by its half, which starts at
+    # u = 0: the sum is twice that over u > 0.  Exact in int64: it is at
+    # most (sum of c)^2 <= _GRID_CAP^2.
+    return 2 * int(c[1:] @ c[1:])
 
 
 def second_moment_audit(l, q, P_list) -> GrowthAudit:

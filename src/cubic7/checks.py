@@ -35,6 +35,7 @@ from .oracles import (
     adjugate_brute,
     apply_unimodular,
     block_sum_brute,
+    block_values_brute,
     random_unimodular,
     representation_counts_brute,
     union_membership_brute,
@@ -151,11 +152,16 @@ def _check_histogram(form: CubicForm) -> tuple[bool, str]:
         h = value_histogram(l, q, form.box, P)
         if h.total() != m ** 3:
             return False, f"mass {h.total()} != {m ** 3}"
-        if form.box == "sym":
-            for v, c in h.items():
-                if h.count_of(-v) != c:
-                    return (False,
-                            f"parity broken at value {v}: {c} vs {h.count_of(-v)}")
+        # Against an independent enumeration: the sym histogram is stored by
+        # its half, so its own parity holds by construction.
+        want = block_values_brute(l, q, form.box, P)
+        got = dict(h.items())
+        for v in sorted(got.keys() | want.keys()):
+            a, b = got.get(v, 0), want.get(v, 0)
+            if a != b:
+                return False, f"value {v}: {a} vs {b} enumerated"
+            if form.box == "sym" and want.get(-v, 0) != b:
+                return False, f"parity broken at value {v}: {b} vs {want.get(-v, 0)}"
     return True, f"block mass = {m}^3 and sym parity hold at P = {P}"
 
 

@@ -11,12 +11,15 @@ int64 when every one lies in (-2^62, 2^62), so that every sum and
 difference of two values fits int64, and as Python ints otherwise.  On the
 sym box L*Q(-x) = -L*Q(x), so the histogram is even: a scan of |L*Q| over
 the slabs x1 > 0 and the plane x1 = 0 gives it, the counts at u and -u
-together, and the signed values are written once at the end.  Both grid
-caps still apply to the full box.  The cube term is folded once into the
-narrower histogram, g = h * {a7 t^3}, by 2P+1 dense slice adds; when that
-histogram and the cubes are symmetric (the sym box), g is even, and only
-its half w >= 0 is added up and stored.  Every N is then one int64 dot of
-the other histogram's counts against g.  An entry of g is at most the
+together, and it is stored and read by that half u >= 0; the signed values
+are only built for the cold paths that list them.  Each slab's runs are
+merged into the running histogram by a search, in memory linear in the
+output.  Both grid caps still apply to the full box.  The cube term is
+folded once into the narrower histogram, g = h * {a7 t^3}, by 2P+1 dense
+slice adds from a dense copy of h, only its half when h is even; when the
+cubes are symmetric too (the sym box), g is even, and only its half
+w >= 0 is added up and stored.  Every N is then one int64 dot of the other
+histogram's counts against g.  An entry of g is at most the
 folded total (v and w fix t), so g is int32 below 2^31, and every partial
 sum of a dot is at most total1 * total2 <= _GRID_CAP^2 < 2^63.  Big-int
 histograms, a failed 2^63 bound or a fold window above _DENSE_CAP fall
@@ -49,28 +52,67 @@ _INT64_LIMIT = 1 << 63  # slab bounds and counts below this are exact int64
 class BlockHistogram:
     """Multiset of one block's values over the box, value -> multiplicity.
 
-    vals is a sorted array of distinct values, int64 when every value lies
-    in (-2^62, 2^62) and object dtype (Python ints) otherwise, whatever the
-    dtype of the slabs it was scanned from; cnts is int64.
+    A full histogram stores vals, a sorted array of distinct values, int64
+    when every value lies in (-2^62, 2^62) and object dtype (Python ints)
+    otherwise, whatever the dtype of the slabs it was scanned from, and
+    cnts, int64.  An even histogram, h(-u) = h(u) (the sym box), stores
+    only its half: the sorted distinct values u >= 0, which start at 0,
+    int64 when u[-1] < 2^62 and object otherwise, and c[i] = h(u[i]).  Its
+    vals and cnts are the signed arrays, built on each access for the cold
+    paths that ask for them.
     """
 
-    __slots__ = ("vals", "cnts")
+    __slots__ = ("_vals", "_cnts", "_even")
 
     def __init__(self, vals, cnts):
-        self.vals = vals
-        self.cnts = cnts
+        self._vals, self._cnts, self._even = vals, cnts, False
+
+    @classmethod
+    def _from_half(cls, u, c) -> "BlockHistogram":
+        h = cls(u, c)
+        h._even = True
+        return h
+
+    def _half(self):
+        """(u, c) of an even histogram, None for a full one."""
+        return (self._vals, self._cnts) if self._even else None
+
+    @property
+    def vals(self):
+        if not self._even:
+            return self._vals
+        u = self._vals
+        vals = np.empty(2 * len(u) - 1, dtype=u.dtype)
+        vals[len(u) - 1 :] = u
+        np.negative(u[:0:-1], out=vals[: len(u) - 1])
+        return vals
+
+    @property
+    def cnts(self):
+        c = self._cnts
+        return np.concatenate((c[:0:-1], c)) if self._even else c
+
+    def _range(self) -> tuple[int, int]:
+        """The smallest and the largest value."""
+        if self._even:
+            return -int(self._vals[-1]), int(self._vals[-1])
+        return int(self._vals[0]), int(self._vals[-1])
 
     @property
     def is_big(self) -> bool:
-        return self.vals.dtype == object
+        return self._vals.dtype == object
 
     def total(self) -> int:
-        return int(self.cnts.sum())
+        if self._even:
+            return 2 * int(self._cnts.sum()) - int(self._cnts[0])
+        return int(self._cnts.sum())
 
     def count_of(self, v: int) -> int:
-        i = int(np.searchsorted(self.vals, v))
-        if i < len(self.vals) and int(self.vals[i]) == v:
-            return int(self.cnts[i])
+        if self._even:
+            v = abs(v)
+        i = int(np.searchsorted(self._vals, v))
+        if i < len(self._vals) and int(self._vals[i]) == v:
+            return int(self._cnts[i])
         return 0
 
     def items(self):
@@ -85,14 +127,33 @@ def _runs(v):
     return np.flatnonzero(edge)
 
 
-def _merge_unique(*parts):
-    """One histogram from sorted (vals, cnts) parts, adding equal values."""
-    v = np.concatenate([p[0] for p in parts])
-    c = np.concatenate([p[1] for p in parts])
-    order = np.argsort(v, kind="stable")
-    v = v[order]
-    starts = _runs(v)
-    return v[starts], np.add.reduceat(c[order], starts)
+def _merge_unique(a, b):
+    """One histogram from two sorted, duplicate-free (vals, cnts) parts,
+    adding the counts of equal values, in the dtypes of a and in memory
+    linear in the output: each value of b is either found in a, and its
+    count added there, or inserted at its search position, shifted by the
+    values of b inserted before it."""
+    av, ac = a
+    bv, bc = b
+    pos = np.searchsorted(av, bv)
+    # pos is nondecreasing: only its prefix below len(av) can find a value.
+    j = int(np.searchsorted(pos, len(av)))
+    found = np.zeros(len(bv), dtype=bool)
+    found[:j] = av[pos[:j]] == bv[:j]
+    ac = ac.copy()
+    ac[pos[found]] += bc[found]
+    new = ~found
+    ins = pos[new]
+    ins += np.arange(len(ins))
+    vals = np.empty(len(av) + len(ins), dtype=av.dtype)
+    cnts = np.empty(len(vals), dtype=ac.dtype)
+    old = np.ones(len(vals), dtype=bool)
+    old[ins] = False
+    vals[ins] = bv[new]
+    vals[old] = av
+    cnts[ins] = bc[new]
+    cnts[old] = ac
+    return vals, cnts
 
 
 def _scan_slabs(l, q, r, xs, absolute: bool = False):
@@ -173,10 +234,11 @@ def value_histogram(l, q, box: str, P: int) -> BlockHistogram:
     slabs x1 > 0 and on the plane x1 = 0.  With A(u) the count of |v| = u
     on x1 > 0 (the slabs x1 < 0 are their mirror) and C(u) that on the
     plane, which is symmetric itself, h(u) = A(u) + C(u)/2 for u > 0 and
-    h(0) = 2 A(0) + C(0).  The pos and nonneg boxes are scanned in full.
-    The values are stored as int64 when all of them lie in (-2^62, 2^62),
-    and as Python ints otherwise.  The cache holds the two blocks of one
-    radius: every caller reuses only the histograms just built.
+    h(0) = 2 A(0) + C(0); the histogram is stored by this half.  The pos
+    and nonneg boxes are scanned in full.  The values are stored as int64
+    when all of them lie in (-2^62, 2^62), and as Python ints otherwise.
+    The cache holds the two blocks of one radius: every caller reuses only
+    the histograms just built.
     """
     r = _histogram_scan(l, q, box, P)
     if box != "sym":
@@ -189,11 +251,8 @@ def value_histogram(l, q, box: str, P: int) -> BlockHistogram:
     # c = 2 A + C is h(0) at u[0] = 0 (the origin lies on the plane) and
     # twice h(u) after it.
     c[1:] //= 2
-    n = len(u)
-    vals = np.empty(2 * n - 1, dtype=np.int64 if int(u[-1]) < _INT64_SAFE else object)
-    vals[n - 1 :] = u
-    np.negative(vals[n:], out=vals[: n - 1][::-1])
-    return BlockHistogram(vals, np.concatenate((c[:0:-1], c)))
+    return BlockHistogram._from_half(
+        u.astype(np.int64 if int(u[-1]) < _INT64_SAFE else object, copy=False), c)
 
 
 def _cube_fold(h: BlockHistogram, cubes):
@@ -203,35 +262,68 @@ def _cube_fold(h: BlockHistogram, cubes):
 
     Given w and v, the cube a7 t^3 = w - v fixes t, so no entry of g
     exceeds h.total(): g is int32 below 2^31 and int64 otherwise.  When h
-    and the cubes are both symmetric under v -> -v (the sym box; checked on
-    the arrays), g is even: only its half w >= 0 is added up and stored,
-    gmin is None, and g(w) = g[|w|].
+    is even (stored by its half, or a full histogram whose values and
+    counts are symmetric), its dense copy is the half, dense[u] = h(u) for
+    0 <= u <= vmax, and a slice add reads v < 0 from it at |v|.
+    When the cubes are symmetric too (the sym box), g is even: only its
+    half w >= 0 is added up and stored, gmin is None, and g(w) = g[|w|].
     """
-    vmin = int(h.vals[0])
-    width = int(h.vals[-1]) - vmin + 1
+    vmin, vmax = h._range()
+    width = vmax - vmin + 1
     cmin = min(cubes)
     span = max(cubes) - cmin
     if width + span > _DENSE_CAP:
         return None
     dtype = np.int32 if h.total() < _INT32_LIMIT else np.int64
-    even = (cubes == [-c for c in reversed(cubes)]
-            and np.array_equal(h.vals, -h.vals[::-1]) and np.array_equal(h.cnts, h.cnts[::-1]))
+    sym_cubes = cubes == [-c for c in reversed(cubes)]
+    half = h._half()
+    if half is None and sym_cubes:
+        v, c = h.vals, h.cnts
+        if np.array_equal(v, -v[::-1]) and np.array_equal(c, c[::-1]):
+            # The values >= 0 of a symmetric full histogram; 0 may be absent.
+            half = v[len(v) // 2 :], c[len(v) // 2 :]
+    even = sym_cubes and half is not None
     # w = 0 sits at the middle of an even fold's odd-length window.
     mid = (width + span) // 2 if even else 0
     # g before the temporary dense copy: the returned g then takes a free
     # block of the heap, and dense, freed on return, sits at its top.
     g = np.zeros(width + span - mid, dtype=dtype)
-    dense = np.zeros(width, dtype=dtype)
-    dense[h.vals - vmin] = h.cnts
+    if half is None:
+        dense = np.zeros(width, dtype=dtype)
+        dense[h.vals - vmin] = h.cnts
+    else:
+        dense = np.zeros(vmax + 1, dtype=dtype)
+        dense[half[0]] = half[1]
     starts = [c - cmin for c in cubes]
+    # A read of v < 0 runs forward through dense into `back`, which holds
+    # the tile reversed, back[e - 1 - i] for window index i, and back is
+    # added to the tile once: an add from a reversed view of 2^17 int32
+    # entries costs about 3.7 forward ones.
+    back = None if half is None else np.empty(_FOLD_TILE, dtype=dtype)
     # The same 2P+1 slice adds, tiled so each tile of g stays in cache.
+    # Window index i holds w = i + vmin + cmin; the add at offset o reads
+    # v = i - o + vmin over a <= i < b.
     for s in range(mid, width + span, _FOLD_TILE):
         e = min(s + _FOLD_TILE, width + span)
         tile = g[s - mid : e - mid]
+        if back is not None:
+            back[: e - s] = 0
         for o in starts:
             a, b = max(s, o), min(e, o + width)
-            if a < b:
+            if a >= b:
+                continue
+            if half is None:
                 tile[a - s : b - s] += dense[a - o : b - o]
+                continue
+            va, vb = a - o + vmin, b - o + vmin
+            if vb > 0:
+                p = max(va, 0)
+                tile[p + o - vmin - s : b - s] += dense[p:vb]
+            if va < 0:
+                q = min(vb, 0)
+                back[e - (q + o - vmin) : e - a] += dense[1 - q : 1 - va]
+        if back is not None:
+            tile += back[: e - s][::-1]
     return (None if even else vmin + cmin), g
 
 
@@ -245,7 +337,8 @@ def _fold(h1: BlockHistogram, h2: BlockHistogram, cubes):
     """
     if h1.is_big or h2.is_big or h1.total() * h2.total() >= _INT64_LIMIT:
         return None
-    if h2.vals[-1] - h2.vals[0] <= h1.vals[-1] - h1.vals[0]:
+    (lo1, hi1), (lo2, hi2) = h1._range(), h2._range()
+    if hi2 - lo2 <= hi1 - lo1:
         narrow, other = h2, h1
     else:
         narrow, other = h1, h2
@@ -255,20 +348,34 @@ def _fold(h1: BlockHistogram, h2: BlockHistogram, cubes):
     return (other, *folded)
 
 
+def _gather_dot(vals, cnts, lo: int, hi: int, g, k: int, sign: int) -> int:
+    """Sum of cnts[i] * g[k + sign * vals[i]] over lo <= vals[i] <= hi."""
+    lo, hi = max(lo, int(vals[0])), min(hi, int(vals[-1]))
+    if lo > hi:
+        return 0
+    i0 = int(np.searchsorted(vals, lo, side="left"))
+    i1 = int(np.searchsorted(vals, hi, side="right"))
+    v = vals[i0:i1]
+    return int(np.dot(cnts[i0:i1], g[k - v] if sign < 0 else g[k + v]))
+
+
 def _fold_count(other: BlockHistogram, gmin: int | None, g, N: int) -> int:
     """#{(v, w) : v + w = N} with v from `other` and w from the fold g,
     read as g[w - gmin].  An even fold (gmin None) holds g(w) = g(-w) for
     w >= 0 only: w >= 0 reads it from 0, and w < 0 reads its reversed view
-    g[:0:-1], which starts at w = 1 - len(g)."""
+    g[:0:-1], which starts at w = 1 - len(g).  An even `other` is read by
+    its half: v = u >= 0 and v = -u for u > 0."""
     if gmin is None:
         return _fold_count(other, 0, g, N) + _fold_count(other, 1 - len(g), g[:0:-1], N)
-    lo = max(N - (gmin + len(g) - 1), int(other.vals[0]))
-    hi = min(N - gmin, int(other.vals[-1]))
-    if lo > hi:
-        return 0
-    i0 = int(np.searchsorted(other.vals, lo, side="left"))
-    i1 = int(np.searchsorted(other.vals, hi, side="right"))
-    return int(np.dot(other.cnts[i0:i1], g[(N - gmin) - other.vals[i0:i1]]))
+    # g[k - v] is the fold at w = N - v, inside g for lo <= v <= hi.
+    k = N - gmin
+    lo, hi = k - len(g) + 1, k
+    half = other._half()
+    if half is None:
+        return _gather_dot(other.vals, other.cnts, lo, hi, g, k, -1)
+    u, c = half
+    return (_gather_dot(u, c, max(lo, 0), hi, g, k, -1)
+            + _gather_dot(u, c, max(-hi, 1), -lo, g, k, 1))
 
 
 def _pair_count_sparse(h1: BlockHistogram, h2: BlockHistogram, t: int) -> int:
@@ -305,10 +412,11 @@ def representation_counts(form: CubicForm, Ns, P: int) -> list[int]:
     cubes = [form.a7 * t ** 3 for t in box_range(form.box, P)]
     fold = _fold(h1, h2, cubes)
     if fold is None:
-        if h1.is_big != h2.is_big:
-            # Python-int values on both sides once, not per cube target.
-            h1, h2 = (h if h.is_big else BlockHistogram(h.vals.astype(object), h.cnts)
-                      for h in (h1, h2))
+        # The signed arrays once, not per cube target, with Python-int
+        # values on both sides when either histogram is big.
+        big = h1.is_big or h2.is_big
+        h1, h2 = (BlockHistogram(h.vals.astype(object, copy=False) if big else h.vals, h.cnts)
+                  for h in (h1, h2))
         return [sum(_pair_count_sparse(h1, h2, N - c) for c in cubes) for N in Ns]
     return [_fold_count(*fold, N) for N in Ns]
 

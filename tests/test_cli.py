@@ -5,11 +5,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from cubic7 import checks, expsums
+from cubic7 import checks, counting, expsums
 from cubic7.cli import DEFAULT_FORM, main
-from cubic7.counting import count_representations
+from cubic7.counting import BlockHistogram, count_representations
 from cubic7.forms import form_to_dict
 
 
@@ -171,6 +172,42 @@ def test_verify_names_a_crashed_check(monkeypatch, f_star):
         {"name": "form-json-roundtrip", "passed": True,
          "detail": "form survives a JSON round trip"},
     ]
+
+
+def test_histogram_check_reads_the_enumeration(monkeypatch, f_star):
+    # The sym histogram is stored by its half, so a parity clause on it
+    # alone always holds: the check compares each block with the
+    # enumeration.  Dropping the plane x1 = 0, not halving the counts at
+    # u > 0, or moving one count between two values (mass and parity kept)
+    # must each fail it.
+    assert checks._check_histogram(f_star) == (
+        True, "block mass = 13^3 and sym parity hold at P = 6")
+    build = counting.value_histogram.__wrapped__
+    scan = counting._scan_slabs
+
+    def no_plane(l, q, r, xs, absolute=False):
+        return scan(l, q, r, xs if len(xs) > 1 else xs[:0], absolute)
+
+    def doubled(l, q, box, P):
+        u, c = build(l, q, box, P)._half()
+        return BlockHistogram._from_half(u, np.concatenate((c[:1], 2 * c[1:])))
+
+    def moved(l, q, box, P):
+        u, c = build(l, q, box, P)._half()
+        c = c.copy()
+        c[1] -= 1
+        c[2] += 1
+        return BlockHistogram._from_half(u, c)
+
+    monkeypatch.setattr(checks, "value_histogram", build)
+    with monkeypatch.context() as m:
+        m.setattr(counting, "_scan_slabs", no_plane)
+        assert checks._check_histogram(f_star)[1] == "mass 2028 != 2197"
+    monkeypatch.setattr(checks, "value_histogram", doubled)
+    assert not checks._check_histogram(f_star)[0]
+    monkeypatch.setattr(checks, "value_histogram", moved)
+    ok, detail = checks._check_histogram(f_star)
+    assert not ok and detail.endswith(" enumerated")
 
 
 def test_form_file_and_global_flag_positions(capsys, tmp_path, f_fac1):

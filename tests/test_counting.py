@@ -18,6 +18,7 @@ from cubic7.counting import (
     _fold,
     _fold_count,
     _histogram_scan,
+    _merge_unique,
     _pair_count_sparse,
     chi,
     count_representations,
@@ -361,8 +362,9 @@ def _assert_hist(h, vals, cnts):
 
 
 def test_sym_histogram_half_scan(monkeypatch, f_fac1):
-    # The sym histogram scans x1 > 0 and the plane x1 = 0 and mirrors the
-    # half; it must equal the full scan value for value and count for count.
+    # The sym histogram scans x1 > 0 and the plane x1 = 0 and keeps the
+    # half; its signed arrays must equal the full scan value for value and
+    # count for count.
     rng = random.Random(14)
     blocks = [((0, 1, 0), (1, -2, 0, 3, 0, 1)), ((0, 0, 1), (2, 0, -1, 0, 1, 0))]
     for a1 in (0, 0, 1, -2, 3):
@@ -398,7 +400,7 @@ def test_sym_histogram_half_scan(monkeypatch, f_fac1):
 ])
 def test_sym_histogram_abs_edge_cases(monkeypatch, l, q):
     # The sym histogram counts |L*Q| on x1 > 0 and on the plane x1 = 0 and
-    # writes the signed values once; zero-only planes, L = 0, Q = 0 and
+    # keeps the half; zero-only planes, L = 0, Q = 0 and
     # disjoint |v| sets on the half and the plane must give the full scan.
     for P in (1, 2, 5):
         brute = _sorted_arrays(block_values_brute(l, q, "sym", P))
@@ -418,9 +420,56 @@ def test_sym_histogram_abs_edge_cases(monkeypatch, l, q):
         _assert_hist(h, *_sorted_arrays(brute))
 
 
+def _merge_part(draw, values, dtype):
+    vals = sorted(draw(st.sets(values)))
+    cnts = draw(st.lists(st.integers(1, 10 ** 6), min_size=len(vals), max_size=len(vals)))
+    return np.array(vals, dtype=dtype), np.array(cnts, dtype=np.int64)
+
+
+@st.composite
+def _merge_parts(draw):
+    dtype = draw(st.sampled_from((np.int32, np.int64, object)))
+    bound = {np.int32: 2 ** 31 - 1, np.int64: 2 ** 63 - 1, object: 10 ** 30}[dtype]
+    # A narrow pool makes overlaps likely, a wide one disjoint parts.
+    lo = draw(st.integers(-bound, bound - 40))
+    values = draw(st.sampled_from((st.integers(lo, lo + 40), st.integers(-bound, bound))))
+    a = _merge_part(draw, values, dtype)
+    mode = draw(st.sampled_from(("drawn", "same", "empty")))
+    if mode == "same":
+        b = a[0].copy(), a[1][::-1].copy()
+    elif mode == "empty":
+        b = a[0][:0], a[1][:0]
+    else:
+        b = _merge_part(draw, values, dtype)
+    return (a, b) if draw(st.booleans()) else (b, a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_merge_parts())
+@example(((np.array([1, 3], dtype=np.int32), np.array([1, 1])),
+          (np.array([0, 2, 4], dtype=np.int32), np.array([2, 2, 2]))))
+@example(((np.array([], dtype=object), np.array([], dtype=np.int64)),
+          (np.array([2 ** 70], dtype=object), np.array([5]))))
+def test_merge_unique_vs_unique(parts):
+    # Disjoint, interleaved, fully overlapping and empty parts of every slab
+    # dtype merge to the sorted distinct values with summed counts, in the
+    # inputs' dtype, and leave the inputs as they were.
+    a, b = parts
+    kept = [x.copy() for x in (*a, *b)]
+    vals, cnts = _merge_unique(a, b)
+    want, inv = np.unique(np.concatenate((a[0], b[0])), return_inverse=True)
+    sums = np.zeros(len(want), dtype=np.int64)
+    np.add.at(sums, inv, np.concatenate((a[1], b[1])))
+    assert vals.dtype == a[0].dtype and cnts.dtype == np.int64
+    assert vals.tolist() == want.tolist() and np.array_equal(cnts, sums)
+    assert all(np.array_equal(x, y) for x, y in zip(kept, (*a, *b)))
+
+
 def test_histogram_build_memory():
-    # A cold sym histogram sorts half-grid slab buffers in place; the full
-    # scan through np.unique peaked at about 58 MB here.
+    # A cold sym histogram sorts half-grid slab buffers in place, merges
+    # their runs by search and keeps its half: about 9.9 MB under
+    # tracemalloc (10.8 MB with the argsort merge and the signed arrays);
+    # the full scan through np.unique peaked at about 58 MB here.
     import tracemalloc
 
     tracemalloc.start()
@@ -434,9 +483,12 @@ def test_histogram_build_memory():
 
 def test_count_memory(f_fac1):
     # Cold histograms of f_fac1 at P = 128 and their fold: the |L*Q| scan
-    # and the even fold stored for w >= 0 peak at about 68.5 MB under
-    # tracemalloc, in block 1's slab merges; the signed half scan with its
-    # mirror merge and the fold mirrored in full peaked at about 94 MB.
+    # with slab merges linear in their output, both histograms kept by
+    # their half and the even fold stored for w >= 0 from a half-width
+    # dense copy peak at about 53.4 MB under tracemalloc.  The argsort
+    # merges and the signed arrays peaked at about 68 MB, in block 1's slab
+    # merges, and the signed half scan with its mirror merge and the fold
+    # mirrored in full at about 94 MB.
     import tracemalloc
 
     value_histogram.cache_clear()
@@ -447,7 +499,7 @@ def test_count_memory(f_fac1):
     finally:
         tracemalloc.stop()
         value_histogram.cache_clear()
-    assert peak < 80e6
+    assert peak < 62e6
 
 
 def test_fold_vs_sparse(f_star, f_fac1, f_iii):
@@ -531,11 +583,22 @@ def test_sym_cube_fold_is_the_full_fold(a7, f_star, f_fac1, f_iii):
                 half_gmin, half = _cube_fold(h, cubes)
                 assert half_gmin is None and half.dtype == g.dtype
                 assert np.array_equal(half, g[-gmin:])
+                # The same histogram stored full takes the same half window,
+                # and without the cube t = -P the half dense copy still
+                # fills the full window.
+                full = BlockHistogram(h.vals, h.cnts)
+                assert h._half() is not None and full._half() is None
+                assert np.array_equal(_cube_fold(full, cubes)[1], half)
+                cut_gmin, cut = _cube_fold(h, cubes[1:])
+                lop_gmin, lop = _cube_fold(_lopsided(h), cubes[1:])
+                assert cut_gmin == lop_gmin and np.array_equal(cut, lop[:-1])
                 n_lo, n_hi = int(other.vals[0]) + gmin, int(other.vals[-1]) - gmin
                 Ns = [n_lo - 1, n_lo, rng.randint(n_lo, -1), 0,
                       rng.randint(1, n_hi), n_hi, n_hi + 1]
                 counts = [_fold_count(other, None, half, N) for N in Ns]
                 assert counts == [_fold_count(other, gmin, g, N) for N in Ns]
+                other_full = BlockHistogram(other.vals, other.cnts)
+                assert counts == [_fold_count(other_full, gmin, g, N) for N in Ns]
                 assert counts[0] == counts[-1] == 0 and counts[1] > 0 and counts[-2] > 0
     # The pos and nonneg boxes keep the full fold, and their counts are
     # still the enumerated ones.
