@@ -12,17 +12,23 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 
-from .audits import power_congruence_audit, second_moment_audit, surface_audit
-from .checks import verify
-from .counting import count_representations, count_zeros, value_histogram
-from .density import singular_integral
-from .errors import DomainError, ResourceLimitError
-from .experiment import predict
-from .expsums import prime_power_profile, singular_series
-from .forms import CubicForm, classify, form_to_dict, load_form
-from .local import local_report
+# numpy's OpenBLAS starts a worker thread on import that cubic7 never uses:
+# its integer products are not BLAS, and its one LAPACK call (fit's lstsq)
+# solves systems of a few rows.  On 2 CPUs, `import numpy` took 0.241 s in
+# a fresh process with the worker and 0.156 s without (median of 10); the
+# idle worker spun 60 ms of CPU during the import and 130 ms more after a
+# BLAS call.  Set here, before the first import that reaches numpy, and not
+# in the package, whose callers keep their own BLAS; a value already in the
+# environment wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+# Each subcommand imports its own modules in _run, so a process loads only
+# what it uses.
+from .errors import DomainError, ResourceLimitError  # noqa: E402
+from .forms import CubicForm, classify, form_to_dict, load_form  # noqa: E402
 
 # The running example form: x1(x1 x2 + x3^2) + x4(x4 x5 + x6^2) + x7^3.
 DEFAULT_FORM = CubicForm(
@@ -79,6 +85,8 @@ def _emit(payload: dict, fmt: str, out=None) -> None:
 
 
 def _export_histogram(form: CubicForm, P: int, block: int, path: str) -> None:
+    from .counting import value_histogram
+
     l, q = form.blocks()[block - 1]
     h = value_histogram(l, q, form.box, P)
     rows = sorted(h.items())
@@ -167,6 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run(args) -> dict:
+    if args.threads < 1:
+        raise DomainError("threads must be at least 1")
     form = _read_form(args.form)
     cmd = args.command
     if cmd == "classify":
@@ -178,29 +188,42 @@ def _run(args) -> dict:
         return {"count": len(spaces),
                 "rows": [sp.to_dict() for sp in spaces]}
     if cmd == "count":
+        from .counting import count_representations
+
         val = count_representations(form, args.N, args.P)
         if args.histogram:
             _export_histogram(form, args.P, args.block, args.histogram)
         return {"N": args.N, "P": args.P, "count": val}
     if cmd == "zeros":
+        from .counting import count_zeros
+
         val = count_zeros(form, args.P)
         if args.histogram:
             _export_histogram(form, args.P, args.block, args.histogram)
         return {"P": args.P, "zeros": val}
     if cmd == "series":
+        from .expsums import prime_power_profile, singular_series
+
         N = 0 if args.zero else args.N
         est = singular_series(form, N, args.Qmax)
         return {"N": N, "value": est.value, "Qmax": est.Q,
                 "tail": list(est.tail_indicator),
                 "per_prime": prime_power_profile(est.terms)}
     if cmd == "integral":
+        from .density import singular_integral
+
         res = singular_integral(form, args.target, eps0=args.eps,
                                 samples=args.samples, seed=args.seed,
                                 threads=args.threads)
         return res.to_dict()
     if cmd == "local":
+        from .local import local_report
+
         return local_report(form, args.N)
     if cmd == "audit":
+        from .audits import (power_congruence_audit, second_moment_audit,
+                             surface_audit)
+
         if args.kind == "moment":
             l, q = form.blocks()[0]
             audit = second_moment_audit(l, q, args.sizes or [20, 40, 80])
@@ -213,12 +236,16 @@ def _run(args) -> dict:
         d["rows"] = [{"size": s, "count": c} for s, c in audit.probes]
         return d
     if cmd == "predict":
+        from .experiment import predict
+
         probes = args.P_list if args.mode == "zeros" else args.N_list
         rep = predict(form, args.mode, probes, qmax=args.qmax,
                       samples=args.samples, eps0=args.eps, seed=args.seed,
                       threads=args.threads)
         return rep.to_dict()
     if cmd == "verify":
+        from .checks import verify
+
         results = verify(form)
         return {"passed": sum(r.passed for r in results),
                 "failed": sum(not r.passed for r in results),

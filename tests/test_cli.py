@@ -235,9 +235,12 @@ def test_error_exit_codes(capsys, tmp_path):
     code, out, err = run_cli(capsys, "audit", "power", "--k", "0")
     assert code == 2 and out == "" and "k must be at least 2" in err
     for threads in ("0", "-3"):
-        code, out, err = run_cli(capsys, "--threads", threads, "integral",
-                                 "--samples", "10000")
-        assert code == 2 and out == "" and "threads" in err
+        for argv in (("integral", "--samples", "10000"),
+                     ("count", "--N", "1", "--P", "2"),
+                     ("local", "--N", "5")):
+            code, out, err = run_cli(capsys, "--threads", threads, *argv)
+            assert code == 2 and out == ""
+            assert err == "error: threads must be at least 1\n"
     for eps in ("nan", "inf", "0"):
         code, out, err = run_cli(capsys, "integral", "--eps", eps,
                                  "--samples", "20000")

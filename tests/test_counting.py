@@ -85,10 +85,21 @@ def test_histogram_views(f_star):
 
 
 def test_histogram_sym_parity(f_star):
-    # Negating a point negates the block value: the histogram is even.
-    h = value_histogram(f_star.l1, f_star.q1, "sym", 5)
-    for n, c in h.items():
-        assert h.count_of(-n) == c
+    # The sym histogram stores only the values u >= 0; count_of must read
+    # every signed value of a plain enumeration from that half, and give 0
+    # at the values next to them that the enumeration lacks.
+    dense = ((-1, 2, 7), (-9, 5, -2, -8, -4, -6))
+    for l, q in ((f_star.l1, f_star.q1), dense):
+        for P in (1, 2, 5):
+            h = value_histogram(l, q, "sym", P)
+            brute = block_values_brute(l, q, "sym", P)
+            assert min(brute) < 0
+            for n, c in brute.items():
+                assert h.count_of(n) == c
+            absent = {n + d for n in brute for d in (-1, 1)} - brute.keys()
+            assert absent
+            for n in absent:
+                assert h.count_of(n) == 0
 
 
 def test_histogram_guards(f_star):
