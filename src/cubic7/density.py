@@ -16,15 +16,16 @@ change results either: consecutive draws continue one stream, so the chunks
 of a block hold the points of one draw of the whole block, and each point's
 value and comparisons involve that point alone.
 
-Evaluation: each block allocates its draw, column and theta test buffers
-once and reuses them for every chunk.  A chunk is drawn into a (chunk, 7)
-buffer, copied once into a (7, chunk) buffer of contiguous columns, and
-mapped to the sym box there in place.  f is then CubicForm.value on those
-columns, the evaluator of f for ints and floats alike.  Its block_value
-skips zero coefficients and the product by a coefficient 1, which is exact
-(x + (+-0.0) == x for nonzero finite x, and 1*x == x): f can differ from
-the full expression only in the sign of an exact zero, so no hit changes,
-and f_min or f_max only in the sign of a zero.
+Evaluation: each block allocates its draw and theta test buffers once and
+reuses them for every chunk.  A chunk is drawn into a (chunk, 7) buffer and
+mapped to the sym box there in place (x * 2 - 1).  f is then CubicForm.value
+on the buffer's transposed view, whose rows are the seven coordinates as
+strided columns, so nothing is copied; CubicForm.value is the evaluator of f
+for ints and floats alike.  Its block_value skips zero coefficients and the
+product by a coefficient 1, which is exact (x + (+-0.0) == x for nonzero
+finite x, and 1*x == x): f can differ from the full expression only in the
+sign of an exact zero, so no hit changes, and f_min or f_max only in the
+sign of a zero.
 
 One pass serves every theta: density_ladders draws and evaluates each chunk
 once and applies the test |f(x) - theta| <= eps to the same float array for
@@ -39,6 +40,7 @@ that passed the first.
 from __future__ import annotations
 
 import math
+import mmap
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -49,15 +51,20 @@ from .forms import CubicForm
 from .payload import Payload
 
 BLOCK = 1 << 19
-# Points evaluated at once: a block's buffers (the draw, its columns and the
-# theta test row) take about 0.5 MB, and with CubicForm.value's temporaries
-# a block peaks near 1.4 MB (tracemalloc), against 60 MB for a whole block
-# in one draw.  The size changes no result, but it moves the peak RSS of
-# later phases through glibc's dynamic mmap threshold (freeing an mmapped
-# buffer raises the threshold to the buffer's size), and not monotonically:
-# on the f_fac1 count job, 1 << 12 and 1 << 16 peak about 7 MB lower than
-# 1 << 11, 1 << 13 and 1 << 14.
-_CHUNK = 1 << 12
+# Points evaluated at once.  A chunk costs about 30 small numpy calls, each
+# a hand-off of the GIL between workers, so small chunks leave the second
+# thread little to do: a 10M-point ladder took 0.43 s on two threads at
+# 1 << 12 (with a column copy) and 0.34 s at 1 << 14, against 0.68 and
+# 0.67 s on one (medians of 11 interleaved runs, 2-vCPU VM).  A worker's
+# draw buffer (917 KB) still fits a core's 2 MB L2, and past it a block
+# peaks near 0.8 MB (tracemalloc), against 60 MB for a whole block in one
+# draw.  The size changes no result.  From malloc, a buffer this size would
+# be mmapped, and freeing it would raise glibc's dynamic mmap threshold to
+# its size, so that later phases keep more freed heap resident
+# (circle-zeros peaked 2.2 MB higher, representations 0.7 MB); the draw
+# buffer is therefore mapped with the mmap module, whose unmapping leaves
+# the threshold alone.
+_CHUNK = 1 << 14
 _MASK64 = (1 << 64) - 1
 
 
@@ -72,8 +79,8 @@ def _block_stats(form, thetas, eps_levels, seed: int, index: int, count: int):
     """
     gen = np.random.Generator(np.random.Philox(key=[seed & _MASK64, index]))
     m = min(_CHUNK, count)
-    draw = np.empty((m, 7))
-    cols = np.empty((7, m))
+    # Mapped outside malloc, to leave glibc's mmap threshold alone (_CHUNK).
+    draw = np.frombuffer(mmap.mmap(-1, m * 7 * 8)).reshape(m, 7)
     tmp = np.empty(m)
     hits = [[0] * len(eps_levels) for _ in thetas]
     f_min = math.inf
@@ -81,13 +88,12 @@ def _block_stats(form, thetas, eps_levels, seed: int, index: int, count: int):
     for s in range(0, count, _CHUNK):
         n = min(_CHUNK, count - s)
         # Consecutive draws continue one stream: the points equal one draw.
-        gen.random(out=draw[:n])
-        x = cols[:, :n]
-        np.copyto(x, draw[:n].T)
+        d = draw[:n]
+        gen.random(out=d)
         if form.box == "sym":
-            x *= 2.0
-            x -= 1.0
-        f = form.value(x)
+            d *= 2.0
+            d -= 1.0
+        f = form.value(d.T)
         for h, theta in zip(hits, thetas):
             af = np.subtract(f, theta, out=tmp[:n])
             np.abs(af, out=af)
@@ -132,8 +138,11 @@ class SlabEstimate(Payload):
 def _slab(vol: float, hits: int, samples: int, eps: float) -> tuple[float, float]:
     """(density, stderr) of one slab of half-width eps from its hit count."""
     p = hits / samples
-    return (vol * p / (2.0 * eps),
-            vol * math.sqrt(p * (1.0 - p) / samples) / (2.0 * eps))
+    # Halving first keeps a finite eps above DBL_MAX / 2 from overflowing
+    # 2 * eps to inf; where 2 * eps is finite the quotients are the same,
+    # since halving is exact.
+    return (vol * p / 2.0 / eps,
+            vol * math.sqrt(p * (1.0 - p) / samples) / 2.0 / eps)
 
 
 def slab_volume(form: CubicForm, theta: float, epsilon: float, samples: int,
@@ -141,6 +150,8 @@ def slab_volume(form: CubicForm, theta: float, epsilon: float, samples: int,
     """Monte Carlo slab density at a single half-width."""
     if not math.isfinite(epsilon) or epsilon <= 0:
         raise DomainError("epsilon must be positive and finite")
+    if not math.isfinite(theta):
+        raise DomainError("theta must be finite")
     if samples < 10 ** 4:
         raise DomainError("need at least 10^4 samples")
     hits, _, _ = _sample_pass(form, (theta,), (epsilon,), samples, seed,
@@ -185,6 +196,8 @@ def _ladders(form: CubicForm, thetas, eps0: float, samples: int, seed: int,
         raise DomainError("need at least one theta")
     if not math.isfinite(eps0) or eps0 <= 0:
         raise DomainError("eps must be positive and finite")
+    if not all(math.isfinite(t) for t in thetas):
+        raise DomainError("theta must be finite")
     if samples < 10 ** 4:
         raise DomainError("need at least 10^4 samples")
     eps_levels = (eps0, eps0 / 2.0, eps0 / 4.0)

@@ -57,11 +57,13 @@ def test_ladder_hits_pinned(f_fac1):
 
 
 def test_determinism_across_threads_and_runs(f_star):
-    a = density_ladder(f_star, 0.0, samples=120_000, seed=7, threads=1)
-    b = density_ladder(f_star, 0.0, samples=120_000, seed=7, threads=3)
-    c = density_ladder(f_star, 0.0, samples=120_000, seed=7, threads=1)
+    # Three blocks, so threads=3 runs them at once; the last ends mid-chunk.
+    samples = 2 * BLOCK + 4321
+    a = density_ladder(f_star, 0.0, samples=samples, seed=7, threads=1)
+    b = density_ladder(f_star, 0.0, samples=samples, seed=7, threads=3)
+    c = density_ladder(f_star, 0.0, samples=samples, seed=7, threads=1)
     assert a.to_dict() == b.to_dict() == c.to_dict()
-    other = density_ladder(f_star, 0.0, samples=120_000, seed=8)
+    other = density_ladder(f_star, 0.0, samples=samples, seed=8)
     assert other.hits != a.hits
 
 
@@ -144,9 +146,35 @@ def test_non_finite_eps_rejected(f_star):
             slab_volume(f_star, 0.0, bad, 20_000)
 
 
+def test_non_finite_theta_rejected(f_star):
+    # A NaN or infinite level would match no point and report density 0.
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="theta must be finite"):
+            density_ladder(f_star, bad, samples=20_000)
+        with pytest.raises(DomainError, match="theta must be finite"):
+            density_ladders(f_star, [0.0, bad], samples=20_000)
+        with pytest.raises(DomainError, match="theta must be finite"):
+            slab_volume(f_star, bad, 0.1, 20_000)
+
+
+def test_huge_finite_eps_keeps_its_density(f_star):
+    # 2 * eps overflows to inf above DBL_MAX / 2; the density must not.
+    est = slab_volume(f_star, 0.0, 1.7e308, 20_000)
+    assert est.hits == est.samples
+    assert est.value == 128.0 / 2.0 / 1.7e308 > 0.0
+    assert est.stderr == 0.0
+    res = density_ladder(f_star, 0.0, eps0=1.7e308, samples=20_000)
+    assert res.densities == tuple(128.0 / 2.0 / e for e in res.eps)
+    assert res.densities[0] > 0.0
+
+
 def test_block_chunks_match_one_draw(f_star):
-    # Chunked evaluation equals evaluating the block's points in one draw,
-    # and a whole block stays far below the ~60 MB a single draw needs.
+    # Chunked evaluation equals evaluating the block's points in one draw.
+    # tracemalloc does not see the draw buffer, which is mapped outside the
+    # Python allocator; what it sees of a whole block (the theta test row
+    # and CubicForm.value's temporaries, about 49 bytes a point) stays below
+    # one (7, chunk) float buffer, 56 bytes a point, so a column copy of
+    # the draw would fail here.  A single draw of the block needs ~60 MB.
     import tracemalloc
 
     from cubic7.density import _CHUNK, _block_stats
@@ -163,7 +191,7 @@ def test_block_chunks_match_one_draw(f_star):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4e6
+    assert peak < 7 * 8 * _CHUNK
 
 
 def _random_form(rng, box):
@@ -177,10 +205,12 @@ def _random_form(rng, box):
 
 
 def test_block_stats_match_brute_values(monkeypatch):
-    # The chunked evaluator (CubicForm.value with zero coefficients dropped
-    # and unit coefficients skipped, nested eps counts) gives exactly the
-    # hits, f_min and f_max of the oracle's full expression on the same
-    # points, for any chunk size.
+    # The chunked evaluator (CubicForm.value on the draw buffer's transposed
+    # view, zero coefficients dropped and unit coefficients skipped, nested
+    # eps counts) gives exactly the hits, f_min and f_max of the oracle's
+    # full expression on the same points, for any chunk size.  The counts
+    # end mid-chunk, fall below one chunk, fill whole chunks exactly, and
+    # include 38,528, the last block of a 10M-point pass.
     import cubic7.density as density
 
     rng = random.Random(2024)
@@ -191,16 +221,20 @@ def test_block_stats_match_brute_values(monkeypatch):
                            "pos"))  # f = a7 x7^3 alone
     eps = (0.5, 0.25, 0.125)
     chunk0 = density._CHUNK
+    assert 10_000_000 % BLOCK == 38_528
     for i, form in enumerate(forms):
-        count = 3 * chunk0 + 1000 * i + 77
-        u = np.random.Generator(np.random.Philox(key=[i, 2])).random((count, 7))
-        if form.box == "sym":
-            u = 2.0 * u - 1.0
-        f = _form_value(form, list(u.T))
-        thetas = (0.0, float(np.median(f)), float(f[0]))
-        hits = [[int((np.abs(f - t) <= e).sum()) for e in eps] for t in thetas]
-        expected = (hits, float(f.min()), float(f.max()))
-        for chunk in (chunk0, 1000, 1 << 16):
-            monkeypatch.setattr(density, "_CHUNK", chunk)
-            got = density._block_stats(form, thetas, eps, i, 2, count)
-            assert got == expected
+        for count in (3 * chunk0 + 1000 * i + 77, chunk0 // 2 + 37 * i,
+                      2 * chunk0, 38_528):
+            gen = np.random.Generator(np.random.Philox(key=[i, 2]))
+            u = gen.random((count, 7))
+            if form.box == "sym":
+                u = 2.0 * u - 1.0
+            f = _form_value(form, list(u.T))
+            thetas = (0.0, float(np.median(f)), float(f[0]))
+            hits = [[int((np.abs(f - t) <= e).sum()) for e in eps]
+                    for t in thetas]
+            expected = (hits, float(f.min()), float(f.max()))
+            for chunk in (chunk0, 1000, 1 << 16):
+                monkeypatch.setattr(density, "_CHUNK", chunk)
+                got = density._block_stats(form, thetas, eps, i, 2, count)
+                assert got == expected
