@@ -110,7 +110,7 @@ def surface_audit(A: int, N: int, sizes) -> GrowthAudit:
 
 def second_moment(l, q, P: int) -> int:
     """Sum of c(n)^2 over n != 0 for one block on the Sym box."""
-    _, c = value_histogram(tuple(l), tuple(q), "sym", P)._half()
+    c = value_histogram(tuple(l), tuple(q), "sym", P)._cnts
     # The sym histogram is even and stored by its half, which starts at
     # u = 0: the sum is twice that over u > 0.  Exact in int64: it is at
     # most (sum of c)^2 <= _GRID_CAP^2.

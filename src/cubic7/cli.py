@@ -89,12 +89,11 @@ def _export_histogram(form: CubicForm, P: int, block: int, path: str) -> None:
 
     l, q = form.blocks()[block - 1]
     h = value_histogram(l, q, form.box, P)
-    rows = sorted(h.items())
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["n", "count"])
-        for n, c in rows:
-            w.writerow([n, c])
+        # items() ascends: the values are sorted and distinct in both layouts.
+        w.writerows(h.items())
 
 
 def _global_flags(p, top: bool) -> None:

@@ -16,14 +16,15 @@ are only built for the cold paths that list them.  Each slab's runs are
 merged into the running histogram by a search, in memory linear in the
 output.  Both grid caps still apply to the full box.  The cube term is
 folded once into the narrower histogram, g = h * {a7 t^3}, by 2P+1 dense
-slice adds from a dense copy of h, only its half when h is even; when the
-cubes are symmetric too (the sym box), g is even, and only its half
-w >= 0 is added up and stored.  Every N is then one int64 dot of the other
-histogram's counts against g.  An entry of g is at most the
-folded total (v and w fix t), so g is int32 below 2^31, and every partial
-sum of a dot is at most total1 * total2 <= _GRID_CAP^2 < 2^63.  Big-int
-histograms, a failed 2^63 bound or a fold window above _DENSE_CAP fall
-back to sparse pair sums per cube target, accumulated in Python ints.
+slice adds from one dense copy of h's stored arrays, its half when h is
+stored by its half; when the cubes are symmetric too (the sym box), g is
+even, and only its half w >= 0 is added up and stored.  Every N is then
+one int64 dot of the other histogram's counts against g.  An entry of g
+is at most the folded total (v and w fix t), so g is int32 below 2^31,
+and every partial sum of a dot is at most total1 * total2 <= _GRID_CAP^2
+< 2^63.  Big-int histograms, a failed 2^63 bound or a fold window above
+_DENSE_CAP fall back to sparse pair sums per cube target, accumulated in
+Python ints.
 """
 
 from __future__ import annotations
@@ -55,27 +56,18 @@ class BlockHistogram:
     A full histogram stores vals, a sorted array of distinct values, int64
     when every value lies in (-2^62, 2^62) and object dtype (Python ints)
     otherwise, whatever the dtype of the slabs it was scanned from, and
-    cnts, int64.  An even histogram, h(-u) = h(u) (the sym box), stores
-    only its half: the sorted distinct values u >= 0, which start at 0,
-    int64 when u[-1] < 2^62 and object otherwise, and c[i] = h(u[i]).  Its
-    vals and cnts are the signed arrays, built on each access for the cold
-    paths that ask for them.
+    cnts, int64.  An even histogram, h(-u) = h(u) (the sym box), is built
+    with even=True and stores only its half: the sorted distinct values
+    u >= 0, which start at 0, int64 when u[-1] < 2^62 and object
+    otherwise, and c[i] = h(u[i]).  Its vals and cnts are the signed
+    arrays, built on each access for the cold paths that ask for them.
+    A histogram is even only when it is stored by its half.
     """
 
     __slots__ = ("_vals", "_cnts", "_even")
 
-    def __init__(self, vals, cnts):
-        self._vals, self._cnts, self._even = vals, cnts, False
-
-    @classmethod
-    def _from_half(cls, u, c) -> "BlockHistogram":
-        h = cls(u, c)
-        h._even = True
-        return h
-
-    def _half(self):
-        """(u, c) of an even histogram, None for a full one."""
-        return (self._vals, self._cnts) if self._even else None
+    def __init__(self, vals, cnts, even: bool = False):
+        self._vals, self._cnts, self._even = vals, cnts, even
 
     @property
     def vals(self):
@@ -251,8 +243,8 @@ def value_histogram(l, q, box: str, P: int) -> BlockHistogram:
     # c = 2 A + C is h(0) at u[0] = 0 (the origin lies on the plane) and
     # twice h(u) after it.
     c[1:] //= 2
-    return BlockHistogram._from_half(
-        u.astype(np.int64 if int(u[-1]) < _INT64_SAFE else object, copy=False), c)
+    return BlockHistogram(
+        u.astype(np.int64 if int(u[-1]) < _INT64_SAFE else object, copy=False), c, even=True)
 
 
 def _cube_fold(h: BlockHistogram, cubes):
@@ -261,12 +253,13 @@ def _cube_fold(h: BlockHistogram, cubes):
     None when the fold window is wider than _DENSE_CAP.
 
     Given w and v, the cube a7 t^3 = w - v fixes t, so no entry of g
-    exceeds h.total(): g is int32 below 2^31 and int64 otherwise.  When h
-    is even (stored by its half, or a full histogram whose values and
-    counts are symmetric), its dense copy is the half, dense[u] = h(u) for
-    0 <= u <= vmax, and a slice add reads v < 0 from it at |v|.
-    When the cubes are symmetric too (the sym box), g is even: only its
-    half w >= 0 is added up and stored, gmin is None, and g(w) = g[|w|].
+    exceeds h.total(): g is int32 below 2^31 and int64 otherwise.  The
+    dense copy spreads the stored arrays from a base, dense[v - base] =
+    h(v) for base <= v <= vmax: base = vmin for a full histogram, and
+    base = 0 for one stored by its half, whose slice adds read v < 0 at
+    |v|.  When h is stored by its half and the cubes are symmetric too
+    (the sym box), g is even: only its half w >= 0 is added up and
+    stored, gmin is None, and g(w) = g[|w|].
     """
     vmin, vmax = h._range()
     width = vmax - vmin + 1
@@ -275,53 +268,39 @@ def _cube_fold(h: BlockHistogram, cubes):
     if width + span > _DENSE_CAP:
         return None
     dtype = np.int32 if h.total() < _INT32_LIMIT else np.int64
-    sym_cubes = cubes == [-c for c in reversed(cubes)]
-    half = h._half()
-    if half is None and sym_cubes:
-        v, c = h.vals, h.cnts
-        if np.array_equal(v, -v[::-1]) and np.array_equal(c, c[::-1]):
-            # The values >= 0 of a symmetric full histogram; 0 may be absent.
-            half = v[len(v) // 2 :], c[len(v) // 2 :]
-    even = sym_cubes and half is not None
+    even = h._even and cubes == [-c for c in reversed(cubes)]
+    base = 0 if h._even else vmin
     # w = 0 sits at the middle of an even fold's odd-length window.
     mid = (width + span) // 2 if even else 0
     # g before the temporary dense copy: the returned g then takes a free
     # block of the heap, and dense, freed on return, sits at its top.
     g = np.zeros(width + span - mid, dtype=dtype)
-    if half is None:
-        dense = np.zeros(width, dtype=dtype)
-        dense[h.vals - vmin] = h.cnts
-    else:
-        dense = np.zeros(vmax + 1, dtype=dtype)
-        dense[half[0]] = half[1]
-    starts = [c - cmin for c in cubes]
+    dense = np.zeros(vmax - base + 1, dtype=dtype)
+    # A half is indexed by its own values: a shifted copy of u would cost
+    # 8 MB at P = 128.
+    dense[h._vals - base if base else h._vals] = h._cnts
     # A read of v < 0 runs forward through dense into `back`, which holds
     # the tile reversed, back[e - 1 - i] for window index i, and back is
     # added to the tile once: an add from a reversed view of 2^17 int32
     # entries costs about 3.7 forward ones.
-    back = None if half is None else np.empty(_FOLD_TILE, dtype=dtype)
+    back = np.empty(_FOLD_TILE, dtype=dtype) if h._even else None
     # The same 2P+1 slice adds, tiled so each tile of g stays in cache.
     # Window index i holds w = i + vmin + cmin; the add at offset o reads
-    # v = i - o + vmin over a <= i < b.
+    # v - base = i - o over a <= i < b, forward for i >= o and through
+    # back at dense[o - i] for i < o.
+    offsets = [c - cmin - vmin + base for c in cubes]
     for s in range(mid, width + span, _FOLD_TILE):
         e = min(s + _FOLD_TILE, width + span)
         tile = g[s - mid : e - mid]
         if back is not None:
             back[: e - s] = 0
-        for o in starts:
-            a, b = max(s, o), min(e, o + width)
-            if a >= b:
-                continue
-            if half is None:
-                tile[a - s : b - s] += dense[a - o : b - o]
-                continue
-            va, vb = a - o + vmin, b - o + vmin
-            if vb > 0:
-                p = max(va, 0)
-                tile[p + o - vmin - s : b - s] += dense[p:vb]
-            if va < 0:
-                q = min(vb, 0)
-                back[e - (q + o - vmin) : e - a] += dense[1 - q : 1 - va]
+        for o in offsets:
+            a, b = max(s, o + vmin - base), min(e, o + vmax - base + 1)
+            p, q = max(a, o), min(b, o)
+            if p < b:
+                tile[p - s : b - s] += dense[p - o : b - o]
+            if a < q:
+                back[e - q : e - a] += dense[o - q + 1 : o - a + 1]
         if back is not None:
             tile += back[: e - s][::-1]
     return (None if even else vmin + cmin), g
@@ -370,10 +349,9 @@ def _fold_count(other: BlockHistogram, gmin: int | None, g, N: int) -> int:
     # g[k - v] is the fold at w = N - v, inside g for lo <= v <= hi.
     k = N - gmin
     lo, hi = k - len(g) + 1, k
-    half = other._half()
-    if half is None:
-        return _gather_dot(other.vals, other.cnts, lo, hi, g, k, -1)
-    u, c = half
+    u, c = other._vals, other._cnts
+    if not other._even:
+        return _gather_dot(u, c, lo, hi, g, k, -1)
     return (_gather_dot(u, c, max(lo, 0), hi, g, k, -1)
             + _gather_dot(u, c, max(-hi, 1), -lo, g, k, 1))
 

@@ -49,7 +49,9 @@ def predict_zeros(form: CubicForm, probes=None, qmax: int = 400,
                   seed: int = 0, threads: int = 1) -> PredictionReport:
     if form.box != "sym":
         raise DomainError("zeros mode requires the sym box")
-    Ps = tuple(int(P) for P in (probes or P_SCHEDULE))
+    Ps = P_SCHEDULE if probes is None else tuple(int(P) for P in probes)
+    if not Ps:
+        raise DomainError("zeros mode needs at least one probe radius")
     # Refuse an oversized or invalid radius before the series and the
     # integral.  The counts still run after those, which keeps the order
     # of the large allocations, and with it the peak RSS, as it was.

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from cubic7 import checks, counting, expsums
-from cubic7.cli import DEFAULT_FORM, main
+from cubic7.cli import DEFAULT_FORM, _export_histogram, main
 from cubic7.counting import BlockHistogram, count_representations
-from cubic7.forms import form_to_dict
+from cubic7.forms import CubicForm, form_to_dict
+from cubic7.oracles import block_values_brute
 
 
 def run_cli(capsys, *argv):
@@ -54,6 +55,38 @@ def test_histogram_export(capsys, tmp_path):
     code, _, _ = run_cli(capsys, "zeros", "--P", "1", "--histogram", str(zpath))
     assert code == 0
     assert zpath.read_bytes() == path.read_bytes()
+    # A full (pos box) histogram with negative values, block 2: the rows
+    # are the enumerated histogram in ascending order.
+    form = CubicForm((1, 0, 0, -1, 2, 0, 1), (0, 0, 1, 0, 0, 1), (0, 1, -1, 1, 0, 2), "pos")
+    fpath = tmp_path / "pos.json"
+    fpath.write_text(json.dumps(form_to_dict(form)))
+    ppath = tmp_path / "pos.csv"
+    code, _, _ = run_cli(capsys, "--form", str(fpath), "count", "--N", "0", "--P", "4",
+                         "--histogram", str(ppath), "--block", "2")
+    assert code == 0
+    rows = list(csv.reader(ppath.read_text().splitlines()))
+    assert rows[0] == ["n", "count"]
+    data = [(int(n), int(c)) for n, c in rows[1:]]
+    assert data == sorted(block_values_brute(*form.blocks()[1], "pos", 4).items())
+    assert data[0][0] < 0 < data[-1][0]
+
+
+def test_histogram_export_memory(tmp_path):
+    # The export streams the rows of the cached sym histogram at P = 64
+    # (191,855 rows): about 57 bytes per row under tracemalloc, the signed
+    # arrays and their lists.  Sorting the rows first held them all as
+    # tuples, about 112 bytes per row.
+    import tracemalloc
+
+    l, q = DEFAULT_FORM.blocks()[0]
+    rows = len(counting.value_histogram(l, q, "sym", 64).vals)
+    tracemalloc.start()
+    try:
+        _export_histogram(DEFAULT_FORM, 64, 1, str(tmp_path / "h.csv"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 80 * rows
 
 
 def test_spaces_csv(capsys):
@@ -189,15 +222,16 @@ def test_histogram_check_reads_the_enumeration(monkeypatch, f_star):
         return scan(l, q, r, xs if len(xs) > 1 else xs[:0], absolute)
 
     def doubled(l, q, box, P):
-        u, c = build(l, q, box, P)._half()
-        return BlockHistogram._from_half(u, np.concatenate((c[:1], 2 * c[1:])))
+        h = build(l, q, box, P)
+        c = h._cnts
+        return BlockHistogram(h._vals, np.concatenate((c[:1], 2 * c[1:])), even=True)
 
     def moved(l, q, box, P):
-        u, c = build(l, q, box, P)._half()
-        c = c.copy()
+        h = build(l, q, box, P)
+        c = h._cnts.copy()
         c[1] -= 1
         c[2] += 1
-        return BlockHistogram._from_half(u, c)
+        return BlockHistogram(h._vals, c, even=True)
 
     monkeypatch.setattr(checks, "value_histogram", build)
     with monkeypatch.context() as m:

@@ -569,12 +569,6 @@ def test_fold_vs_sparse(f_star, f_fac1, f_iii):
                     count_representations(form_b, N, P) for N in Ns]
 
 
-def _lopsided(h: BlockHistogram) -> BlockHistogram:
-    """h with a zero count appended at vmax + 1: no longer symmetric, so
-    _cube_fold adds up its whole window, whose last entry is then 0."""
-    return BlockHistogram(np.append(h.vals, h.vals[-1] + 1), np.append(h.cnts, 0))
-
-
 @pytest.mark.parametrize("a7", [1, -1, 2, -7])
 def test_sym_cube_fold_is_the_full_fold(a7, f_star, f_fac1, f_iii):
     # On the sym box the fold is even: the half window holds the full
@@ -587,22 +581,20 @@ def test_sym_cube_fold_is_the_full_fold(a7, f_star, f_fac1, f_iii):
             cubes = [a7 * t ** 3 for t in box_range("sym", P)]
             h1, h2 = (value_histogram(l, q, "sym", P) for l, q in form.blocks())
             for h, other in ((h1, h2), (h2, h1)):
-                gmin, g = _cube_fold(_lopsided(h), cubes)
-                assert g[-1] == 0
-                g = g[:-1]
+                # The same histogram stored full is even only by its
+                # values, so it folds to the full window: the reference.
+                full = BlockHistogram(h.vals, h.cnts)
+                assert h._even and not full._even
+                gmin, g = _cube_fold(full, cubes)
                 assert gmin == -(len(g) // 2) and np.array_equal(g, g[::-1])
                 half_gmin, half = _cube_fold(h, cubes)
                 assert half_gmin is None and half.dtype == g.dtype
                 assert np.array_equal(half, g[-gmin:])
-                # The same histogram stored full takes the same half window,
-                # and without the cube t = -P the half dense copy still
-                # fills the full window.
-                full = BlockHistogram(h.vals, h.cnts)
-                assert h._half() is not None and full._half() is None
-                assert np.array_equal(_cube_fold(full, cubes)[1], half)
+                # Without the cube t = -P the half dense copy still fills
+                # the full window.
                 cut_gmin, cut = _cube_fold(h, cubes[1:])
-                lop_gmin, lop = _cube_fold(_lopsided(h), cubes[1:])
-                assert cut_gmin == lop_gmin and np.array_equal(cut, lop[:-1])
+                full_gmin, ref = _cube_fold(full, cubes[1:])
+                assert cut_gmin == full_gmin and np.array_equal(cut, ref)
                 n_lo, n_hi = int(other.vals[0]) + gmin, int(other.vals[-1]) - gmin
                 Ns = [n_lo - 1, n_lo, rng.randint(n_lo, -1), 0,
                       rng.randint(1, n_hi), n_hi, n_hi + 1]
@@ -622,20 +614,26 @@ def test_sym_cube_fold_is_the_full_fold(a7, f_star, f_fac1, f_iii):
 
 
 def test_cube_fold_half_window_needs_symmetry():
-    # The half window needs symmetric values, symmetric counts and
-    # symmetric cubes; breaking any one keeps the full window.  Either way
-    # every entry over the whole window is the direct sum.
-    cases = [([-1, 1], [1, 1], [-1, 0, 1], True),
-             ([-1, 2], [1, 1], [-1, 0, 1], False),
-             ([-1, 1], [1, 2], [-1, 0, 1], False),
-             ([-1, 1], [1, 1], [-1, 0, 2], False)]
-    for vals, cnts, cubes, even in cases:
-        h = BlockHistogram(np.array(vals, dtype=np.int64), np.array(cnts, dtype=np.int64))
+    # The half window needs a histogram stored by its half and symmetric
+    # cubes; a full histogram keeps the full window, symmetric or not.
+    # Either way every entry over the whole window is the direct sum.
+    cases = [([-1, 1], [1, 1], [-1, 0, 1], False, False),
+             ([-1, 2], [1, 1], [-1, 0, 1], False, False),
+             ([-1, 1], [1, 2], [-1, 0, 1], False, False),
+             ([-1, 1], [1, 1], [-1, 0, 2], False, False),
+             ([0, 1], [0, 1], [-1, 0, 1], True, True),
+             ([0, 2, 3], [3, 1, 2], [-8, -1, 0, 1, 8], True, True),
+             ([0, 1], [0, 1], [-1, 0, 2], True, False),
+             ([0, 2, 3], [3, 1, 2], [-8, -1, 1, 8, 27], True, False)]
+    for vals, cnts, cubes, stored_half, even in cases:
+        h = BlockHistogram(np.array(vals, dtype=np.int64), np.array(cnts, dtype=np.int64),
+                           even=stored_half)
         gmin, g = _cube_fold(h, cubes)
         assert (gmin is None) == even
         if even:
             gmin, g = 1 - len(g), np.concatenate((g[:0:-1], g))
-        assert gmin == vals[0] + min(cubes) and len(g) == vals[-1] + max(cubes) - gmin + 1
+        vmin, vmax = h._range()
+        assert gmin == vmin + min(cubes) and len(g) == vmax + max(cubes) - gmin + 1
         assert g.tolist() == [sum(h.count_of(w - c) for c in cubes)
                               for w in range(gmin, gmin + len(g))]
 

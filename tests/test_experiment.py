@@ -54,6 +54,22 @@ def test_predict_zeros_refuses_before_series(f_star, monkeypatch):
         predict_zeros(form, probes=(8, 170))
 
 
+def test_predict_zeros_refuses_no_probes(f_star, monkeypatch):
+    """An empty probe list is refused before the series and the integral,
+    as representations mode refuses an empty N list; only None runs the
+    default schedule."""
+    def expensive(*args, **kwargs):
+        raise AssertionError("series or integral reached")
+
+    monkeypatch.setattr(experiment, "singular_series", expensive)
+    monkeypatch.setattr(experiment, "singular_integral", expensive)
+    for probes in ([], ()):
+        with pytest.raises(DomainError, match="at least one probe radius"):
+            predict_zeros(f_star, probes)
+        with pytest.raises(DomainError, match="at least one probe radius"):
+            predict(f_star, "zeros", probes)
+
+
 def test_predict_zeros_requires_sym(f_star):
     form = CubicForm(f_star.a, f_star.q1, f_star.q2, "pos")
     with pytest.raises(DomainError):
