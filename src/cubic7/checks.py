@@ -14,12 +14,11 @@ import math
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
 from .counting import representation_counts, union_space_count, value_histogram
 from .density import box_volume, density_ladder, slab_volume
 from .errors import DegenerateBlockError, InvalidFormError
 from .expsums import s_block, series_tail_profile, singular_series, singular_term
+from .fit import fit_loglog
 from .forms import (
     CubicForm,
     adjoint_matrix,
@@ -238,7 +237,7 @@ def _check_series_tail(form: CubicForm) -> tuple[bool, str]:
     prof = series_tail_profile(form, 0, (25, 50, 100))
     qs = [p[0] for p in prof]
     tails = [max(p[1], 1e-15) for p in prof]
-    slope = np.polyfit(np.log(qs), np.log(tails), 1)[0]
+    slope, _ = fit_loglog(qs, tails)
     if not (slope <= -0.2 or tails[-1] < 1e-12):
         return False, f"fitted decay {slope:.3f} > -0.2, tails {tails}"
     return True, f"fitted tail decay {slope:.3f}"

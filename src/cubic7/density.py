@@ -35,6 +35,10 @@ get alone.  The eps levels of a pass do not increase, so each level counts
 its hits among those of the level before (af = af[af <= eps]): the counts
 equal separate comparisons, and the smaller levels scan only the points
 that passed the first.
+
+Argument rules have one owner, _check_pass, which _sample_pass (so
+slab_volume and the ladders) and experiment.predict call before any work;
+it checks every rung of a ladder, _rungs(eps0), not only eps0.
 """
 
 from __future__ import annotations
@@ -105,12 +109,30 @@ def _block_stats(form, thetas, eps_levels, seed: int, index: int, count: int):
     return hits, f_min, f_max
 
 
+def _rungs(eps0: float) -> tuple[float, float, float]:
+    return eps0, eps0 / 2.0, eps0 / 4.0
+
+
+def _check_pass(thetas, eps_levels, samples: int, threads: int) -> None:
+    """Refuse a pass's arguments before any work.  Every rung is checked:
+    eps0 / 4 rounds to 0 below about 2e-323, and _slab divides by it."""
+    if not thetas:
+        raise DomainError("need at least one theta")
+    if not all(math.isfinite(e) and e > 0 for e in eps_levels):
+        raise DomainError("eps must be positive and finite")
+    if not all(math.isfinite(t) for t in thetas):
+        raise DomainError("theta must be finite")
+    if samples < 10 ** 4:
+        raise DomainError("need at least 10^4 samples")
+    if threads < 1:
+        raise DomainError("threads must be at least 1")
+
+
 def _sample_pass(form: CubicForm, thetas, eps_levels, samples: int,
                  seed: int, threads: int):
     """Per-theta hit lists (one count per eps level), f_min and f_max, from
     the blocks run on threads workers and combined in block order."""
-    if threads < 1:
-        raise DomainError("threads must be at least 1")
+    _check_pass(thetas, eps_levels, samples, threads)
     nblocks = (samples + BLOCK - 1) // BLOCK
     sizes = [BLOCK] * (nblocks - 1) + [samples - BLOCK * (nblocks - 1)]
 
@@ -148,12 +170,6 @@ def _slab(vol: float, hits: int, samples: int, eps: float) -> tuple[float, float
 def slab_volume(form: CubicForm, theta: float, epsilon: float, samples: int,
                 seed: int = 0, threads: int = 1) -> SlabEstimate:
     """Monte Carlo slab density at a single half-width."""
-    if not math.isfinite(epsilon) or epsilon <= 0:
-        raise DomainError("epsilon must be positive and finite")
-    if not math.isfinite(theta):
-        raise DomainError("theta must be finite")
-    if samples < 10 ** 4:
-        raise DomainError("need at least 10^4 samples")
     hits, _, _ = _sample_pass(form, (theta,), (epsilon,), samples, seed,
                               threads)
     value, stderr = _slab(box_volume(form.box), hits[0][0], samples, epsilon)
@@ -192,15 +208,7 @@ def _ladders(form: CubicForm, thetas, eps0: float, samples: int, seed: int,
              threads: int, target: str) -> tuple[DensityResult, ...]:
     """Three nested slabs per theta from one pass, extrapolated linearly
     in epsilon."""
-    if not thetas:
-        raise DomainError("need at least one theta")
-    if not math.isfinite(eps0) or eps0 <= 0:
-        raise DomainError("eps must be positive and finite")
-    if not all(math.isfinite(t) for t in thetas):
-        raise DomainError("theta must be finite")
-    if samples < 10 ** 4:
-        raise DomainError("need at least 10^4 samples")
-    eps_levels = (eps0, eps0 / 2.0, eps0 / 4.0)
+    eps_levels = _rungs(eps0)
     all_hits, f_min, f_max = _sample_pass(form, thetas, eps_levels, samples,
                                           seed, threads)
     vol = box_volume(form.box)

@@ -26,9 +26,9 @@ from .counting import (
     representation_counts,
     union_space_count,
 )
-from .density import density_ladders, singular_integral
+from .density import _check_pass, _rungs, density_ladders, singular_integral
 from .errors import DomainError
-from .expsums import singular_series
+from .expsums import _check_qmax, singular_series
 from .forms import CubicForm, linear_spaces
 from .payload import Payload
 
@@ -52,12 +52,14 @@ def predict_zeros(form: CubicForm, probes=None, qmax: int = 400,
     Ps = P_SCHEDULE if probes is None else tuple(int(P) for P in probes)
     if not Ps:
         raise DomainError("zeros mode needs at least one probe radius")
-    # Refuse an oversized or invalid radius before the series and the
-    # integral.  The counts still run after those, which keeps the order
-    # of the large allocations, and with it the peak RSS, as it was.
+    # Refuse an oversized or invalid radius, and then the integral's
+    # arguments, before the series and the integral.  The counts still run
+    # after those, which keeps the order of the large allocations, and with
+    # it the peak RSS, as it was.
     for P in Ps:
         for l, q in form.blocks():
             _histogram_scan(l, q, "sym", P)
+    _check_pass((0.0,), _rungs(eps0), samples, threads)
     spaces = linear_spaces(form)
     series = singular_series(form, 0, qmax)
     integ = singular_integral(form, "zero", eps0, samples, seed, threads)
@@ -91,6 +93,10 @@ def predict_representations(form: CubicForm, Ns, qmax: int = 400,
     if min(Ns) < 1:
         raise DomainError("representation targets must be positive")
     Ps = [max(1, icbrt(N)) for N in Ns]
+    thetas = [N / P ** 3 for N, P in zip(Ns, Ps)]
+    # Refuse the integral's and the series' arguments before the counts.
+    _check_pass(thetas, _rungs(eps0), samples, threads)
+    _check_qmax(qmax)
     # One cube fold and one pair of block zero counts per natural radius
     # serve every N at that radius.
     by_radius: dict[int, list[int]] = {}
@@ -102,8 +108,8 @@ def predict_representations(form: CubicForm, Ns, qmax: int = 400,
         actuals.update(zip(group, representation_counts(form, group, P)))
         zeros[P] = block_zero_counts(form, P)
     # One sampling pass serves every theta = N / P^3.
-    integrals = density_ladders(form, [N / P ** 3 for N, P in zip(Ns, Ps)],
-                                eps0, samples, seed, threads, target="n")
+    integrals = density_ladders(form, thetas, eps0, samples, seed, threads,
+                                target="n")
     rows = []
     for N, P, integ in zip(Ns, Ps, integrals):
         actual = actuals[N]

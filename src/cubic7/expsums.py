@@ -35,10 +35,25 @@ import numpy as np
 from .arith import factorize, inverse_mod, is_prime, power_residues, primes_up_to
 from .errors import DomainError, ResourceLimitError
 from .forms import (
-    _SLAB, CubicForm, _block_content, block_frame, block_value, cube_residues,
+    _SLAB, CubicForm, _block_content, adjoint_matrix, block_frame, block_value,
+    cube_residues,
 )
 
 MOD_CAP = 4096
+
+
+def _check_modulus(m: int) -> None:
+    if m < 1:
+        raise DomainError("modulus must be positive")
+    if m > MOD_CAP:
+        raise ResourceLimitError(f"modulus {m} exceeds the cap {MOD_CAP}")
+
+
+def _check_qmax(Qmax: int) -> None:
+    if Qmax < 1:
+        raise DomainError("Qmax must be at least 1")
+    if Qmax > MOD_CAP:
+        raise ResourceLimitError(f"Qmax {Qmax} exceeds the cap {MOD_CAP}")
 
 
 @functools.lru_cache(maxsize=64)
@@ -61,10 +76,7 @@ def mod_histogram(l, q, m: int) -> np.ndarray:
     - every other modulus (2, 3, prime powers, composites, and p | g):
       the frame method of _frame_histogram, O(m^2) work.
     """
-    if m < 1:
-        raise DomainError("modulus must be positive")
-    if m > MOD_CAP:
-        raise ResourceLimitError(f"modulus {m} exceeds the cap {MOD_CAP}")
+    _check_modulus(m)
     _, lv, qv = block_frame(l, q)
     if m >= 5 and lv[0] % m and is_prime(m):
         return _prime_histogram(lv[0], qv, m)
@@ -154,16 +166,24 @@ def _plane_counts(qv, p: int) -> np.ndarray:
     chi(alpha) there; 0 when only alpha vanishes; p chi(gamma + 4 A3 w)
     when alpha and beta do.  With A2 = A3 = 0 the plane is a hyperbola
     B1 (y + B2/B1)(z + B3/B1) + const, a linear plane, or a constant.
+    With M = forms.adjoint_matrix(Q') and j = 1 (j = 2 after the swap),
+    alpha = M[0][0], beta = -2 M[0][j] and gamma = M[j][j].  For the frame
+    block g*X1*Q', g^2 alpha = Delta(L, Q) (forms.delta), so with g a unit
+    alpha vanishes mod p exactly when p | Delta: the alpha = 0 branches
+    hold the Delta = 0 blocks of paper II at every p.
     """
     A1, A2, A3, B1, B2, B3 = (c % p for c in qv)
+    j = 1
     if A3 == 0:
         A2, A3, B2, B3 = A3, A2, B3, B2
+        j = 2
     n = np.zeros(p, dtype=np.int64)
     if A3:
         chi = np.bincount(power_residues(2, p), minlength=p) - 1  # chi[w] = (w / p)
-        alpha = (B1 * B1 - 4 * A2 * A3) % p
-        beta = (2 * B1 * B2 - 4 * A3 * B3) % p
-        gamma = (B2 * B2 - 4 * A1 * A3) % p
+        m = adjoint_matrix(qv)
+        alpha = m[0][0] % p
+        beta = -2 * m[0][j] % p
+        gamma = m[j][j] % p
         if alpha:
             n += p - chi[alpha]
             kappa = (beta * beta - 4 * alpha * gamma) * inverse_mod(16 * alpha * A3, p)
@@ -218,12 +238,7 @@ def s_block(l, q, modulus: int, a: int) -> complex:
 
 def s_cube(a7: int, modulus: int, mult: int) -> complex:
     """Sum of e(mult * a7 * x^3 / modulus) over one residue line."""
-    if modulus < 1:
-        raise DomainError("modulus must be positive")
-    if modulus == 1:
-        return complex(1.0, 0.0)
-    if modulus > MOD_CAP:
-        raise ResourceLimitError(f"modulus {modulus} exceeds the cap {MOD_CAP}")
+    _check_modulus(modulus)
     counts = np.bincount(cube_residues(a7, modulus), minlength=modulus)
     return _gather(counts, modulus, mult)
 
@@ -270,6 +285,7 @@ def _unit_products(a, q1, q2, q: int):
 def singular_term(form: CubicForm, q: int, N: int) -> float:
     """S(q; N): one normalized term of the singular series, the fsum over
     the units u of the real part of t(u) e(-uN/q), one float per unit."""
+    _check_modulus(q)
     if q == 1:
         return 1.0
     cos_t, sin_t = _phase_table(q)
@@ -312,10 +328,7 @@ def _tail(terms, Q: int) -> float:
 
 def singular_series_terms(form: CubicForm, N: int, Qmax: int) -> list[float]:
     """terms[q] = S(q; N), with terms[0] unused; multiplicative assembly."""
-    if Qmax < 1:
-        raise DomainError("Qmax must be at least 1")
-    if Qmax > MOD_CAP:
-        raise ResourceLimitError(f"Qmax {Qmax} exceeds the cap {MOD_CAP}")
+    _check_qmax(Qmax)
     terms = [0.0] * (Qmax + 1)
     terms[1] = 1.0
     for q in range(2, Qmax + 1):

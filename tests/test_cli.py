@@ -275,7 +275,8 @@ def test_error_exit_codes(capsys, tmp_path):
             code, out, err = run_cli(capsys, "--threads", threads, *argv)
             assert code == 2 and out == ""
             assert err == "error: threads must be at least 1\n"
-    for eps in ("nan", "inf", "0"):
+    # 1e-323 and 5e-324 are positive, but a lower rung of the ladder is 0.
+    for eps in ("nan", "inf", "0", "1e-323", "5e-324"):
         code, out, err = run_cli(capsys, "integral", "--eps", eps,
                                  "--samples", "20000")
         assert code == 2 and out == "" and "eps" in err

@@ -146,6 +146,23 @@ def test_non_finite_eps_rejected(f_star):
             slab_volume(f_star, 0.0, bad, 20_000)
 
 
+def test_every_rung_must_be_positive(f_star):
+    # eps0 / 4 rounds to 0 at eps0 = 1e-323 (and eps0 / 2 at 5e-324): every
+    # rung of the ladder is refused like eps0 itself, before any sampling.
+    for bad in (5e-324, 1e-323):
+        with pytest.raises(DomainError, match="eps"):
+            density_ladder(f_star, 0.0, eps0=bad, samples=20_000)
+        with pytest.raises(DomainError, match="eps"):
+            density_ladders(f_star, [0.0, 1.0], eps0=bad, samples=20_000)
+        with pytest.raises(DomainError, match="eps"):
+            singular_integral(f_star, "zero", eps0=bad, samples=20_000)
+    # All three rungs of 1.5e-323 are positive, and a slab has one rung.
+    res = density_ladder(f_star, 0.0, eps0=1.5e-323, samples=20_000)
+    assert res.eps[2] > 0.0
+    est = slab_volume(f_star, 0.0, 5e-324, 20_000)
+    assert est.epsilon == 5e-324 and math.isfinite(est.value)
+
+
 def test_non_finite_theta_rejected(f_star):
     # A NaN or infinite level would match no point and report density 0.
     for bad in (math.nan, math.inf, -math.inf):

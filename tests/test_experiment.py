@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from cubic7 import experiment
@@ -52,6 +54,51 @@ def test_predict_zeros_refuses_before_series(f_star, monkeypatch):
                      (big, 0, 0, 0, 0, 0))
     with pytest.raises(ResourceLimitError, match="too large for the int64 path"):
         predict_zeros(form, probes=(8, 170))
+
+
+def _patch_stages(monkeypatch):
+    def expensive(*args, **kwargs):
+        raise AssertionError("an expensive stage was reached")
+
+    for name in ("linear_spaces", "singular_series", "singular_integral",
+                 "count_zeros", "union_space_count", "representation_counts",
+                 "block_zero_counts", "density_ladders"):
+        monkeypatch.setattr(experiment, name, expensive)
+
+
+def test_predict_zeros_refuses_integral_arguments_first(f_star, monkeypatch):
+    """Bad Monte Carlo arguments are refused right after the radius guards,
+    before the series, the integral and the counts."""
+    _patch_stages(monkeypatch)
+    for kwargs, match in (({"eps0": 0.0}, "eps"), ({"eps0": 1e-323}, "eps"),
+                          ({"eps0": math.nan}, "eps"),
+                          ({"samples": 5}, "10\\^4 samples"),
+                          ({"threads": 0}, "threads")):
+        with pytest.raises(DomainError, match=match):
+            predict_zeros(f_star, probes=(8,), **kwargs)
+    # The radius guard still comes first.
+    with pytest.raises(ResourceLimitError, match="block grid 1201"):
+        predict_zeros(f_star, probes=(600,), eps0=0.0)
+
+
+def test_predict_representations_refuses_before_counts(f_star, monkeypatch):
+    """Bad Monte Carlo and series arguments are refused before the
+    histograms, the fold, the counts, the integral and the series."""
+    _patch_stages(monkeypatch)
+    Ns = (8_000_000, 8_100_000)
+    for kwargs, exc, match in (
+            ({"samples": 5}, DomainError, "10\\^4 samples"),
+            ({"eps0": 5e-324}, DomainError, "eps"),
+            ({"eps0": math.inf}, DomainError, "eps"),
+            ({"threads": 0}, DomainError, "threads"),
+            ({"qmax": 0}, DomainError, "Qmax must be at least 1"),
+            ({"qmax": 5000}, ResourceLimitError, "Qmax 5000 exceeds the cap")):
+        with pytest.raises(exc, match=match):
+            predict_representations(f_star, Ns, **kwargs)
+    # The integral's arguments are refused before the series' cap, as they
+    # were when the integral ran first.
+    with pytest.raises(DomainError, match="10\\^4 samples"):
+        predict(f_star, "representations", Ns, qmax=5000, samples=5)
 
 
 def test_predict_zeros_refuses_no_probes(f_star, monkeypatch):

@@ -480,3 +480,20 @@ def test_expsum_guards(f_star):
         s_cube(1, 0, 1)
     with pytest.raises(DomainError):
         s_cube(1, -3, 1)
+
+
+def test_singular_term_refuses_modulus_before_work(f_star):
+    import tracemalloc
+
+    for q in (0, -3):
+        with pytest.raises(DomainError, match="modulus must be positive"):
+            singular_term(f_star, q, 0)
+    # Its phase table and unit arrays would take tens of MB at this q.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="exceeds the cap"):
+            singular_term(f_star, 1_000_003, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
