@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def isqrt_exact(n: int) -> int | None:
@@ -119,6 +121,8 @@ def inverse_mod(a: int, m: int) -> int:
 def power_residues(k: int, n: int) -> np.ndarray:
     """x^k mod n for x = 0, ..., n - 1 as int64, by repeated squaring on the
     residues: every product is below n^2, so it is exact for n < 2^31."""
+    import numpy as np
+
     x = np.arange(n, dtype=np.int64)
     acc = np.full(n, 1 % n, dtype=np.int64)
     while k:

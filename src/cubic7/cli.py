@@ -20,13 +20,13 @@ import sys
 # solves systems of a few rows.  On 2 CPUs, `import numpy` took 0.241 s in
 # a fresh process with the worker and 0.156 s without (median of 10); the
 # idle worker spun 60 ms of CPU during the import and 130 ms more after a
-# BLAS call.  Set here, before the first import that reaches numpy, and not
-# in the package, whose callers keep their own BLAS; a value already in the
-# environment wins.
+# BLAS call.  Set here, before any subcommand's import reaches numpy, and
+# not in the package, whose callers keep their own BLAS; a value already in
+# the environment wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 # Each subcommand imports its own modules in _run, so a process loads only
-# what it uses.
+# what it uses; errors and forms load no numpy.
 from .errors import DomainError, ResourceLimitError  # noqa: E402
 from .forms import CubicForm, classify, form_to_dict, load_form  # noqa: E402
 

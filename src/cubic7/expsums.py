@@ -42,9 +42,13 @@ from .forms import (
 MOD_CAP = 4096
 
 
-def _check_modulus(m: int) -> None:
+def _check_positive(m: int) -> None:
     if m < 1:
         raise DomainError("modulus must be positive")
+
+
+def _check_modulus(m: int) -> None:
+    _check_positive(m)
     if m > MOD_CAP:
         raise ResourceLimitError(f"modulus {m} exceeds the cap {MOD_CAP}")
 
@@ -217,8 +221,10 @@ def block_sum_any(l, q, modulus: int, mult: int) -> complex:
     The block content g is pulled out first (forms._block_content): with c0 =
     gcd(g, modulus) the sum is c0^3 copies of the primitive-block sum at
     modulus/c0, or modulus^3 for g = 0.  No coprimality is required of mult
-    (inner reduced sums need that).
+    (inner reduced sums need that).  A modulus above MOD_CAP is accepted
+    when c0 brings modulus/c0 under it.
     """
+    _check_positive(modulus)
     g, lp, qp = _block_content(tuple(int(v) for v in l), tuple(int(v) for v in q))
     c0 = math.gcd(g, modulus)
     mp = modulus // c0

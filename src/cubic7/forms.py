@@ -14,16 +14,19 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import reduce
 from operator import add, mul
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import lattice
 from .arith import content, icbrt_exact, isqrt_exact, power_residues
 from .errors import DegenerateBlockError, DomainError, InvalidFormError
 from .payload import Payload
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Parse-time cap on coefficient magnitude, so degree-6 coefficient monomials
 # stay far inside exact integer range everywhere downstream.
@@ -137,7 +140,7 @@ def _integers(name: str, values) -> tuple[int, ...]:
     """values as Python ints; bools, floats, strings and the like are refused."""
     out = []
     for i, v in enumerate(values):
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
             raise InvalidFormError(f"coefficient {name}[{i}] = {v!r} is not an integer")
         out.append(int(v))
     return tuple(out)

@@ -22,6 +22,9 @@ M' = c * prod p^gamma'(p)  is the sufficiency modulus: M' | N forces
 solvability.  Congruence decisions are exact: exhaustive residue search
 for small moduli, Newton lifting for large prime powers, and an honest
 resource error when neither can decide.
+
+The residue searches build numpy arrays and import numpy on first use, so
+the block analysis and the local modulus run without it.
 """
 
 from __future__ import annotations
@@ -30,8 +33,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .arith import crt_pair, factorize, inverse_mod, is_prime, v_p
 from .errors import DegenerateBlockError, DomainError, ResourceLimitError
@@ -40,6 +42,9 @@ from .forms import (
     _product_coefficients, _quad_terms, block_value, content_decomposition, cube_residues,
 )
 from .payload import Payload
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _EXHAUSTIVE_CAP = 360  # prime powers up to this are decided by full search
 _MODULUS_CAP = 10 ** 8
@@ -183,6 +188,8 @@ def gammas(form: CubicForm) -> dict[int, tuple[int, int]]:
 @functools.lru_cache(maxsize=64)
 def _block_reach(l, q, m: int):
     """(achievable bool array, witness flat index) for L*Q mod m."""
+    import numpy as np
+
     # Reduced l, q and residues: |L*Q| <= 18 (m - 1)^5 < 2^63 for m <= 360.
     l = [v % m for v in l]
     q = [v % m for v in q]
@@ -202,6 +209,8 @@ def _decode(idx: int, m: int) -> tuple[int, int, int]:
 
 def _exhaustive_points(form: CubicForm, N: int, m: int, limit: int):
     """Up to `limit` solutions of f = N (mod m), in (x7, block-1 residue) order."""
+    import numpy as np
+
     can1, wit1 = _block_reach(form.l1, form.q1, m)
     can2, wit2 = _block_reach(form.l2, form.q2, m)
     cube = cube_residues(form.a7, m)
@@ -236,6 +245,8 @@ def _f_mod_p_batch(form: CubicForm, xs: np.ndarray, p: int) -> np.ndarray:
 
 def _search_points_mod_p(form: CubicForm, N: int, p: int, limit: int):
     """Up to `limit` solutions of f = N (mod p) among 2^23 Philox draws."""
+    import numpy as np
+
     out = []
     rng = np.random.Generator(np.random.Philox(key=[20240, p]))
     nm = N % p

@@ -284,6 +284,20 @@ def test_s_block_unit_law(f_star):
         s_block(f_star.l1, f_star.q1, 9, 3)
 
 
+def test_block_sums_refuse_nonpositive_modulus():
+    # A zero content (L = 0 or Q = 0) reaches no histogram, so the rule is
+    # asked before gcd(0, modulus) and the division by it.
+    for l, q in (((0, 0, 0), (1, 0, 0, 0, 0, 0)), ((1, 0, 0), (0,) * 6)):
+        for m in (0, -3):
+            with pytest.raises(DomainError, match="modulus must be positive"):
+                block_sum_any(l, q, m, 1)
+            with pytest.raises(DomainError, match="modulus must be positive"):
+                s_block(l, q, m, 1)
+        # The content brings any positive modulus under the cap.
+        m = 10 * MOD_CAP + 1
+        assert block_sum_any(l, q, m, 1) == m ** 3
+
+
 def test_s_cube_vs_brute():
     for a7 in (1, 2, 7):
         for m in (2, 3, 7, 9):

@@ -1,3 +1,5 @@
+import decimal
+import fractions
 import itertools
 import json
 import random
@@ -356,11 +358,17 @@ def test_is_rational_cube():
 
 
 def test_coefficients_must_be_integers(f_star):
-    """Python and numpy integers construct a form; nothing else is coerced."""
-    for cast in (np.int64, np.int32, np.uint8):
-        assert CubicForm(tuple(cast(v) for v in f_star.a), f_star.q1,
-                         f_star.q2) == f_star
-    for bad in (1.5, 1.0, True, "1", np.float64(1.0), np.bool_(True)):
+    """Python and numpy integers construct a form; nothing else is coerced.
+
+    The rule is numbers.Integral less bool: numpy registers its integer
+    types there, and not np.bool_; Fraction and Decimal are not Integral
+    even when their value is whole."""
+    for cast in (np.int64, np.int32, np.uint8, np.uint64):
+        got = CubicForm(tuple(cast(v) for v in f_star.a), f_star.q1, f_star.q2)
+        assert got == f_star
+        assert all(type(v) is int for v in got.a)
+    for bad in (1.5, 1.0, True, False, "1", np.float64(1.0), np.bool_(True),
+                fractions.Fraction(1), decimal.Decimal(1)):
         with pytest.raises(InvalidFormError, match=r"coefficient a\[2\]"):
             CubicForm((1, 0, bad, 1, 0, 0, 1), f_star.q1, f_star.q2)
         with pytest.raises(InvalidFormError, match=r"coefficient q2\[5\]"):
