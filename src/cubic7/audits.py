@@ -43,6 +43,8 @@ def growth_audit(counter, sizes, claimed_exponent: float) -> GrowthAudit:
         raise DomainError("need at least three probe sizes")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise DomainError("probe sizes must be nonempty and increasing")
+    if sizes[0] < 1:
+        raise DomainError("probe sizes must be at least 1")
     probes = tuple((s, int(counter(s))) for s in sizes)
     slope, _ = fit.fit_loglog([s for s, _ in probes], [c for _, c in probes])
     const = max(c / s ** claimed_exponent for s, c in probes)
@@ -110,11 +112,9 @@ def surface_audit(A: int, N: int, sizes) -> GrowthAudit:
 
 def second_moment(l, q, P: int) -> int:
     """Sum of c(n)^2 over n != 0 for one block on the Sym box."""
-    c = value_histogram(tuple(l), tuple(q), "sym", P)._cnts
-    # The sym histogram is even and stored by its half, which starts at
-    # u = 0: the sum is twice that over u > 0.  Exact in int64: it is at
-    # most (sum of c)^2 <= _GRID_CAP^2.
-    return 2 * int(c[1:] @ c[1:])
+    h = value_histogram(tuple(l), tuple(q), "sym", P)
+    # Exact in int64: the sum over all n is at most (sum of c)^2 <= _GRID_CAP^2.
+    return int(h.cnts @ h.cnts) - h.count_of(0) ** 2
 
 
 def second_moment_audit(l, q, P_list) -> GrowthAudit:

@@ -85,7 +85,7 @@ def _check_discriminant_identity(form: CubicForm) -> tuple[bool, str]:
             continue
         inv = block_invariants(l, q)
         Ap, Bp, Cp, _, _ = inv.primed
-        piv = l[inv.order[0]]
+        piv = l[inv.pivot - 1]
         lhs = Bp * Bp - 4 * Ap * Cp
         rhs = piv * piv * inv.delta
         if lhs != rhs:

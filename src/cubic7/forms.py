@@ -255,7 +255,6 @@ def _primed(a, A, B) -> tuple[int, int, int, int, int]:
 class BlockInvariants:
     delta: int
     pivot: int  # 1-based index of the chosen nonzero linear coefficient
-    order: tuple[int, int, int]  # 0-based variable order used for primed
     primed: tuple[int, int, int, int, int]  # (A', B', C', F', G')
     dpp: int | None  # D'' where the nonzero-discriminant branches define it
     frakD: int  # 0 exactly when the block is degenerate
@@ -287,7 +286,7 @@ def block_invariants(l, q) -> BlockInvariants:
     pivot = next((i for i in range(3) if l[i] != 0), None)
     if pivot is None:
         raise InvalidFormError("zero linear form in a block")
-    a, A, B, order = _permute_block(l, q, pivot)
+    a, A, B, _ = _permute_block(l, q, pivot)
     Ap, Bp, Cp, Fp, Gp = _primed(a, A, B)
     a1 = a[0]
     A1 = A[0]
@@ -315,7 +314,6 @@ def block_invariants(l, q) -> BlockInvariants:
     return BlockInvariants(
         delta=dlt,
         pivot=pivot + 1,
-        order=order,
         primed=(Ap, Bp, Cp, Fp, Gp),
         dpp=dpp,
         frakD=frakD,
@@ -417,20 +415,20 @@ def transform_block(l, q, block_index: int = 0) -> NormalForm:
 def is_rational_cube(num: int, den: int) -> tuple[int, int] | None:
     """(d1, d2) coprime with num/den = d1^3/d2^3 and d2 > 0, else None.
 
-    Exact integer arithmetic only; num = 0 returns None (a cube of a
-    *nonzero* rational is required by the callers).
+    Fraction reduces num/den and moves its sign to the numerator; den = 0
+    raises DomainError, and num = 0 returns None (a cube of a *nonzero*
+    rational is required by the callers).
     """
     if den == 0:
         raise DomainError("zero denominator")
     if num == 0:
         return None
-    if den < 0:
-        num, den = -num, -den
-    g = math.gcd(abs(num), den)
-    num //= g
-    den //= g
-    d1 = icbrt_exact(num)
-    d2 = icbrt_exact(den)
+    # Imported here: fractions loads decimal, about 0.4 MB in every process.
+    from fractions import Fraction
+
+    r = Fraction(num, den)
+    d1 = icbrt_exact(r.numerator)
+    d2 = icbrt_exact(r.denominator)
     if d1 is None or d2 is None:
         return None
     return d1, d2
@@ -475,10 +473,6 @@ def _primitive_covector(cov) -> tuple[int, ...]:
     return cov
 
 
-def _space_key(space: LinearSpace):
-    return tuple(space.kernel_basis())
-
-
 def _vanishes_on(form: CubicForm, space: LinearSpace) -> bool:
     basis = space.kernel_basis()
     if len(basis) != 4:
@@ -509,7 +503,7 @@ def linear_spaces(form: CubicForm) -> list[LinearSpace]:
     e7 = (0, 0, 0, 0, 0, 0, 1)
     spaces = [LinearSpace((l1cov, l2cov, e7), "1")]
 
-    d = isqrt_exact(inv2.delta) if inv2.delta > 0 else None
+    d = isqrt_exact(inv2.delta)
     if d:
         # Delta2 = d^2 > 0, so the normal form's quad*X2^2 - X3^2 factors as
         # (a4*d*X2 + X3)(a4*d*X2 - X3); the split branch already has X2*X3.
@@ -539,17 +533,13 @@ def linear_spaces(form: CubicForm) -> list[LinearSpace]:
                 spaces.append(LinearSpace((l1cov, wplus, third), "2'", subcase))
                 spaces.append(LinearSpace((l1cov, wminus, third), "3'", subcase, note))
 
-    out: list[LinearSpace] = []
-    seen = set()
+    # The spaces are pairwise distinct: X1 = L2, X2 and X3 of a nondegenerate
+    # block are independent, so neither w+ nor w- lies in the span of L2, and
+    # w+, w- are independent of each other (a4*d != 0; X2 and X3 when split).
     for sp in spaces:
-        key = _space_key(sp)
-        if key in seen:
-            continue
-        seen.add(key)
         if not _vanishes_on(form, sp):
             raise AssertionError(f"space {sp.tag} does not lie on f = 0")
-        out.append(sp)
-    return out
+    return spaces
 
 
 @dataclass(frozen=True)
@@ -579,10 +569,9 @@ def classify(form: CubicForm) -> Classification:
     """Block invariants, content decomposition, and the space census."""
     inv1, inv2 = _nondegenerate_blocks(form)
     c, mult, _, _ = content_decomposition(form)
-    q2fac = (
-        inv2.delta > 0 and isqrt_exact(inv2.delta) is not None and inv2.dpp == 0
-    )
     spaces = tuple(linear_spaces(form))
+    # Spaces 2 and 3 exist exactly when Delta2 is a nonzero square and D'' = 0.
+    q2fac = any(sp.tag == "2" for sp in spaces)
     return Classification(inv1, inv2, q2fac, spaces, c, mult)
 
 

@@ -91,6 +91,8 @@ def _is_scaled_square(l, q, p: int) -> bool:
 
 def block_local_case(l, q, p: int) -> BlockLocalData:
     """Case classification and exponents for one primitive block at p."""
+    if not is_prime(p):
+        raise DomainError(f"{p} is not prime")
     l = tuple(int(v) for v in l)
     q = tuple(int(v) for v in q)
     if all(v % p == 0 for v in l):

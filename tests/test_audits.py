@@ -151,6 +151,9 @@ def test_growth_audit_validation():
     for sizes in ((160, 20, 40), (20, 20, 40)):
         with pytest.raises(DomainError, match="nonempty and increasing"):
             growth_audit(never, sizes, 3.0)
+    for sizes in ((0, 1, 2), (-2, -1, 1)):
+        with pytest.raises(DomainError, match="at least 1"):
+            growth_audit(never, sizes, 3.0)
     audit = growth_audit(lambda s: 2 * s * s, (5, 10, 20), 2.0)
     assert audit.fitted_exponent == pytest.approx(2.0)
     assert audit.max_constant == pytest.approx(2.0)

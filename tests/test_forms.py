@@ -2,6 +2,7 @@ import decimal
 import fractions
 import itertools
 import json
+import math
 import random
 from pathlib import Path
 
@@ -327,6 +328,35 @@ def test_classify(f_star, f_fac1, f_fac2):
     assert d["content"] == 1 and len(d["spaces"]) == 1
 
 
+def test_census_sweep_distinct_spaces_and_q2_factorizes():
+    # Small coefficients with many zeros reach all three tag sets; Q2
+    # factorizes over Q exactly when Delta2 is a nonzero square and D'' = 0.
+    rng = random.Random(36)
+
+    def draw(n):
+        return tuple(rng.choice((0, 0, 1, -1)) for _ in range(n))
+
+    def linear():
+        l = draw(3)
+        return l if any(l) else (1, 0, 0)
+
+    tag_sets = set()
+    for _ in range(2000):
+        form = CubicForm(linear() + linear() + (rng.choice((1, -1, 8)),), draw(6), draw(6))
+        try:
+            c = classify(form)
+        except DegenerateBlockError:
+            continue
+        tags = tuple(sp.tag for sp in c.spaces)
+        tag_sets.add(tags)
+        bases = [tuple(sp.kernel_basis()) for sp in c.spaces]
+        assert len(set(bases)) == len(bases), form
+        d = c.block2.delta
+        assert c.q2_factorizes == (d > 0 and math.isqrt(d) ** 2 == d and c.block2.dpp == 0)
+        assert c.q2_factorizes == ("2" in tags)
+    assert tag_sets == {("1",), ("1", "2", "3"), ("1", "2'", "3'")}
+
+
 _PINS = json.loads(Path(__file__).with_name("forms_pins.json").read_text())
 
 
@@ -351,6 +381,12 @@ def test_is_rational_cube():
     assert is_rational_cube(8, 27) == (2, 3)
     assert is_rational_cube(-8, 27) == (-2, 3)
     assert is_rational_cube(16, 54) == (2, 3)  # reduces to 8/27
+    assert is_rational_cube(-8, -27) == (2, 3)
+    assert is_rational_cube(8, -27) == (-2, 3)
+    assert is_rational_cube(250, -16) == (-5, 2)  # reduces to -125/8
+    big = 3 ** 45  # (3^15)^3 > 2^63
+    assert is_rational_cube(10 * big, -10 * 2 ** 66) == (-3 ** 15, 2 ** 22)
+    assert is_rational_cube(big + 1, 2 ** 66) is None
     assert is_rational_cube(2, 1) is None
     assert is_rational_cube(0, 5) is None
     with pytest.raises(DomainError):

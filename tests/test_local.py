@@ -113,6 +113,12 @@ def test_block_case_rejects_imprimitive():
         block_local_case((3, 0, 3), (1, 0, 0, 0, 0, 0), 3)
 
 
+def test_block_case_rejects_nonprime(f_star):
+    for p in (0, 1, 4, 6, 9, -3):
+        with pytest.raises(DomainError, match=f"{p} is not prime"):
+            block_local_case(f_star.l1, f_star.q1, p)
+
+
 def test_case_invariance_under_unimodular_changes():
     # The case and exponents live on the GL3(Z)-orbit of the block.
     rng = random.Random(61)
@@ -270,6 +276,20 @@ def test_newton_lifting_large_power(f_star):
     # base-point collection and Newton lifting path.
     ok, w = congruence_solvable(f_star, 10, 3 ** 7)
     assert ok and (f_star.value(w) - 10) % 3 ** 7 == 0
+
+
+def test_lifting_never_answers_unsolvable_with_a_solution():
+    # f3(1, 1, 0, ..., 0) = 3, yet no collected base point mod 3 lifts to
+    # 3^6 or 3^7 (singular paths die): the answer must not be (False, None).
+    f3 = CubicForm((3, 0, 0, 3, 0, 0, 1), (0, 0, 1, 0, 0, 1), (0, 0, 1, 0, 0, 1))
+    assert f3.value((1, 1, 0, 0, 0, 0, 0)) == 3
+    for m in (3 ** 6, 3 ** 7):
+        try:
+            ok, w = congruence_solvable(f3, 3, m)
+        except ResourceLimitError as e:
+            assert "undecided" in str(e)
+        else:
+            assert ok and (f3.value(w) - 3) % m == 0
 
 
 def test_congruence_large_prime_random_base_points(f_iii):
