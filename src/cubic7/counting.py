@@ -3,34 +3,44 @@
 Each ternary block contributes a value histogram over the box; the count of
 f = N is a convolution of the two histograms against the cube term.  All
 arithmetic is exact.  A histogram is a sorted array of distinct values with
-int64 multiplicities.  One scan builds it for every integer width: the
-slabs are computed, sorted in place and counted by run lengths in the
+int64 multiplicities.  One scan builds it for every box and every integer
+width.  The sign changes s in {+-1}^3 that map the box onto itself and
+L*Q to +-L*Q form a group G, decided from L*Q's cubic coefficients, and
+the scan reads a fundamental domain of G: |G| times the counts of |L*Q|
+over a bulk piece, where the pivot coordinates (those on which G projects
+one-to-one) are positive, and once each the pieces where a pivot is 0.
+x*y*z reads an octant, every Delta = 0 normal form X1(X1 X3 + X2^2) a
+quarter, a dense block on the sym box a half and every block on the pos
+and nonneg boxes, where G = {I}, the whole box, with L*Q signed.  Each
+piece is cut into planes across its shortest axis and into slabs of equal
+plane count, computed, sorted in place and counted by run lengths in the
 narrowest of int32, int64 and object (Python ints) that an a priori bound
 proves holds every intermediate of L*Q.  The values are then stored as
 int64 when every one lies in (-2^62, 2^62), so that every sum and
 difference of two values fits int64, and as Python ints otherwise.  On the
-sym box L*Q(-x) = -L*Q(x), so the histogram is even: a scan of |L*Q| over
-the slabs x1 > 0 and the plane x1 = 0 gives it, the counts at u and -u
-together, and it is stored and read by that half u >= 0; the signed values
-are only built for the cold paths that list them.  Each slab's runs are
-merged into the running histogram by a search, in memory linear in the
-output.  Both grid caps still apply to the full box.  The cube term is
-folded once into the narrower histogram, g = h * {a7 t^3}, by 2P+1 dense
-slice adds from one dense copy of h's stored arrays, its half when h is
-stored by its half; when the cubes are symmetric too (the sym box), g is
-even, and only its half w >= 0 is added up and stored.  Every N is then
-one int64 dot of the other histogram's counts against g.  An entry of g
-is at most the folded total (v and w fix t), so g is int32 below 2^31,
-and every partial sum of a dot is at most total1 * total2 <= _GRID_CAP^2
-< 2^63.  Big-int histograms, a failed 2^63 bound or a fold window above
-_DENSE_CAP fall back to sparse pair sums per cube target, accumulated in
-Python ints.
+sym box G holds x -> -x, L*Q being odd, so the histogram is even: it is
+stored and read by its half u >= 0, the counts at u and -u together; the
+signed values are only built for the cold paths that list them.  Each
+slab's runs are merged into the running histogram by a search, in memory
+linear in the output.  Both grid caps still apply to the full box.  The
+cube term is folded once into the narrower histogram, g = h * {a7 t^3}, by
+2P+1 dense slice adds from one dense copy of h's stored arrays, its half
+when h is stored by its half; when the cubes are symmetric too (the sym
+box), g is even, and only its half w >= 0 is added up and stored.  Every N
+is then one int64 dot of the other histogram's counts against g.  An entry
+of g is at most the folded total (v and w fix t), so g is int32 below
+2^31, and every partial sum of a dot is at most total1 * total2 <=
+_GRID_CAP^2 < 2^63.  Big-int histograms, a failed 2^63 bound or a fold
+window above _DENSE_CAP fall back to sparse pair sums per cube target,
+accumulated in Python ints.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +48,9 @@ import numpy as np
 from . import fit, lattice
 from .arith import icbrt, icbrt_exact
 from .errors import DomainError, ResourceLimitError
-from .forms import _SLAB, CubicForm, block_value, box_interval, box_range, linear_spaces
+from .forms import (
+    _SLAB, CubicForm, _quad_terms, block_value, box_interval, box_range, linear_spaces,
+)
 from .payload import Payload
 
 _GRID_CAP = 68_000_000  # lattice points per block enumeration
@@ -148,33 +160,85 @@ def _merge_unique(a, b):
     return vals, cnts
 
 
-def _scan_slabs(l, q, r, xs, absolute: bool = False):
-    """Sorted (vals, cnts) of L*Q over xs x r x r in the dtype of r, or of
-    |L*Q| with absolute.  Each x-plane is block_value(l, q, x, Y, Z),
-    broadcast if a scalar, row or column, written into one reused buffer
-    of at most forms._SLAB cells; each slab is sorted in place and its
-    runs are merged into the running histogram.  Object slabs sort stably:
-    timsort finds their runs."""
-    kind = "stable" if r.dtype == object else None
-    n = len(r)
+def _scan_slabs(l, q, axes, weight: int, absolute: bool):
+    """Sorted (vals, cnts) of L*Q over the grid axes[0] x axes[1] x axes[2]
+    in the dtype of the axes, or of |L*Q| with absolute, each count times
+    weight.  The grid is cut into planes across its shortest axis; each
+    plane is block_value(l, q, ...) with the plane's coordinate a scalar
+    and the other two axes a column and a row, broadcast if a scalar, row
+    or column, written into one reused buffer.  The planes are split into
+    slabs of equal plane count, as few as keep each slab within forms._SLAB
+    cells; each slab is sorted in place and its runs are merged into the
+    running histogram.  Object slabs sort stably: timsort finds their
+    runs."""
     l, q = tuple(map(int, l)), tuple(map(int, q))
-    Y, Z = r[:, None], r[None, :]
-    step = max(1, _SLAB // (n * n))
-    vbuf = np.empty((min(step, len(xs)), n, n), dtype=r.dtype)
-    vals = np.empty(0, dtype=r.dtype)
-    cnts = np.empty(0, dtype=np.int64)
-    for s in range(0, len(xs), step):
-        xb = xs[s : s + step].tolist()
-        # One x-plane at a time: besides the slab, only n x n arrays exist.
-        for plane, x in zip(vbuf, xb):
-            plane[...] = block_value(l, q, x, Y, Z)
+    a = min(range(3), key=lambda i: len(axes[i]))
+    b, c = (i for i in range(3) if i != a)
+    args = [None] * 3
+    args[b], args[c] = axes[b][:, None], axes[c][None, :]
+    per_slab = max(1, _SLAB // (len(axes[b]) * len(axes[c])))
+    slabs = np.array_split(axes[a], -(-len(axes[a]) // per_slab))
+    dtype = axes[a].dtype
+    kind = "stable" if dtype == object else None
+    vbuf = np.empty((len(slabs[0]), len(axes[b]), len(axes[c])), dtype=dtype)
+    hist = None
+    for xb in slabs:
+        # One plane at a time: besides the slab, only plane-size arrays exist.
+        for plane, x in zip(vbuf, xb.tolist()):
+            args[a] = x
+            plane[...] = block_value(l, q, *args)
         v = vbuf[: len(xb)].ravel()
         if absolute:
             np.abs(v, out=v)
         v.sort(kind=kind)
         starts = _runs(v)
-        vals, cnts = _merge_unique((vals, cnts), (v[starts], np.diff(starts, append=len(v))))
-    return vals, cnts
+        cnts = np.diff(starts, append=len(v))
+        cnts *= weight
+        runs = v[starts], cnts
+        hist = runs if hist is None else _merge_unique(hist, runs)
+    return hist
+
+
+def _sign_group(l, q, r) -> list[tuple[int, int, int]]:
+    """G: the sign changes s in {+-1}^3, identity first, that map the grid
+    r^3 onto itself and L*Q to +-L*Q.  When r is symmetric, s is in G
+    exactly when every monomial x^a y^b z^c of L*Q with a nonzero
+    coefficient takes the same sign s1^a s2^b s3^c, so -I always is (L*Q
+    is odd); when r is not, G = {I}."""
+    if r[0] != -r[-1]:
+        return [(1, 1, 1)]
+    coef = collections.Counter()
+    for (a, x), (b, u, v) in itertools.product(zip(l, "xyz"), _quad_terms(q, *"xyz")):
+        coef["".join(sorted(x + u + v))] += a * b
+    group = []
+    for s in itertools.product((1, -1), repeat=3):
+        sign = dict(zip("xyz", s))
+        if len({math.prod(map(sign.get, m)) for m, c in coef.items() if c}) <= 1:
+            group.append(s)
+    return group
+
+
+def _sign_pieces(r, group):
+    """[(axes, weight)]: a fundamental domain of the sign group on the grid
+    r^3, so that the counts over the grid are the weighted counts over the
+    pieces.  The pivots S are the first coordinates on which G projects
+    one-to-one, |S| = log2 |G|.  Every orbit of G on the points whose pivots
+    are all nonzero has |G| points, one of them with every pivot positive:
+    the bulk piece (pivots in r > 0, the rest full), first, has weight |G|.
+    The points whose j-th pivot is the first one at 0 form the j-th zero
+    piece (that pivot 0, the earlier ones nonzero, the rest full), of
+    weight 1.  For G = {I} the bulk is the grid."""
+    k = len(group).bit_length() - 1
+    pivots = next(S for S in itertools.combinations(range(3), k)
+                  if len({tuple(s[i] for i in S) for s in group}) == len(group))
+    pieces = [(tuple(r[r > 0] if i in pivots else r for i in range(3)), len(group))]
+    for j, p in enumerate(pivots):
+        axes = [r] * 3
+        for e in pivots[:j]:
+            axes[e] = r[r != 0]
+        axes[p] = r[r == 0]
+        pieces.append((tuple(axes), 1))
+    return pieces
 
 
 def _value_bound(l, q, box: str, P: int) -> int:
@@ -221,30 +285,29 @@ def _histogram_scan(l, q, box: str, P: int):
 def value_histogram(l, q, box: str, P: int) -> BlockHistogram:
     """Histogram of L*Q over the box of radius P (exact multiplicities).
 
-    On the sym box x -> -x maps the box onto itself and L*Q to -L*Q, so the
-    histogram is even, h(-u) = h(u), and only |L*Q| is counted, on the
-    slabs x1 > 0 and on the plane x1 = 0.  With A(u) the count of |v| = u
-    on x1 > 0 (the slabs x1 < 0 are their mirror) and C(u) that on the
-    plane, which is symmetric itself, h(u) = A(u) + C(u)/2 for u > 0 and
-    h(0) = 2 A(0) + C(0); the histogram is stored by this half.  The pos
-    and nonneg boxes are scanned in full.  The values are stored as int64
-    when all of them lie in (-2^62, 2^62), and as Python ints otherwise.
-    The cache holds the two blocks of one radius: every caller reuses only
-    the histograms just built.
+    One scan over the pieces of _sign_pieces, a fundamental domain of the
+    sign group G of _sign_group, gives H(u), the count of |L*Q| = u over
+    the box: |G| times the bulk piece's count plus the zero pieces' counts.
+    Off the sym box G = {I}, the bulk is the box and L*Q is counted signed.
+    On the sym box G holds -I, since L*Q is odd, so the histogram is even,
+    h(-u) = h(u), and it is stored by its half u >= 0: u[0] = 0, since the
+    origin lies in the first zero piece, with h(0) = H(0), and
+    h(u) = H(u) / 2 after it.  The values are stored as int64 when all of
+    them lie in (-2^62, 2^62), and as Python ints otherwise.  The cache
+    holds the two blocks of one radius: every caller reuses only the
+    histograms just built.
     """
     r = _histogram_scan(l, q, box, P)
-    if box != "sym":
-        vals, cnts = _scan_slabs(l, q, r, r)
-        fits = -_INT64_SAFE < int(vals[0]) and int(vals[-1]) < _INT64_SAFE
-        return BlockHistogram(vals.astype(np.int64 if fits else object, copy=False), cnts)
-    u, a = _scan_slabs(l, q, r, r[P + 1 :], absolute=True)
-    a *= 2
-    u, c = _merge_unique((u, a), _scan_slabs(l, q, r, r[P : P + 1], absolute=True))
-    # c = 2 A + C is h(0) at u[0] = 0 (the origin lies on the plane) and
-    # twice h(u) after it.
-    c[1:] //= 2
-    return BlockHistogram(
-        u.astype(np.int64 if int(u[-1]) < _INT64_SAFE else object, copy=False), c, even=True)
+    group = _sign_group(l, q, r)
+    even = len(group) > 1
+    bulk, *zeros = _sign_pieces(r, group)
+    vals, cnts = _scan_slabs(l, q, *bulk, even)
+    for axes, weight in zeros:
+        vals, cnts = _merge_unique((vals, cnts), _scan_slabs(l, q, axes, weight, even))
+    if even:
+        cnts[1:] //= 2
+    fits = -_INT64_SAFE < int(vals[0]) and int(vals[-1]) < _INT64_SAFE
+    return BlockHistogram(vals.astype(np.int64 if fits else object, copy=False), cnts, even=even)
 
 
 def _cube_fold(h: BlockHistogram, cubes):

@@ -5,7 +5,7 @@ rational 4-dimensional linear spaces contained in f = 0.
 
 Quadratic coefficients are ordered (A1, A2, A3, B1, B2, B3) for
 A1*x^2 + A2*y^2 + A3*z^2 + B1*y*z + B2*z*x + B3*x*y.  The block algebra in
-that order lives here once, for local and expsums too: _quad_terms,
+that order lives here once, for local, expsums and counting too: _quad_terms,
 _block_factors, _gram_matrix, _product_coefficients and _block_content.
 """
 
@@ -51,7 +51,10 @@ def box_range(box: str, P: int) -> range:
     return range(lo, hi + 1)
 
 
-_SLAB = 1 << 22  # grid cells per slab of counting._scan_slabs, per row chunk of expsums
+# Grid cells per row chunk of expsums, and at most per slab of
+# counting._scan_slabs, which splits each piece of a sign-group scan into
+# the fewest slabs of equal plane count that fit.
+_SLAB = 1 << 22
 
 
 def _terms_sum(terms):
@@ -473,13 +476,18 @@ def _primitive_covector(cov) -> tuple[int, ...]:
     return cov
 
 
+_CUBIC_NODES = tuple(t for t in itertools.product(range(4), repeat=4) if sum(t) == 3)
+
+
 def _vanishes_on(form: CubicForm, space: LinearSpace) -> bool:
     basis = space.kernel_basis()
     if len(basis) != 4:
         return False
-    # f restricted to the space has per-parameter degree <= 3, so vanishing
-    # on the grid {0..3}^4 proves vanishing identically.
-    for t in itertools.product(range(4), repeat=4):
+    # f restricted to the space is a homogeneous cubic in t, so vanishing at
+    # the 20 nodes t >= 0 with t1 + t2 + t3 + t4 = 3 (the degree-3 Lagrange
+    # nodes of a tetrahedron, unisolvent for cubics) proves vanishing
+    # identically.
+    for t in _CUBIC_NODES:
         x = [sum(t[j] * basis[j][i] for j in range(4)) for i in range(7)]
         if form.value(x) != 0:
             return False

@@ -210,16 +210,19 @@ def test_verify_names_a_crashed_check(monkeypatch, f_star):
 def test_histogram_check_reads_the_enumeration(monkeypatch, f_star):
     # The sym histogram is stored by its half, so a parity clause on it
     # alone always holds: the check compares each block with the
-    # enumeration.  Dropping the plane x1 = 0, not halving the counts at
-    # u > 0, or moving one count between two values (mass and parity kept)
-    # must each fail it.
+    # enumeration.  Dropping the zero pieces of the sign-group scan (those
+    # of weight 1 on the sym box: x1 = 0, and x3 = 0 with x1 != 0), not
+    # halving the counts at u > 0, or moving one count between two values
+    # (mass and parity kept) must each fail it.
     assert checks._check_histogram(f_star) == (
         True, "block mass = 13^3 and sym parity hold at P = 6")
     build = counting.value_histogram.__wrapped__
     scan = counting._scan_slabs
 
-    def no_plane(l, q, r, xs, absolute=False):
-        return scan(l, q, r, xs if len(xs) > 1 else xs[:0], absolute)
+    def no_zero_pieces(l, q, axes, weight, absolute):
+        if weight == 1:
+            return axes[0][:0], np.empty(0, dtype=np.int64)
+        return scan(l, q, axes, weight, absolute)
 
     def doubled(l, q, box, P):
         h = build(l, q, box, P)
@@ -235,8 +238,8 @@ def test_histogram_check_reads_the_enumeration(monkeypatch, f_star):
 
     monkeypatch.setattr(checks, "value_histogram", build)
     with monkeypatch.context() as m:
-        m.setattr(counting, "_scan_slabs", no_plane)
-        assert checks._check_histogram(f_star)[1] == "mass 2028 != 2197"
+        m.setattr(counting, "_scan_slabs", no_zero_pieces)
+        assert checks._check_histogram(f_star)[1] == "mass 1872 != 2197"
     monkeypatch.setattr(checks, "value_histogram", doubled)
     assert not checks._check_histogram(f_star)[0]
     monkeypatch.setattr(checks, "value_histogram", moved)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from unittest import mock
 
@@ -20,6 +21,8 @@ from cubic7.counting import (
     _histogram_scan,
     _merge_unique,
     _pair_count_sparse,
+    _sign_group,
+    _sign_pieces,
     chi,
     count_representations,
     count_zeros,
@@ -40,6 +43,7 @@ from cubic7.forms import (
 )
 from cubic7.lattice import count_lattice_points_in_box
 from cubic7.oracles import (
+    _block,
     block_values_brute,
     representation_counts_brute,
     union_membership_brute,
@@ -373,9 +377,10 @@ def _assert_hist(h, vals, cnts):
 
 
 def test_sym_histogram_half_scan(monkeypatch, f_fac1):
-    # The sym histogram scans x1 > 0 and the plane x1 = 0 and keeps the
-    # half; its signed arrays must equal the full scan value for value and
-    # count for count.
+    # The sym histogram scans a fundamental domain of its sign group (a
+    # half, a quarter or an octant of the box, and the zero pieces) and keeps
+    # the half; its signed arrays must equal the full scan value for value
+    # and count for count.
     rng = random.Random(14)
     blocks = [((0, 1, 0), (1, -2, 0, 3, 0, 1)), ((0, 0, 1), (2, 0, -1, 0, 1, 0))]
     for a1 in (0, 0, 1, -2, 3):
@@ -386,13 +391,13 @@ def test_sym_histogram_half_scan(monkeypatch, f_fac1):
             h = value_histogram.__wrapped__(l, q, "sym", P)
             assert not h.is_big
             _assert_hist(h, *_sorted_arrays(block_values_brute(l, q, "sym", P)))
-    # Several slabs of _scan_slabs, the last one shorter, at P = 128.
+    # Several slabs of _scan_slabs, of equal plane count, at P = 128.
     dense = (tuple(rng.choice((-1, 1)) for _ in range(3)),
              tuple(rng.choice((-1, 1)) for _ in range(6)))
     for P in (64, 128):
         for l, q in (*f_fac1.blocks(), dense):
             _assert_hist(value_histogram.__wrapped__(l, q, "sym", P), *_full_scan(l, q, P))
-    # The object scan mirrors the same way.
+    # The object scan reads the same pieces.
     monkeypatch.setattr(counting, "_INT64_SAFE", 100)
     monkeypatch.setattr(counting, "_INT64_LIMIT", 100)
     for l, q in blocks[-3:]:
@@ -410,9 +415,10 @@ def test_sym_histogram_half_scan(monkeypatch, f_fac1):
     ((0, 1, -1), (1, 0, 2, -1, 0, 3)),  # L free of x1
 ])
 def test_sym_histogram_abs_edge_cases(monkeypatch, l, q):
-    # The sym histogram counts |L*Q| on x1 > 0 and on the plane x1 = 0 and
-    # keeps the half; zero-only planes, L = 0, Q = 0 and
-    # disjoint |v| sets on the half and the plane must give the full scan.
+    # The sym histogram counts |L*Q| on the bulk piece (x1 > 0 and any other
+    # pivots positive) and on the zero pieces, the first of which is the
+    # plane x1 = 0, and keeps the half; zero-only planes, L = 0, Q = 0 and
+    # disjoint |v| sets on the bulk and the plane must give the full scan.
     for P in (1, 2, 5):
         brute = _sorted_arrays(block_values_brute(l, q, "sym", P))
         h = value_histogram.__wrapped__(l, q, "sym", P)
@@ -429,6 +435,117 @@ def test_sym_histogram_abs_edge_cases(monkeypatch, l, q):
         h = value_histogram.__wrapped__(l, q, "sym", P)
         assert h.is_big == any(brute)
         _assert_hist(h, *_sorted_arrays(brute))
+
+
+def _permuted(l, q, perm):
+    """The block B' with B'(x') = B(x) where x[perm[k]] = x'[k]: Q's cross
+    term at index 3 + k is the one free of coordinate k."""
+    return (tuple(l[p] for p in perm),
+            tuple(q[p] for p in perm) + tuple(q[3 + p] for p in perm))
+
+
+def _sign_blocks():
+    """(l, q, |G| on the sym box): x*x*y and x*y*z (one monomial: order 8),
+    x(xy + z^2) and x(x^2 + yz) (order 4), L = 0 and Q = 0 (order 8), each
+    with its coordinates in every order, and dense random blocks (order 2)."""
+    base = [((1, 0, 0), (0, 0, 0, 0, 0, 1), 8), ((1, 0, 0), (0, 0, 0, 1, 0, 0), 8),
+            ((1, 0, 0), (0, 0, 1, 0, 0, 1), 4), ((-2, 0, 0), (3, 0, 0, -1, 0, 0), 4),
+            ((0, 0, 0), (1, -2, 0, 3, 0, 1), 8), ((2, -1, 3), (0,) * 6, 8)]
+    blocks = {(*_permuted(l, q, perm), order)
+              for l, q, order in base for perm in itertools.permutations(range(3))}
+    rng = random.Random(37)
+    for _ in range(3):
+        blocks.add((tuple(rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(3)),
+                    tuple(rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(6)), 2))
+    return sorted(blocks)
+
+
+def _sign_group_brute(l, q):
+    """The s in {+-1}^3 with B(s.x) = B(x) or B(s.x) = -B(x) at 40 random
+    integer points, in the order of itertools.product((1, -1), repeat=3)."""
+    rng = random.Random(7)
+    pts = [tuple(rng.randint(-9, 9) for _ in range(3)) for _ in range(40)]
+    return [s for s in itertools.product((1, -1), repeat=3)
+            if any(all(_block(l, q, *(a * b for a, b in zip(s, x))) == e * _block(l, q, *x)
+                       for x in pts) for e in (1, -1))]
+
+
+def test_sign_group_vs_brute():
+    # G is decided from L*Q's cubic coefficients; the brute sign test reads
+    # it off values.  The pivots (the coordinates the bulk keeps positive)
+    # land on x1 alone, x1 and x2, x1 and x3, and all three.
+    pivots = set()
+    for l, q, order in _sign_blocks():
+        r = _histogram_scan(l, q, "sym", 3)
+        group = _sign_group(l, q, r)
+        assert group == _sign_group_brute(l, q) and len(group) == order, (l, q)
+        bulk, *zeros = _sign_pieces(r, group)
+        assert bulk[1] == order and len(zeros) == order.bit_length() - 1
+        pivots.add(tuple(i for i, axis in enumerate(bulk[0]) if axis[0] > 0))
+        for box in ("pos", "nonneg"):
+            assert _sign_group(l, q, _histogram_scan(l, q, box, 3)) == [(1, 1, 1)]
+    assert pivots == {(0,), (0, 1), (0, 2), (0, 1, 2)}
+
+
+def test_sign_group_scan_vs_brute(monkeypatch):
+    # Every block of order 2, 4 and 8, its coordinates in every order, on
+    # every box and P = 1..6, equals the enumeration; the same on the object
+    # path for P = 1..3.
+    blocks = _sign_blocks()
+    for l, q, _ in blocks:
+        for box in ("sym", "pos", "nonneg"):
+            for P in range(1, 7):
+                h = value_histogram.__wrapped__(l, q, box, P)
+                assert h._even == (box == "sym") and not h.is_big
+                _assert_hist(h, *_sorted_arrays(block_values_brute(l, q, box, P)))
+    monkeypatch.setattr(counting, "_INT64_SAFE", 1)
+    monkeypatch.setattr(counting, "_INT64_LIMIT", 1)
+    for l, q, _ in blocks:
+        for box in ("sym", "pos", "nonneg"):
+            for P in range(1, 4):
+                assert _histogram_scan(l, q, box, P).dtype == object
+                brute = block_values_brute(l, q, box, P)
+                h = value_histogram.__wrapped__(l, q, box, P)
+                assert h.is_big == any(brute)
+                _assert_hist(h, *_sorted_arrays(brute))
+
+
+def test_sign_group_scan_mutants(monkeypatch):
+    # A bulk weight of |G|/2, or any one zero piece dropped, must move the
+    # histogram off the enumeration for every block on the sym box.
+    pieces = counting._sign_pieces
+
+    def half_bulk(r, group):
+        (axes, weight), *zeros = pieces(r, group)
+        return [(axes, weight // 2), *zeros]
+
+    def drop(j):
+        return lambda r, group: [p for i, p in enumerate(pieces(r, group)) if i != j]
+
+    for l, q, order in _sign_blocks():
+        want = _sorted_arrays(block_values_brute(l, q, "sym", 3))
+        for mutant in (half_bulk, *map(drop, range(1, order.bit_length()))):
+            monkeypatch.setattr(counting, "_sign_pieces", mutant)
+            with pytest.raises(AssertionError):
+                _assert_hist(value_histogram.__wrapped__(l, q, "sym", 3), *want)
+
+
+def test_sign_group_scan_reads_a_fundamental_domain(monkeypatch, f_star):
+    # At P = 128 x*y*z reads an octant and f_star's block x1(x1 x2 + x3^2) a
+    # quarter of the 257^3 box, besides the zero pieces (at most 257^2 cells
+    # each): the half scan would read 128 * 257^2 + 257^2 cells.
+    cells = []
+
+    def counted(l, q, *args):
+        cells.append(np.broadcast(*args).size)
+        return block_value(l, q, *args)
+
+    monkeypatch.setattr(counting, "block_value", counted)
+    for (l, q), bound in ((((1, 0, 0), (0, 0, 0, 1, 0, 0)), 128 ** 3 + 3 * 257 ** 2),
+                          ((f_star.l1, f_star.q1), 128 * 257 * 128 + 2 * 257 ** 2)):
+        cells.clear()
+        value_histogram.__wrapped__(l, q, "sym", 128)
+        assert sum(cells) <= bound, (l, q)
 
 
 def _merge_part(draw, values, dtype):

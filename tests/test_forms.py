@@ -1,5 +1,6 @@
 import decimal
 import fractions
+import functools
 import itertools
 import json
 import math
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from cubic7.errors import DegenerateBlockError, DomainError, InvalidFormError
 from cubic7.forms import (
+    _CUBIC_NODES,
     COEFF_CAP,
     CubicForm,
     adjoint_matrix,
@@ -29,9 +31,10 @@ from cubic7.forms import (
     is_rational_cube,
     linear_spaces,
     load_form,
+    _vanishes_on,
     transform_block,
 )
-from cubic7.oracles import _block, adjugate_brute, apply_unimodular, random_unimodular
+from cubic7.oracles import _block, _form_value, adjugate_brute, apply_unimodular, random_unimodular
 
 
 def _rand_block(rng):
@@ -328,9 +331,11 @@ def test_classify(f_star, f_fac1, f_fac2):
     assert d["content"] == 1 and len(d["spaces"]) == 1
 
 
-def test_census_sweep_distinct_spaces_and_q2_factorizes():
-    # Small coefficients with many zeros reach all three tag sets; Q2
-    # factorizes over Q exactly when Delta2 is a nonzero square and D'' = 0.
+@functools.cache
+def _census_sweep():
+    """[(form, classify(form))] for the nondegenerate forms among 2,000
+    seeded ones: small coefficients with many zeros reach all three tag
+    sets."""
     rng = random.Random(36)
 
     def draw(n):
@@ -340,13 +345,21 @@ def test_census_sweep_distinct_spaces_and_q2_factorizes():
         l = draw(3)
         return l if any(l) else (1, 0, 0)
 
-    tag_sets = set()
+    sweep = []
     for _ in range(2000):
         form = CubicForm(linear() + linear() + (rng.choice((1, -1, 8)),), draw(6), draw(6))
         try:
-            c = classify(form)
+            sweep.append((form, classify(form)))
         except DegenerateBlockError:
             continue
+    return sweep
+
+
+def test_census_sweep_distinct_spaces_and_q2_factorizes():
+    # Q2 factorizes over Q exactly when Delta2 is a nonzero square and
+    # D'' = 0.
+    tag_sets = set()
+    for form, c in _census_sweep():
         tags = tuple(sp.tag for sp in c.spaces)
         tag_sets.add(tags)
         bases = [tuple(sp.kernel_basis()) for sp in c.spaces]
@@ -355,6 +368,34 @@ def test_census_sweep_distinct_spaces_and_q2_factorizes():
         assert c.q2_factorizes == (d > 0 and math.isqrt(d) ** 2 == d and c.block2.dpp == 0)
         assert c.q2_factorizes == ("2" in tags)
     assert tag_sets == {("1",), ("1", "2", "3"), ("1", "2'", "3'")}
+
+
+_GRID4 = np.array(list(itertools.product(range(4), repeat=4)), dtype=np.int64)
+
+
+def _vanishes_on_grid(form, space):
+    """f = 0 at all 256 points of {0..3}^4 in the space's kernel basis,
+    each parameter of degree <= 3: the reference for forms._vanishes_on."""
+    x = _GRID4 @ np.array(space.kernel_basis(), dtype=np.int64)
+    return not np.any(_form_value(form, x.T))
+
+
+def test_vanishing_nodes_agree_with_the_grid():
+    # The 20 nodes t >= 0, sum t = 3 decide vanishing exactly as the
+    # 256-point grid does: on every space of the census sweep, and there on
+    # the form with one of a1..a7 raised by 2 (never to 0), in turn, which
+    # mostly does not vanish on it.
+    assert len(_CUBIC_NODES) == 20
+    vanish = {True: 0, False: 0}
+    spaces = ((form, sp) for form, census in _census_sweep() for sp in census.spaces)
+    for k, (form, sp) in enumerate(spaces):
+        assert _vanishes_on_grid(form, sp) and _vanishes_on(form, sp)
+        i = k % 7
+        bumped = CubicForm(form.a[:i] + (form.a[i] + 2,) + form.a[i + 1 :], form.q1, form.q2)
+        want = _vanishes_on_grid(bumped, sp)
+        assert _vanishes_on(bumped, sp) == want, (bumped, sp)
+        vanish[want] += 1
+    assert vanish[False] > vanish[True] > 0
 
 
 _PINS = json.loads(Path(__file__).with_name("forms_pins.json").read_text())
