@@ -33,6 +33,19 @@ of g is at most the folded total (v and w fix t), so g is int32 below
 _GRID_CAP^2 < 2^63.  Big-int histograms, a failed 2^63 bound or a fold
 window above _DENSE_CAP fall back to sparse pair sums per cube target,
 accumulated in Python ints.
+
+One target on a form whose two blocks differ is counted from one
+histogram: the cube term is folded into the block of the smaller a priori
+value bound, and the other block is never histogrammed.  Its fundamental
+domain is scanned through the planes and slabs that the histogram scan
+fills (_plane_slabs, one loop with two consumers), and each point x adds
+g(N - B(x)); a point of the bulk of a group holding -I adds
+(|G|/2)(g(N - B) + g(N + B)), since half its orbit has value -B.  Reads
+outside g's window count 0, and g is not padded.  The route declines
+where the fold would, and where the scanned block's bound reaches 2^62,
+so that every index is int64; the histogram route then runs.  Several
+targets share the two histograms and the fold, and identical blocks share
+one histogram, so they keep the histogram route.
 """
 
 from __future__ import annotations
@@ -56,7 +69,7 @@ from .payload import Payload
 _GRID_CAP = 68_000_000  # lattice points per block enumeration
 _GRID_CAP_BIG = 2_000_000  # same, when the value bound reaches _INT64_SAFE
 _DENSE_CAP = 200_000_000  # cube-fold window width
-_FOLD_TILE = 1 << 17  # fold entries per cache tile
+_FOLD_TILE = 1 << 17  # fold entries, or gathered values, per cache tile
 _INT64_SAFE = 1 << 62  # stored values strictly inside +-this are int64
 _INT32_LIMIT = 1 << 31  # slab bounds and fold entries below this are int32
 _INT64_LIMIT = 1 << 63  # slab bounds and counts below this are exact int64
@@ -160,17 +173,14 @@ def _merge_unique(a, b):
     return vals, cnts
 
 
-def _scan_slabs(l, q, axes, weight: int, absolute: bool):
-    """Sorted (vals, cnts) of L*Q over the grid axes[0] x axes[1] x axes[2]
-    in the dtype of the axes, or of |L*Q| with absolute, each count times
-    weight.  The grid is cut into planes across its shortest axis; each
-    plane is block_value(l, q, ...) with the plane's coordinate a scalar
-    and the other two axes a column and a row, broadcast if a scalar, row
-    or column, written into one reused buffer.  The planes are split into
-    slabs of equal plane count, as few as keep each slab within forms._SLAB
-    cells; each slab is sorted in place and its runs are merged into the
-    running histogram.  Object slabs sort stably: timsort finds their
-    runs."""
+def _plane_slabs(l, q, axes):
+    """The values of L*Q over the grid axes[0] x axes[1] x axes[2], in the
+    dtype of the axes, as flat slabs of one reused buffer that a consumer
+    may overwrite.  The grid is cut into planes across its shortest axis;
+    each plane is block_value(l, q, ...) with the plane's coordinate a
+    scalar and the other two axes a column and a row, broadcast if a
+    scalar, row or column.  The planes are split into slabs of equal plane
+    count, as few as keep each slab within forms._SLAB cells."""
     l, q = tuple(map(int, l)), tuple(map(int, q))
     a = min(range(3), key=lambda i: len(axes[i]))
     b, c = (i for i in range(3) if i != a)
@@ -178,16 +188,24 @@ def _scan_slabs(l, q, axes, weight: int, absolute: bool):
     args[b], args[c] = axes[b][:, None], axes[c][None, :]
     per_slab = max(1, _SLAB // (len(axes[b]) * len(axes[c])))
     slabs = np.array_split(axes[a], -(-len(axes[a]) // per_slab))
-    dtype = axes[a].dtype
-    kind = "stable" if dtype == object else None
-    vbuf = np.empty((len(slabs[0]), len(axes[b]), len(axes[c])), dtype=dtype)
-    hist = None
+    vbuf = np.empty((len(slabs[0]), len(axes[b]), len(axes[c])), dtype=axes[a].dtype)
     for xb in slabs:
         # One plane at a time: besides the slab, only plane-size arrays exist.
         for plane, x in zip(vbuf, xb.tolist()):
             args[a] = x
             plane[...] = block_value(l, q, *args)
-        v = vbuf[: len(xb)].ravel()
+        yield vbuf[: len(xb)].ravel()
+
+
+def _scan_slabs(l, q, axes, weight: int, absolute: bool):
+    """Sorted (vals, cnts) of L*Q over the grid axes[0] x axes[1] x axes[2]
+    in the dtype of the axes, or of |L*Q| with absolute, each count times
+    weight.  Each slab of _plane_slabs is sorted in place and its runs are
+    merged into the running histogram.  Object slabs sort stably: timsort
+    finds their runs."""
+    kind = "stable" if axes[0].dtype == object else None
+    hist = None
+    for v in _plane_slabs(l, q, axes):
         if absolute:
             np.abs(v, out=v)
         v.sort(kind=kind)
@@ -294,8 +312,11 @@ def value_histogram(l, q, box: str, P: int) -> BlockHistogram:
     origin lies in the first zero piece, with h(0) = H(0), and
     h(u) = H(u) / 2 after it.  The values are stored as int64 when all of
     them lie in (-2^62, 2^62), and as Python ints otherwise.  The cache
-    holds the two blocks of one radius: every caller reuses only the
-    histograms just built.
+    holds two histograms: the two blocks of one radius, which the
+    histogram route of representation_counts and block_zero_counts build
+    and reuse.  A single-target count on a form whose blocks differ
+    builds only the block it folds; the other block is scanned by
+    _scan_count and never histogrammed.
     """
     r = _histogram_scan(l, q, box, P)
     group = _sign_group(l, q, r)
@@ -369,6 +390,19 @@ def _cube_fold(h: BlockHistogram, cubes):
     return (None if even else vmin + cmin), g
 
 
+def _folds_second(width1: int, width2: int) -> bool:
+    """Whether the cube term is folded into the second of two blocks whose
+    value windows have these widths: the narrower one is, the second on a
+    tie, as the fold window is that width plus the cubes' span and
+    _DENSE_CAP caps it.  The histogram route compares the actual ranges of
+    its two histograms.  The single-target route builds one histogram
+    only, so it must choose before either exists, and compares the a
+    priori windows [-bound, bound] of _value_bound; where a block's values
+    cancel far inside its bound, the two routes may fold different blocks,
+    and the count is exact either way."""
+    return width2 <= width1
+
+
 def _fold(h1: BlockHistogram, h2: BlockHistogram, cubes):
     """(other, gmin, g): the cube term folded into the narrower histogram,
     or None when an int64 count is not certified exact or the fold is
@@ -380,10 +414,7 @@ def _fold(h1: BlockHistogram, h2: BlockHistogram, cubes):
     if h1.is_big or h2.is_big or h1.total() * h2.total() >= _INT64_LIMIT:
         return None
     (lo1, hi1), (lo2, hi2) = h1._range(), h2._range()
-    if hi2 - lo2 <= hi1 - lo1:
-        narrow, other = h2, h1
-    else:
-        narrow, other = h1, h2
+    narrow, other = (h2, h1) if _folds_second(hi1 - lo1, hi2 - lo2) else (h1, h2)
     folded = _cube_fold(narrow, cubes)
     if folded is None:
         return None
@@ -441,13 +472,104 @@ def _pair_count_sparse(h1: BlockHistogram, h2: BlockHistogram, t: int) -> int:
     return sum(a * b for a, b in zip(c1, c2))
 
 
+def _window_read(g, even: bool, k: int, sign: int, v, bound: int) -> int:
+    """Sum of g[k + sign * v] over the slab v, whose values lie in
+    [-bound, bound], or of g[|k + sign * v|] when g is even; an index
+    outside g reads 0, and g is neither copied nor padded."""
+    n = len(g)
+    lo, hi = (1 - n, n - 1) if even else (0, n - 1)
+    # k + sign * v lies in [lo, hi] exactly when v lies in [vlo, vhi].
+    vlo, vhi = sorted(((lo - k) * sign, (hi - k) * sign))
+    vlo, vhi = max(vlo, -bound), min(vhi, bound)
+    if vlo > vhi:
+        return 0
+    masked = vlo > -bound or vhi < bound
+    add = np.add if sign > 0 else np.subtract
+    total = 0
+    # Tiles of _FOLD_TILE values: the int64 indices that np.take reads
+    # without a copy, and its gather, stay in cache, not slab-sized.
+    for s in range(0, len(v), _FOLD_TILE):
+        t = v[s : s + _FOLD_TILE]
+        if masked:
+            t = t[(t >= vlo) & (t <= vhi)]
+        i = add(k, t, dtype=np.int64)
+        if even:
+            np.abs(i, out=i)
+        total += int(np.take(g, i).sum(dtype=np.int64))
+    return total
+
+
+def _scan_count(form: CubicForm, N: int, P: int) -> int | None:
+    """R(N; P) from one block histogram, or None where this route declines.
+
+    The cube term is folded into the block that _folds_second picks by the
+    a priori windows, g = h * {a7 t^3}, and the other block is never
+    histogrammed: its fundamental domain (_sign_group, _sign_pieces) is
+    scanned by _plane_slabs, the plane loop of value_histogram's scan, and
+    each point x adds g(N - B(x)).  A bulk point of a group holding -I stands for |G|
+    points, half of value B and half of -B, so it adds
+    (|G|/2)(g(N - B) + g(N + B)); a point of a zero piece, or any point
+    when G = {I}, adds g(N - B).  An even fold reads g(N + B) as
+    g(-N - B), so at N = 0 the two reads of a bulk point are one.  The
+    route declines where _fold would (a big-int histogram, the 2^63
+    certificate, a fold window above _DENSE_CAP) and where the scanned
+    block's value bound reaches 2^62, so that every index is int64; the
+    sum is then exact as _fold's dot is, below total1 * total2 < 2^63.
+    """
+    box = form.box
+    blocks = form.blocks()
+    b1, b2 = (_value_bound(l, q, box, P) for l, q in blocks)
+    second = _folds_second(2 * b1, 2 * b2)
+    (fl, fq), (l, q) = blocks[::-1] if second else blocks
+    bound = b1 if second else b2
+    if bound >= _INT64_SAFE:
+        return None
+    h = value_histogram(fl, fq, box, P)
+    r = _histogram_scan(l, q, box, P)
+    if h.is_big or h.total() * len(r) ** 3 >= _INT64_LIMIT:
+        return None
+    folded = _cube_fold(h, [form.a7 * t ** 3 for t in box_range(box, P)])
+    if folded is None:
+        return None
+    gmin, g = folded
+    even = gmin is None
+    # A read (c, sign) of weight w adds w * g[c + sign * v] at each value v,
+    # g[|c + sign * v|] when g is even; g(N - v) is the read (k, -1).
+    k = N if even else N - gmin
+    group = _sign_group(l, q, r)
+    (axes, weight), *zeros = _sign_pieces(r, group)
+    bulk = collections.Counter()
+    if len(group) > 1:
+        # g(N + v) is the read (k, 1), or (-k, -1) when g is even.
+        bulk[k, -1] += weight // 2
+        bulk[(-k, -1) if even else (k, 1)] += weight // 2
+    else:
+        bulk[k, -1] += weight
+    total = 0
+    for axes, reads in [(axes, bulk), *((z, {(k, -1): w}) for z, w in zeros)]:
+        for v in _plane_slabs(l, q, axes):
+            for (c, sign), w in reads.items():
+                total += w * _window_read(g, even, c, sign, v, bound)
+    return total
+
+
 def representation_counts(form: CubicForm, Ns, P: int) -> list[int]:
     """Exact number of box points with f(x) = N, for each N in Ns.
 
-    The cube term is folded once into a block histogram and every N is one
-    int64 dot against the fold; when the fold is refused, each N sums
-    sparse pair counts over its 2P+1 cube targets.
+    One target on a form whose two blocks differ is counted by
+    _scan_count, which builds one block histogram and scans the other
+    block.  Otherwise, and where that route declines, the cube term is
+    folded once into a block histogram and every N is one int64 dot of
+    the other block's histogram against the fold; when the fold is
+    refused, each N sums sparse pair counts over its 2P+1 cube targets.
+    Several targets share both histograms and the fold, and identical
+    blocks share one histogram, so these keep the histogram route.
     """
+    blocks = form.blocks()
+    if len(Ns) == 1 and blocks[0] != blocks[1]:
+        count = _scan_count(form, Ns[0], P)
+        if count is not None:
+            return [count]
     h1 = value_histogram(form.l1, form.q1, form.box, P)
     h2 = value_histogram(form.l2, form.q2, form.box, P)
     cubes = [form.a7 * t ** 3 for t in box_range(form.box, P)]

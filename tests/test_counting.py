@@ -760,9 +760,19 @@ def _point_histogram(v: int, c: int) -> BlockHistogram:
                           cnts=np.array([c], dtype=np.int64))
 
 
+def _spy_sparse(monkeypatch):
+    """The list of _pair_count_sparse's calls, filled as they are made."""
+    calls = []
+    pair_count = counting._pair_count_sparse
+    monkeypatch.setattr(counting, "_pair_count_sparse",
+                        lambda *args: calls.append(args) or pair_count(*args))
+    return calls
+
+
 def test_int64_certificate(monkeypatch, f_fac1):
     # Block histograms within the grid cap always give an int32 fold and an
     # exact int64 dot.
+    sparse = _spy_sparse(monkeypatch)
     assert _GRID_CAP < 2 ** 31
     assert _GRID_CAP ** 2 < 2 ** 63
     cases = [
@@ -779,8 +789,10 @@ def test_int64_certificate(monkeypatch, f_fac1):
         # differ, so each gets its own).
         monkeypatch.setattr(counting, "value_histogram",
                             lambda l, q, box, P: h1 if q == f_fac1.q1 else h2)
+        sparse.clear()
         got = representation_counts(f_fac1, [1, 2, 3, 4, -2], 1)
         assert got == [c1 * c2] * 3 + [0, 0]
+        assert bool(sparse) != folds
         assert all(type(c) is int for c in got)
     # The first case folds its second histogram, whose total needs int64.
     c1, c2, _ = cases[0]
@@ -793,9 +805,11 @@ def test_int64_certificate(monkeypatch, f_fac1):
     assert int(np.dot(np.array([c1]), np.array([c2]))) != c1 * c2
 
 
-def test_count_representations_sparse_path():
+def test_count_representations_sparse_path(monkeypatch):
     # Coefficients near the cap make the value windows far wider than
-    # _DENSE_CAP, so count_representations takes the sparse int64 path.
+    # _DENSE_CAP, so count_representations takes the sparse int64 path,
+    # one target as well as several.
+    sparse = _spy_sparse(monkeypatch)
     c = COEFF_CAP
     form = CubicForm((c, 1 - c, c - 2, c - 1, c, 3 - c, c - 5),
                      (c, c - 1, 1 - c, c - 3, -c, c), (1 - c, c, c - 2, c, c - 1, -c))
@@ -812,13 +826,18 @@ def test_count_representations_sparse_path():
         common = sorted(table, key=lambda n: (-table[n], n))[:20]
         Ns = common + rng.sample(sorted(table), 20) + [0, common[0] + 1]
         for N in Ns:
+            sparse.clear()
             assert count_representations(form, N, P) == table.get(N, 0)
+            assert sparse
+        sparse.clear()
         assert representation_counts(form, Ns, P) == [table.get(N, 0) for N in Ns]
+        assert sparse
 
 
-def test_cube_term_alone_refuses_the_fold(f_star):
+def test_cube_term_alone_refuses_the_fold(monkeypatch, f_star):
     # Both blocks stay narrow, but a7 = COEFF_CAP stretches the fold window
     # by 2 * a7 * P^3, past _DENSE_CAP first at P = 5.
+    sparse = _spy_sparse(monkeypatch)
     form = CubicForm(f_star.a[:6] + (COEFF_CAP,), f_star.q1, f_star.q2)
 
     def window(P):
@@ -839,12 +858,162 @@ def test_cube_term_alone_refuses_the_fold(f_star):
                   + rng.choice(cubes))
     want = [sum(_pair_count_sparse(h1, h2, N - c) for c in cubes) for N in Ns]
     assert min(want[5:]) > 0
+    sparse.clear()
     assert representation_counts(form, Ns, P) == want
+    assert sparse
     # At P <= 2 the fold fits and must match full enumeration.
     for P in (1, 2):
         table = representation_counts_brute(form, P)
         Ns = sorted(table)[::7] + [0, 1, -1, COEFF_CAP, COEFF_CAP * 8 + 1]
+        sparse.clear()
         assert representation_counts(form, Ns, P) == [table.get(N, 0) for N in Ns]
+        assert not sparse
+
+
+def _distinct_block_forms(a7, box):
+    """Forms whose blocks differ: f_fac1's (groups of order 4 and 8 on the
+    sym box), a block at the coefficient cap, whose int64 slabs are
+    scanned, beside f_star's block in both orders, seeded pairs of
+    _sign_blocks (orders 2, 4 and 8) and two dense random pairs."""
+    signed = [(l, q) for l, q, _ in _sign_blocks() if any(l) and any(q)]
+    rng = random.Random(38 + a7)
+    c = COEFF_CAP
+    wide = ((c, 1 - c, c - 2), (c, 1 - c, c, -c, c - 3, c))
+    narrow = ((1, 0, 0), (0, 0, 1, 0, 0, 1))
+    pairs = [(((1, 0, 0), (0, 0, 1, 0, 0, 1)), ((1, 0, 0), (0, 0, 0, 1, 0, 0))),
+             (wide, narrow), (narrow, wide)]
+    pairs += [tuple(rng.sample(signed, 2)) for _ in range(3)]
+    for _ in range(2):
+        pairs.append(tuple((tuple(rng.choice((-3, -1, 1, 2)) for _ in range(3)),
+                            tuple(rng.randint(-3, 3) for _ in range(6))) for _ in range(2)))
+    return [CubicForm(l1 + l2 + (a7,), q1, q2, box) for (l1, q1), (l2, q2) in pairs]
+
+
+def _window_edge_targets(form, P, rng):
+    """N at which a read of the fold g lands on an edge of g's window or
+    just outside it, whichever block is folded: v + gmin + e and
+    v + gmax + e for e in {-1, 0, 1}, v the other block's extremes and two
+    of its values, [gmin, gmax] the folded block's range plus the cubes'."""
+    cubes = [form.a7 * t ** 3 for t in box_range(form.box, P)]
+    values = [sorted(block_values_brute(l, q, form.box, P)) for l, q in form.blocks()]
+    Ns = set()
+    for scanned, folded in (values, values[::-1]):
+        edges = (folded[0] + min(cubes), folded[-1] + max(cubes))
+        for v in (scanned[0], scanned[-1], *rng.sample(scanned, min(2, len(scanned)))):
+            Ns.update(v + m + e for m in edges for e in (-1, 0, 1))
+    return sorted(Ns)
+
+
+@pytest.mark.parametrize("a7", [1, -1, 2, -7])
+def test_single_target_scan_vs_brute(monkeypatch, a7):
+    # One target on a form with distinct blocks folds one block and scans
+    # the other's fundamental domain; every such count, at g's window
+    # edges, just outside them, at 0, -7, a few attained values and
+    # +-10^30, equals the enumeration, on every box, and the scan route
+    # answers each of them.
+    answered = []
+    scan = counting._scan_count
+
+    def spy(form, N, P):
+        count = scan(form, N, P)
+        answered.append(count is not None)
+        return count
+
+    monkeypatch.setattr(counting, "_scan_count", spy)
+    rng = random.Random(a7)
+    for box in BOX_KINDS:
+        for form in _distinct_block_forms(a7, box):
+            for P in (1, 2, 3) if box == "pos" else (1, 2):
+                table = representation_counts_brute(form, P)
+                Ns = _window_edge_targets(form, P, rng)
+                Ns += [0, -7, 10 ** 30, -10 ** 30, *rng.sample(sorted(table), min(4, len(table)))]
+                assert min(table) - 1 in Ns and max(table) + 1 in Ns
+                for N in Ns:
+                    assert count_representations(form, N, P) == table.get(N, 0), (form, P, N)
+    assert answered and all(answered)
+
+
+def test_single_target_builds_one_histogram(monkeypatch, f_fac1):
+    # count-lattice's form at one target, P = 64, 96, 128: one histogram per
+    # radius (block 2, x4 x5 x6, whose value bound is the smaller), no
+    # histogram pair, no fold of a pair, and the counts the histogram route
+    # recorded for these radii.
+    built, folds = [], []
+    scan, fold = counting._scan_slabs, counting._fold
+
+    def scan_spy(l, q, *args):
+        built.append((l, q))
+        return scan(l, q, *args)
+
+    def fold_spy(*args):
+        folds.append(args)
+        return fold(*args)
+
+    monkeypatch.setattr(counting, "_scan_slabs", scan_spy)
+    monkeypatch.setattr(counting, "_fold", fold_spy)
+    value_histogram.cache_clear()
+    try:
+        got = []
+        for P in (64, 96, 128):
+            misses = value_histogram.cache_info().misses
+            got.append(count_zeros(f_fac1, P))
+            assert value_histogram.cache_info().misses == misses + 1
+    finally:
+        value_histogram.cache_clear()
+    assert got == [4036716489, 20182289729, 64434539621]
+    assert {(tuple(l), tuple(q)) for l, q in built} == {(f_fac1.l2, f_fac1.q2)}
+    assert folds == []
+
+
+def test_histogram_route_kept(monkeypatch, f_star, f_fac1):
+    # Identical blocks (f_star: the second histogram is a cache hit) and any
+    # call with two or more targets keep the histogram route: the scan
+    # route is never asked, and one pair of histograms is folded.
+    asked, folds = [], []
+    scan, fold = counting._scan_count, counting._fold
+    monkeypatch.setattr(counting, "_scan_count", lambda *a: asked.append(a) or scan(*a))
+    monkeypatch.setattr(counting, "_fold", lambda *a: folds.append(a) or fold(*a))
+    value_histogram.cache_clear()
+    try:
+        zeros = count_zeros(f_star, 6)
+        assert value_histogram.cache_info().misses == 1
+        assert [zeros] * 2 == representation_counts(f_star, [0, 0], 6)
+        for form in (f_star, f_fac1):
+            for Ns in ([0, 1], [5, 5, -3]):
+                folds.clear()
+                table = representation_counts_brute(form, 1)
+                assert representation_counts(form, Ns, 1) == [table.get(N, 0) for N in Ns]
+                assert len(folds) == 1
+    finally:
+        value_histogram.cache_clear()
+    assert asked == []
+
+
+def test_single_target_scan_declines(monkeypatch, f_fac1):
+    # The scan route declines where _fold would (a big-int histogram, the
+    # 2^63 certificate, a fold window above _DENSE_CAP) and where the
+    # scanned block's value bound reaches 2^62; the histogram route then
+    # counts (test_big_int_counts_vs_brute, the sparse-path tests).
+    c, P = COEFF_CAP, 62
+    mixed = CubicForm((c, c, c, 1, 0, 0, 3), (c,) * 6, (0, 1, 0, 0, 0, 0), "pos")
+    assert counting._value_bound(mixed.l1, mixed.q1, "pos", P) >= _INT64_SAFE
+    assert counting._scan_count(mixed, 0, P) is None
+    wide = CubicForm((c, 1 - c, c - 2, c - 1, c, 3 - c, c - 5),
+                     (c, c - 1, 1 - c, c - 3, -c, c), (1 - c, c, c - 2, c, c - 1, -c))
+    assert counting._scan_count(wide, 0, 1) is None
+    # f_fac1's folded block at P = 1, faked, against its scanned 27 cells.
+    big = BlockHistogram(np.array([2 ** 70], dtype=object), np.array([1]))
+    for h in (big, _point_histogram(5, 2 ** 63 // 27 + 1)):
+        monkeypatch.setattr(counting, "value_histogram", lambda l, q, box, P, h=h: h)
+        assert counting._scan_count(f_fac1, 0, 1) is None
+    # At one count less the certificate holds, and the route answers; its
+    # fold is not even, so a bulk point reads g(N - B) and g(N + B) apart.
+    m = 2 ** 63 // 27
+    monkeypatch.setattr(counting, "value_histogram", lambda l, q, box, P: _point_histogram(5, m))
+    values = block_values_brute(f_fac1.l1, f_fac1.q1, "sym", 1)
+    for N in range(-1, 10):
+        want = m * sum(n for v, n in values.items() for t in (-1, 0, 1) if v + 5 + t ** 3 == N)
+        assert counting._scan_count(f_fac1, N, 1) == want
 
 
 @settings(max_examples=40, deadline=None)
