@@ -14,7 +14,9 @@ import math
 import random
 from dataclasses import dataclass
 
-from .counting import representation_counts, union_space_count, value_histogram
+from .counting import (
+    count_representations, representation_counts, union_space_count, value_histogram,
+)
 from .density import box_volume, density_ladder, slab_volume
 from .errors import DegenerateBlockError, InvalidFormError
 from .expsums import s_block, series_tail_profile, singular_series, singular_term
@@ -168,10 +170,13 @@ def _check_convolution(form: CubicForm) -> tuple[bool, str]:
     P = 2
     table = representation_counts_brute(form, P)
     Ns = range(-6, 7)
+    # Several targets read the other block's histogram, one target on
+    # distinct blocks scans it: each N is counted both ways.
     for N, got in zip(Ns, representation_counts(form, Ns, P)):
         want = table.get(N, 0)
-        if got != want:
-            return False, f"N={N}: {got} vs {want}"
+        for count in (got, count_representations(form, N, P)):
+            if count != want:
+                return False, f"N={N}: {count} vs {want}"
     return True, "P = 2, N in [-6, 6], exact agreement"
 
 

@@ -22,30 +22,24 @@ sym box G holds x -> -x, L*Q being odd, so the histogram is even: it is
 stored and read by its half u >= 0, the counts at u and -u together; the
 signed values are only built for the cold paths that list them.  Each
 slab's runs are merged into the running histogram by a search, in memory
-linear in the output.  Both grid caps still apply to the full box.  The
-cube term is folded once into the narrower histogram, g = h * {a7 t^3}, by
-2P+1 dense slice adds from one dense copy of h's stored arrays, its half
-when h is stored by its half; when the cubes are symmetric too (the sym
-box), g is even, and only its half w >= 0 is added up and stored.  Every N
-is then one int64 dot of the other histogram's counts against g.  An entry
-of g is at most the folded total (v and w fix t), so g is int32 below
-2^31, and every partial sum of a dot is at most total1 * total2 <=
-_GRID_CAP^2 < 2^63.  Big-int histograms, a failed 2^63 bound or a fold
-window above _DENSE_CAP fall back to sparse pair sums per cube target,
-accumulated in Python ints.
+linear in the output.  Both grid caps still apply to the full box.
 
-One target on a form whose two blocks differ is counted from one
-histogram: the cube term is folded into the block of the smaller a priori
-value bound, and the other block is never histogrammed.  Its fundamental
-domain is scanned through the planes and slabs that the histogram scan
-fills (_plane_slabs, one loop with two consumers), and each point x adds
-g(N - B(x)); a point of the bulk of a group holding -I adds
-(|G|/2)(g(N - B) + g(N + B)), since half its orbit has value -B.  Reads
-outside g's window count 0, and g is not padded.  The route declines
-where the fold would, and where the scanned block's bound reaches 2^62,
-so that every index is int64; the histogram route then runs.  Several
-targets share the two histograms and the fold, and identical blocks share
-one histogram, so they keep the histogram route.
+The cube term is folded once into the histogram of the block of the
+smaller a priori value bound, g = h * {a7 t^3}, by 2P+1 dense slice adds
+from one dense copy of h's stored arrays, its half when h is stored by its
+half; when the cubes are symmetric too (the sym box), g is even, and only
+its half w >= 0 is added up and stored.  Each N then reads the other
+block's values v against g, g(N - v) for a value and g(N - v) + g(N + v)
+for a pair +-v, from one of two sources: its histogram, whose sorted
+arrays every target of a call and identical blocks share, or, for one
+target on distinct blocks, a scan of its fundamental domain through the
+planes and slabs that the histogram scan fills (_plane_slabs, one loop
+with two consumers), so that block is never histogrammed.  An entry of g
+is at most the folded total (v and w fix t), so g is int32 below 2^31, and
+every partial sum of a count is at most total1 * total2 <= _GRID_CAP^2 <
+2^63.  Big-int histograms, a failed 2^63 bound or a fold window above
+_DENSE_CAP fall back to sparse pair sums per cube target, accumulated in
+Python ints.
 """
 
 from __future__ import annotations
@@ -312,11 +306,10 @@ def value_histogram(l, q, box: str, P: int) -> BlockHistogram:
     origin lies in the first zero piece, with h(0) = H(0), and
     h(u) = H(u) / 2 after it.  The values are stored as int64 when all of
     them lie in (-2^62, 2^62), and as Python ints otherwise.  The cache
-    holds two histograms: the two blocks of one radius, which the
-    histogram route of representation_counts and block_zero_counts build
-    and reuse.  A single-target count on a form whose blocks differ
-    builds only the block it folds; the other block is scanned by
-    _scan_count and never histogrammed.
+    holds two histograms: the two blocks of one radius, which
+    representation_counts and block_zero_counts build and reuse.  One
+    target on a form whose blocks differ builds only the block it folds,
+    and scans the other.
     """
     r = _histogram_scan(l, q, box, P)
     group = _sign_group(l, q, r)
@@ -390,64 +383,24 @@ def _cube_fold(h: BlockHistogram, cubes):
     return (None if even else vmin + cmin), g
 
 
-def _folds_second(width1: int, width2: int) -> bool:
-    """Whether the cube term is folded into the second of two blocks whose
-    value windows have these widths: the narrower one is, the second on a
-    tie, as the fold window is that width plus the cubes' span and
-    _DENSE_CAP caps it.  The histogram route compares the actual ranges of
-    its two histograms.  The single-target route builds one histogram
-    only, so it must choose before either exists, and compares the a
-    priori windows [-bound, bound] of _value_bound; where a block's values
-    cancel far inside its bound, the two routes may fold different blocks,
-    and the count is exact either way."""
-    return width2 <= width1
-
-
-def _fold(h1: BlockHistogram, h2: BlockHistogram, cubes):
-    """(other, gmin, g): the cube term folded into the narrower histogram,
-    or None when an int64 count is not certified exact or the fold is
-    refused by _cube_fold.
-
-    A count sums nonnegative terms to R(N; P) <= total1 * total2, so every
-    product and partial sum of its dot is exact below 2^63.
-    """
-    if h1.is_big or h2.is_big or h1.total() * h2.total() >= _INT64_LIMIT:
-        return None
-    (lo1, hi1), (lo2, hi2) = h1._range(), h2._range()
-    narrow, other = (h2, h1) if _folds_second(hi1 - lo1, hi2 - lo2) else (h1, h2)
-    folded = _cube_fold(narrow, cubes)
-    if folded is None:
-        return None
-    return (other, *folded)
-
-
-def _gather_dot(vals, cnts, lo: int, hi: int, g, k: int, sign: int) -> int:
-    """Sum of cnts[i] * g[k + sign * vals[i]] over lo <= vals[i] <= hi."""
-    lo, hi = max(lo, int(vals[0])), min(hi, int(vals[-1]))
-    if lo > hi:
+def _gather_dot(vals, cnts, g, even: bool, k: int, sign: int) -> int:
+    """Sum of cnts[i] * g[k + sign * vals[i]] over the sorted vals, or of
+    g[|k + sign * vals[i]|] when g is even; an index outside g reads 0.
+    Each view of g is read over the window of vals that indexes it, found
+    by search: g itself, and for an even g, at indices w < 0, its reversed
+    view g[:0:-1], whose entry w + len(g) - 1 is g[-w]."""
+    if not len(vals):
         return 0
-    i0 = int(np.searchsorted(vals, lo, side="left"))
-    i1 = int(np.searchsorted(vals, hi, side="right"))
-    v = vals[i0:i1]
-    return int(np.dot(cnts[i0:i1], g[k - v] if sign < 0 else g[k + v]))
-
-
-def _fold_count(other: BlockHistogram, gmin: int | None, g, N: int) -> int:
-    """#{(v, w) : v + w = N} with v from `other` and w from the fold g,
-    read as g[w - gmin].  An even fold (gmin None) holds g(w) = g(-w) for
-    w >= 0 only: w >= 0 reads it from 0, and w < 0 reads its reversed view
-    g[:0:-1], which starts at w = 1 - len(g).  An even `other` is read by
-    its half: v = u >= 0 and v = -u for u > 0."""
-    if gmin is None:
-        return _fold_count(other, 0, g, N) + _fold_count(other, 1 - len(g), g[:0:-1], N)
-    # g[k - v] is the fold at w = N - v, inside g for lo <= v <= hi.
-    k = N - gmin
-    lo, hi = k - len(g) + 1, k
-    u, c = other._vals, other._cnts
-    if not other._even:
-        return _gather_dot(u, c, lo, hi, g, k, -1)
-    return (_gather_dot(u, c, max(lo, 0), hi, g, k, -1)
-            + _gather_dot(u, c, max(-hi, 1), -lo, g, k, 1))
+    total = 0
+    for view, c in ((g, k), (g[:0:-1], k + len(g) - 1))[: 1 + even]:
+        lo, hi = sorted((-c * sign, (len(view) - 1 - c) * sign))
+        lo, hi = max(lo, int(vals[0])), min(hi, int(vals[-1]))
+        if lo <= hi:
+            i0 = int(np.searchsorted(vals, lo, side="left"))
+            i1 = int(np.searchsorted(vals, hi, side="right"))
+            v = vals[i0:i1]
+            total += int(np.dot(cnts[i0:i1], view[c - v] if sign < 0 else view[c + v]))
+    return total
 
 
 def _pair_count_sparse(h1: BlockHistogram, h2: BlockHistogram, t: int) -> int:
@@ -499,89 +452,79 @@ def _window_read(g, even: bool, k: int, sign: int, v, bound: int) -> int:
     return total
 
 
-def _scan_count(form: CubicForm, N: int, P: int) -> int | None:
-    """R(N; P) from one block histogram, or None where this route declines.
-
-    The cube term is folded into the block that _folds_second picks by the
-    a priori windows, g = h * {a7 t^3}, and the other block is never
-    histogrammed: its fundamental domain (_sign_group, _sign_pieces) is
-    scanned by _plane_slabs, the plane loop of value_histogram's scan, and
-    each point x adds g(N - B(x)).  A bulk point of a group holding -I stands for |G|
-    points, half of value B and half of -B, so it adds
-    (|G|/2)(g(N - B) + g(N + B)); a point of a zero piece, or any point
-    when G = {I}, adds g(N - B).  An even fold reads g(N + B) as
-    g(-N - B), so at N = 0 the two reads of a bulk point are one.  The
-    route declines where _fold would (a big-int histogram, the 2^63
-    certificate, a fold window above _DENSE_CAP) and where the scanned
-    block's value bound reaches 2^62, so that every index is int64; the
-    sum is then exact as _fold's dot is, below total1 * total2 < 2^63.
-    """
-    box = form.box
-    blocks = form.blocks()
-    b1, b2 = (_value_bound(l, q, box, P) for l, q in blocks)
-    second = _folds_second(2 * b1, 2 * b2)
-    (fl, fq), (l, q) = blocks[::-1] if second else blocks
-    bound = b1 if second else b2
-    if bound >= _INT64_SAFE:
-        return None
-    h = value_histogram(fl, fq, box, P)
-    r = _histogram_scan(l, q, box, P)
-    if h.is_big or h.total() * len(r) ** 3 >= _INT64_LIMIT:
-        return None
-    folded = _cube_fold(h, [form.a7 * t ** 3 for t in box_range(box, P)])
-    if folded is None:
-        return None
-    gmin, g = folded
-    even = gmin is None
-    # A read (c, sign) of weight w adds w * g[c + sign * v] at each value v,
-    # g[|c + sign * v|] when g is even; g(N - v) is the read (k, -1).
-    k = N if even else N - gmin
-    group = _sign_group(l, q, r)
-    (axes, weight), *zeros = _sign_pieces(r, group)
-    bulk = collections.Counter()
-    if len(group) > 1:
-        # g(N + v) is the read (k, 1), or (-k, -1) when g is even.
-        bulk[k, -1] += weight // 2
-        bulk[(-k, -1) if even else (k, 1)] += weight // 2
-    else:
-        bulk[k, -1] += weight
-    total = 0
-    for axes, reads in [(axes, bulk), *((z, {(k, -1): w}) for z, w in zeros)]:
-        for v in _plane_slabs(l, q, axes):
-            for (c, sign), w in reads.items():
-                total += w * _window_read(g, even, c, sign, v, bound)
-    return total
+def _reads(N: int, gmin: int | None):
+    """(single, pair): the reads of g(N - v) and of g(N - v) + g(N + v),
+    as {(c, sign): weight}.  A read (c, sign) adds g[c + sign * v] at each
+    value v, or g[|c + sign * v|] when g is even (gmin None).  With
+    k = N - gmin, or N when g is even, g(N - v) is the read (k, -1) and
+    g(N + v) the read (k, 1), or (-k, -1) when g is even: an even g's pair
+    at N = 0 is one read of weight 2."""
+    k = N if gmin is None else N - gmin
+    single = {(k, -1): 1}
+    pair = collections.Counter(single)
+    pair[(-k, -1) if gmin is None else (k, 1)] += 1
+    return single, pair
 
 
 def representation_counts(form: CubicForm, Ns, P: int) -> list[int]:
     """Exact number of box points with f(x) = N, for each N in Ns.
 
-    One target on a form whose two blocks differ is counted by
-    _scan_count, which builds one block histogram and scans the other
-    block.  Otherwise, and where that route declines, the cube term is
-    folded once into a block histogram and every N is one int64 dot of
-    the other block's histogram against the fold; when the fold is
-    refused, each N sums sparse pair counts over its 2P+1 cube targets.
-    Several targets share both histograms and the fold, and identical
-    blocks share one histogram, so these keep the histogram route.
+    The block of the smaller a priori value bound, block 2 on a tie, is
+    folded with the cubes: the one rule that can run before either
+    histogram exists.  Several targets and identical blocks read the other
+    block from its histogram, an even one's u = 0 once and each u > 0 as
+    the pair +-u.  One target on distinct blocks scans the other block's
+    fundamental domain (_sign_group, _sign_pieces) instead, where its value
+    bound is below 2^62, so that every index is int64: a bulk point of a
+    group holding -I stands for |G|/2 points of value B and as many of -B,
+    any other point for itself.  Where the fold declines (a big-int
+    histogram, the 2^63 certificate, a window refused by _cube_fold), each
+    N sums sparse pair counts over its 2P+1 cube targets in Python ints.
     """
-    blocks = form.blocks()
-    if len(Ns) == 1 and blocks[0] != blocks[1]:
-        count = _scan_count(form, Ns[0], P)
-        if count is not None:
-            return [count]
-    h1 = value_histogram(form.l1, form.q1, form.box, P)
-    h2 = value_histogram(form.l2, form.q2, form.box, P)
-    cubes = [form.a7 * t ** 3 for t in box_range(form.box, P)]
-    fold = _fold(h1, h2, cubes)
-    if fold is None:
+    box, blocks = form.box, form.blocks()
+    # The grid guards of both blocks, in block order, before any scan.
+    grids = [_histogram_scan(l, q, box, P) for l, q in blocks]
+    bounds = [_value_bound(l, q, box, P) for l, q in blocks]
+    f, o = (1, 0) if bounds[1] <= bounds[0] else (0, 1)
+    (l, q), r, bound = blocks[o], grids[o], bounds[o]
+    h = value_histogram(*blocks[f], box, P)
+    cubes = [form.a7 * t ** 3 for t in box_range(box, P)]
+    scan = len(Ns) == 1 and blocks[0] != blocks[1] and bound < _INT64_SAFE
+    other = None if scan else value_histogram(l, q, box, P)
+    # A scanned block's total is its cell count.
+    total = len(r) ** 3 if scan else other.total()
+    folded = None
+    if not (h.is_big or other is not None and other.is_big
+            or h.total() * total >= _INT64_LIMIT):
+        folded = _cube_fold(h, cubes)
+    if folded is None:
+        if other is None:
+            other = value_histogram(l, q, box, P)
         # The signed arrays once, not per cube target, with Python-int
         # values on both sides when either histogram is big.
-        big = h1.is_big or h2.is_big
-        h1, h2 = (BlockHistogram(h.vals.astype(object, copy=False) if big else h.vals, h.cnts)
-                  for h in (h1, h2))
+        big = h.is_big or other.is_big
+        h1, h2 = (BlockHistogram(x.vals.astype(object, copy=False) if big else x.vals, x.cnts)
+                  for x in (h, other))
         return [sum(_pair_count_sparse(h1, h2, N - c) for c in cubes) for N in Ns]
-    return [_fold_count(*fold, N) for N in Ns]
+    gmin, g = folded
+    even = gmin is None
+    if scan:
+        single, pair = _reads(Ns[0], gmin)
+        group = _sign_group(l, q, r)
+        (bulk, weight), *zeros = _sign_pieces(r, group)
+        pieces = [(bulk, pair, weight // 2) if len(group) > 1 else (bulk, single, weight)]
+        pieces += [(axes, single, w) for axes, w in zeros]
+        return [sum(m * w * _window_read(g, even, c, sign, v, bound)
+                    for axes, reads, m in pieces for v in _plane_slabs(l, q, axes)
+                    for (c, sign), w in reads.items())]
+    u, n = other._vals, other._cnts
+    counts = []
+    for N in Ns:
+        single, pair = _reads(N, gmin)
+        parts = [(u[:1], n[:1], single), (u[1:], n[1:], pair)] if other._even else [(u, n, single)]
+        counts.append(sum(w * _gather_dot(vals, cnts, g, even, c, sign)
+                          for vals, cnts, reads in parts for (c, sign), w in reads.items()))
+    return counts
 
 
 def count_representations(form: CubicForm, N: int, P: int) -> int:

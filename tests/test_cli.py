@@ -12,7 +12,7 @@ from cubic7 import checks, counting, expsums
 from cubic7.cli import DEFAULT_FORM, _export_histogram, main
 from cubic7.counting import BlockHistogram, count_representations
 from cubic7.forms import CubicForm, form_to_dict
-from cubic7.oracles import block_values_brute
+from cubic7.oracles import block_values_brute, representation_counts_brute
 
 
 def run_cli(capsys, *argv):
@@ -205,6 +205,31 @@ def test_verify_names_a_crashed_check(monkeypatch, f_star):
         {"name": "form-json-roundtrip", "passed": True,
          "detail": "form survives a JSON round trip"},
     ]
+
+
+def test_verify_convolution_checks_one_target(monkeypatch, f_fac1):
+    # One target on f_fac1's distinct blocks scans block 1, and several
+    # targets read its histogram.  A scan whose bulk pair weighs |G| in
+    # place of |G|/2 leaves every several-target count exact, and must
+    # still fail verify's convolution row.
+    kept = ("convolution-vs-enumeration",)
+    monkeypatch.setattr(checks, "_CHECKS", tuple(c for c in checks._CHECKS if c[0] in kept))
+    assert [r.passed for r in checks.verify(f_fac1)] == [True]
+    # With both block histograms cached, the mutant reaches only the scan.
+    for l, q in f_fac1.blocks():
+        counting.value_histogram(l, q, "sym", 2)
+    pieces = counting._sign_pieces
+
+    def heavy_bulk(r, group):
+        (axes, weight), *zeros = pieces(r, group)
+        return [(axes, 2 * weight), *zeros]
+
+    monkeypatch.setattr(counting, "_sign_pieces", heavy_bulk)
+    table = representation_counts_brute(f_fac1, 2)
+    Ns = range(-6, 7)
+    assert counting.representation_counts(f_fac1, Ns, 2) == [table.get(N, 0) for N in Ns]
+    (row,) = checks.verify(f_fac1)
+    assert not row.passed and row.detail.startswith("N=-6: ")
 
 
 def test_histogram_check_reads_the_enumeration(monkeypatch, f_star):

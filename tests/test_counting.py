@@ -16,8 +16,6 @@ from cubic7.counting import (
     _INT64_SAFE,
     BlockHistogram,
     _cube_fold,
-    _fold,
-    _fold_count,
     _histogram_scan,
     _merge_unique,
     _pair_count_sparse,
@@ -198,7 +196,9 @@ def test_big_int_counts_vs_brute():
 def test_big_bound_int64_values_take_the_fold(monkeypatch):
     # sum|l| sum|q| R^3 passes 2^62 at the cap on the pos box at P = 62, but
     # with mixed signs every value lies in (-2^62, 2^62): the block is
-    # stored as int64, and its counts take the int64 fold.
+    # stored as int64, and its counts take the int64 fold, several targets
+    # and one target alike: the block's bound keeps one target from
+    # scanning it, so it is read from its histogram.
     c, P = COEFF_CAP, 62
     l1, q1 = (c, -c, c), (c, -c, c, -c, c, -c)
     l2, q2 = (1, 0, 0), (1, 0, 0, 0, 0, 0)
@@ -209,12 +209,12 @@ def test_big_bound_int64_values_take_the_fold(monkeypatch):
     h1 = value_histogram(l1, q1, "pos", P)
     assert h1.vals.dtype == np.int64 and dict(h1.items()) == d1
     cubes = [3 * t ** 3 for t in box_range("pos", P)]
-    assert _fold(h1, value_histogram(l2, q2, "pos", P), cubes) is not None
 
     def refuse(*args):
         raise AssertionError("sparse path taken")
 
     monkeypatch.setattr(counting, "_pair_count_sparse", refuse)
+    folds = _spy(monkeypatch, "_cube_fold")
     rng = random.Random(20)
     form = CubicForm(l1 + l2 + (3,), q1, q2, "pos")
     Ns = [form.value([rng.randint(1, P) for _ in range(7)]) for _ in range(4)]
@@ -222,6 +222,8 @@ def test_big_bound_int64_values_take_the_fold(monkeypatch):
     want = [_pair_sum(d1, d2, cubes, N) for N in Ns]
     assert min(want[:4]) > 0
     assert representation_counts(form, Ns, P) == want
+    assert [count_representations(form, N, P) for N in Ns] == want
+    assert len(folds) == 1 + len(Ns) and all(fold is not None for _, fold in folds)
 
 
 def test_mixed_pair_counts_vs_brute(monkeypatch):
@@ -630,11 +632,14 @@ def test_count_memory(f_fac1):
     assert peak < 62e6
 
 
-def test_fold_vs_sparse(f_star, f_fac1, f_iii):
+def test_fold_vs_sparse(monkeypatch, f_star, f_fac1, f_iii):
     # Targets at both edges of the value-sum window and just outside it,
     # and Ns at both edges of the fold's own range and just outside it; the
     # non-sym boxes make the histograms asymmetric, so a slip in an offset
-    # cannot cancel out.
+    # cannot cancel out.  The fold is the route's, of the block of the
+    # smaller value bound, read from the other block's histogram (several
+    # targets) and from its scan (one target, f_fac1's distinct blocks).
+    folds = _spy(monkeypatch, "_cube_fold")
     rng = random.Random(5)
     for form in (f_star, f_fac1, f_iii):
         for box in ("sym", "pos", "nonneg"):
@@ -646,31 +651,35 @@ def test_fold_vs_sparse(f_star, f_fac1, f_iii):
                 e_hi = int(h1.vals[-1]) + int(h2.vals[-1])
                 xs = box_range(box, P)
                 cubes = [form.a7 * x ** 3 for x in xs]
-                fold = _fold(h1, h2, cubes)
-                assert fold is not None
-                other, gmin, g = fold
+                b1, b2 = (counting._value_bound(l, q, box, P) for l, q in form.blocks())
+                narrow, other = (h2, h1) if b2 <= b1 else (h1, h2)
+                n_lo = int(other.vals[0]) + int(narrow.vals[0]) + cubes[0]
+                n_hi = int(other.vals[-1]) + int(narrow.vals[-1]) + cubes[-1]
+                Ns = [e_lo + cubes[0], e_lo + cubes[-1], e_hi + cubes[0],
+                      e_hi + cubes[-1], rng.randint(e_lo, e_hi),
+                      n_lo - 1, n_lo, n_hi, n_hi + 1]
+                folds.clear()
+                counts = representation_counts(form_b, Ns, P)
+                (((folded, fold_cubes), fold),) = folds
+                assert folded is narrow and fold_cubes == cubes
+                gmin, g = fold
                 # Only the sym box gives an even fold, stored for w >= 0;
                 # the checks below read it over its whole window.
                 assert (gmin is None) == (box == "sym")
                 if gmin is None:
                     gmin, g = 1 - len(g), np.concatenate((g[:0:-1], g))
                 assert g.dtype == np.int32
-                narrow = h2 if other is h1 else h1
                 gmax = gmin + len(g) - 1
+                assert (n_lo, n_hi) == (int(other.vals[0]) + gmin, int(other.vals[-1]) + gmax)
                 assert g[0] > 0 and g[-1] > 0
                 for w in [gmin, gmin + 1, gmax - 1, gmax] + [
                         rng.randint(gmin, gmax) for _ in range(5)]:
                     assert g[w - gmin] == sum(narrow.count_of(w - c) for c in cubes)
-                n_lo = int(other.vals[0]) + gmin
-                n_hi = int(other.vals[-1]) + gmax
-                Ns = [e_lo + cubes[0], e_lo + cubes[-1], e_hi + cubes[0],
-                      e_hi + cubes[-1], rng.randint(e_lo, e_hi),
-                      n_lo - 1, n_lo, n_hi, n_hi + 1]
                 seen = set()
-                for N in Ns:
+                for N, count in zip(Ns, counts):
                     targets = [N - c for c in cubes]
                     sparse = [_pair_count_sparse(h1, h2, t) for t in targets]
-                    assert _fold_count(*fold, N) == sum(sparse)
+                    assert count == sum(sparse)
                     assert count_representations(form_b, N, P) == sum(sparse)
                     for t, c in zip(targets, sparse):
                         if t < e_lo or t > e_hi:
@@ -680,20 +689,28 @@ def test_fold_vs_sparse(f_star, f_fac1, f_iii):
                             assert c > 0
                             seen.add(t)
                 assert seen == {"out", e_lo, e_hi}
-                assert _fold_count(*fold, n_lo) > 0 and _fold_count(*fold, n_hi) > 0
-                assert _fold_count(*fold, n_lo - 1) == _fold_count(*fold, n_hi + 1) == 0
-                assert representation_counts(form_b, Ns, P) == [
-                    count_representations(form_b, N, P) for N in Ns]
+                assert counts[5] == counts[8] == 0 and counts[6] > 0 and counts[7] > 0
+
+
+def _counts_with(monkeypatch, form, Ns, P, other, fold):
+    """representation_counts(form, Ns, P) reading the histogram `other`
+    against the fold (gmin, g), whichever blocks they stand for."""
+    with monkeypatch.context() as m:
+        m.setattr(counting, "value_histogram", lambda *args: other)
+        m.setattr(counting, "_cube_fold", lambda h, cubes: fold)
+        return representation_counts(form, Ns, P)
 
 
 @pytest.mark.parametrize("a7", [1, -1, 2, -7])
-def test_sym_cube_fold_is_the_full_fold(a7, f_star, f_fac1, f_iii):
+def test_sym_cube_fold_is_the_full_fold(monkeypatch, a7, f_star, f_fac1, f_iii):
     # On the sym box the fold is even: the half window holds the full
     # fold's entries for w >= 0, entry for entry, and a count that reads
     # g[|w|] is the count over the full window, on both sides of N = 0 and
-    # just outside the window.
+    # just outside the window, in all four layouts: an even or a full g,
+    # read against the other histogram stored by its half or in full.
     rng = random.Random(a7)
     for form in (f_star, f_fac1, f_iii):
+        form_a = CubicForm(form.a[:6] + (a7,), form.q1, form.q2)
         for P in (1, 2, 5, 64):
             cubes = [a7 * t ** 3 for t in box_range("sym", P)]
             h1, h2 = (value_histogram(l, q, "sym", P) for l, q in form.blocks())
@@ -715,10 +732,11 @@ def test_sym_cube_fold_is_the_full_fold(a7, f_star, f_fac1, f_iii):
                 n_lo, n_hi = int(other.vals[0]) + gmin, int(other.vals[-1]) - gmin
                 Ns = [n_lo - 1, n_lo, rng.randint(n_lo, -1), 0,
                       rng.randint(1, n_hi), n_hi, n_hi + 1]
-                counts = [_fold_count(other, None, half, N) for N in Ns]
-                assert counts == [_fold_count(other, gmin, g, N) for N in Ns]
                 other_full = BlockHistogram(other.vals, other.cnts)
-                assert counts == [_fold_count(other_full, gmin, g, N) for N in Ns]
+                counts = _counts_with(monkeypatch, form_a, Ns, P, other, (None, half))
+                for read, fold in ((other_full, (None, half)), (other, (gmin, g)),
+                                   (other_full, (gmin, g))):
+                    assert _counts_with(monkeypatch, form_a, Ns, P, read, fold) == counts
                 assert counts[0] == counts[-1] == 0 and counts[1] > 0 and counts[-2] > 0
     # The pos and nonneg boxes keep the full fold, and their counts are
     # still the enumerated ones.
@@ -760,19 +778,28 @@ def _point_histogram(v: int, c: int) -> BlockHistogram:
                           cnts=np.array([c], dtype=np.int64))
 
 
-def _spy_sparse(monkeypatch):
-    """The list of _pair_count_sparse's calls, filled as they are made."""
+def _spy(monkeypatch, name):
+    """The list of (args, result) of counting.<name>'s calls, filled as
+    they are made."""
     calls = []
-    pair_count = counting._pair_count_sparse
-    monkeypatch.setattr(counting, "_pair_count_sparse",
-                        lambda *args: calls.append(args) or pair_count(*args))
+    fn = getattr(counting, name)
+
+    def spy(*args):
+        result = fn(*args)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(counting, name, spy)
     return calls
 
 
 def test_int64_certificate(monkeypatch, f_fac1):
     # Block histograms within the grid cap always give an int32 fold and an
-    # exact int64 dot.
-    sparse = _spy_sparse(monkeypatch)
+    # exact int64 dot.  Several targets read the other block's histogram,
+    # so the certificate is total1 * total2 < 2^63 (for one target, which
+    # scans the other block, see test_single_target_scan_declines).
+    sparse = _spy(monkeypatch, "_pair_count_sparse")
+    folds = _spy(monkeypatch, "_cube_fold")
     assert _GRID_CAP < 2 ** 31
     assert _GRID_CAP ** 2 < 2 ** 63
     cases = [
@@ -780,23 +807,25 @@ def test_int64_certificate(monkeypatch, f_fac1):
         (2 ** 32, 2 ** 31, False),  # product 2^63
         (2 ** 32 + 1, 2 ** 31 + 1, False),  # odd product above 2^63
     ]
-    cubes = [-1, 0, 1]
-    for c1, c2, folds in cases:
+    for c1, c2, fold in cases:
         h1 = _point_histogram(5, c1)
         h2 = _point_histogram(-3, c2)
-        assert (_fold(h1, h2, cubes) is not None) == folds
         # Drive the public path with these histograms (the blocks of f_fac1
         # differ, so each gets its own).
         monkeypatch.setattr(counting, "value_histogram",
                             lambda l, q, box, P: h1 if q == f_fac1.q1 else h2)
         sparse.clear()
+        folds.clear()
         got = representation_counts(f_fac1, [1, 2, 3, 4, -2], 1)
         assert got == [c1 * c2] * 3 + [0, 0]
-        assert bool(sparse) != folds
+        assert bool(sparse) != fold and bool(folds) == fold
         assert all(type(c) is int for c in got)
-    # The first case folds its second histogram, whose total needs int64.
-    c1, c2, _ = cases[0]
-    assert _fold(_point_histogram(5, c1), _point_histogram(-3, c2), cubes)[2].dtype == np.int64
+        if fold:
+            # The first case folds its second histogram, whose total needs
+            # int64.
+            (((folded, _), (_, g)),) = folds
+            assert folded is h2 and g.dtype == np.int64
+    cubes = [-1, 0, 1]
     # A folded total of 2^31 needs int64; one below it fits int32.
     assert _cube_fold(_point_histogram(0, 2 ** 31), cubes)[1].dtype == np.int64
     assert _cube_fold(_point_histogram(0, 2 ** 31 - 1), cubes)[1].dtype == np.int32
@@ -807,9 +836,10 @@ def test_int64_certificate(monkeypatch, f_fac1):
 
 def test_count_representations_sparse_path(monkeypatch):
     # Coefficients near the cap make the value windows far wider than
-    # _DENSE_CAP, so count_representations takes the sparse int64 path,
-    # one target as well as several.
-    sparse = _spy_sparse(monkeypatch)
+    # _DENSE_CAP, so _cube_fold refuses the fold and count_representations
+    # takes the sparse int64 path, one target as well as several.
+    sparse = _spy(monkeypatch, "_pair_count_sparse")
+    folds = _spy(monkeypatch, "_cube_fold")
     c = COEFF_CAP
     form = CubicForm((c, 1 - c, c - 2, c - 1, c, 3 - c, c - 5),
                      (c, c - 1, 1 - c, c - 3, -c, c), (1 - c, c, c - 2, c, c - 1, -c))
@@ -820,11 +850,10 @@ def test_count_representations_sparse_path(monkeypatch):
         assert not (h1.is_big or h2.is_big)
         assert int(h1.vals[-1] - h1.vals[0]) + 1 > _DENSE_CAP
         assert int(h2.vals[-1] - h2.vals[0]) + 1 > _DENSE_CAP
-        cubes = [form.a7 * t ** 3 for t in box_range(form.box, P)]
-        assert _fold(h1, h2, cubes) is None
         table = representation_counts_brute(form, P)
         common = sorted(table, key=lambda n: (-table[n], n))[:20]
         Ns = common + rng.sample(sorted(table), 20) + [0, common[0] + 1]
+        folds.clear()
         for N in Ns:
             sparse.clear()
             assert count_representations(form, N, P) == table.get(N, 0)
@@ -832,12 +861,14 @@ def test_count_representations_sparse_path(monkeypatch):
         sparse.clear()
         assert representation_counts(form, Ns, P) == [table.get(N, 0) for N in Ns]
         assert sparse
+        assert len(folds) == len(Ns) + 1 and all(fold is None for _, fold in folds)
 
 
 def test_cube_term_alone_refuses_the_fold(monkeypatch, f_star):
     # Both blocks stay narrow, but a7 = COEFF_CAP stretches the fold window
     # by 2 * a7 * P^3, past _DENSE_CAP first at P = 5.
-    sparse = _spy_sparse(monkeypatch)
+    sparse = _spy(monkeypatch, "_pair_count_sparse")
+    folds = _spy(monkeypatch, "_cube_fold")
     form = CubicForm(f_star.a[:6] + (COEFF_CAP,), f_star.q1, f_star.q2)
 
     def window(P):
@@ -850,7 +881,6 @@ def test_cube_term_alone_refuses_the_fold(monkeypatch, f_star):
     h2 = value_histogram(form.l2, form.q2, form.box, P)
     assert int(h1.vals[-1] - h1.vals[0]) < 2000
     cubes = [form.a7 * t ** 3 for t in box_range(form.box, P)]
-    assert _fold(h1, h2, cubes) is None
     rng = random.Random(13)
     Ns = [0, 1, -1, cubes[0] - 1, cubes[-1] + 1]
     for _ in range(12):
@@ -859,15 +889,19 @@ def test_cube_term_alone_refuses_the_fold(monkeypatch, f_star):
     want = [sum(_pair_count_sparse(h1, h2, N - c) for c in cubes) for N in Ns]
     assert min(want[5:]) > 0
     sparse.clear()
+    folds.clear()
     assert representation_counts(form, Ns, P) == want
     assert sparse
+    assert [fold for _, fold in folds] == [None]
     # At P <= 2 the fold fits and must match full enumeration.
     for P in (1, 2):
         table = representation_counts_brute(form, P)
         Ns = sorted(table)[::7] + [0, 1, -1, COEFF_CAP, COEFF_CAP * 8 + 1]
         sparse.clear()
+        folds.clear()
         assert representation_counts(form, Ns, P) == [table.get(N, 0) for N in Ns]
         assert not sparse
+        assert len(folds) == 1 and folds[0][1] is not None
 
 
 def _distinct_block_forms(a7, box):
@@ -909,17 +943,12 @@ def test_single_target_scan_vs_brute(monkeypatch, a7):
     # One target on a form with distinct blocks folds one block and scans
     # the other's fundamental domain; every such count, at g's window
     # edges, just outside them, at 0, -7, a few attained values and
-    # +-10^30, equals the enumeration, on every box, and the scan route
-    # answers each of them.
-    answered = []
-    scan = counting._scan_count
-
-    def spy(form, N, P):
-        count = scan(form, N, P)
-        answered.append(count is not None)
-        return count
-
-    monkeypatch.setattr(counting, "_scan_count", spy)
+    # +-10^30, equals the enumeration, on every box, and the scan answers
+    # each of them: the other block's histogram is never read and no
+    # sparse sum is taken.
+    scans = _spy(monkeypatch, "_window_read")
+    reads = _spy(monkeypatch, "_gather_dot")
+    sparse = _spy(monkeypatch, "_pair_count_sparse")
     rng = random.Random(a7)
     for box in BOX_KINDS:
         for form in _distinct_block_forms(a7, box):
@@ -930,27 +959,60 @@ def test_single_target_scan_vs_brute(monkeypatch, a7):
                 assert min(table) - 1 in Ns and max(table) + 1 in Ns
                 for N in Ns:
                     assert count_representations(form, N, P) == table.get(N, 0), (form, P, N)
-    assert answered and all(answered)
+    assert scans and not reads and not sparse
+
+
+@pytest.mark.parametrize("box", BOX_KINDS)
+def test_one_folded_block_per_form(monkeypatch, box):
+    # A = x^3 + y^3 + z^3 - 3xyz has the larger a priori value bound
+    # (18 R^3 against 5 R^3) beside B = 5xyz, though not the wider range
+    # of values on the sym box: one target and several targets both fold
+    # B, the block that _value_bound picks, and every count is the
+    # enumerated one.
+    folds = _spy(monkeypatch, "_cube_fold")
+    A = ((1, 1, 1), (1, 1, 1, -1, -1, -1))
+    B = ((5, 0, 0), (0, 0, 0, 1, 0, 0))
+    form = CubicForm(A[0] + B[0] + (1,), A[1], B[1], box)
+    rng = random.Random(39)
+    for P in (2, 3, 6):
+        da, db = (block_values_brute(l, q, box, P) for l, q in (A, B))
+        assert da != db
+        cubes = [t ** 3 for t in box_range(box, P)]
+        Ns = _window_edge_targets(form, P, rng) + [0, -7]
+        Ns += [form.value([rng.choice(box_range(box, P)) for _ in range(7)]) for _ in range(4)]
+        want = [_pair_sum(da, db, cubes, N) for N in Ns]
+        folds.clear()
+        assert representation_counts(form, Ns, P) == want
+        assert [count_representations(form, N, P) for N in Ns] == want
+        assert len(folds) == 1 + len(Ns)
+        assert all(dict(h.items()) == db for (h, _), _ in folds)
 
 
 def test_single_target_builds_one_histogram(monkeypatch, f_fac1):
     # count-lattice's form at one target, P = 64, 96, 128: one histogram per
-    # radius (block 2, x4 x5 x6, whose value bound is the smaller), no
-    # histogram pair, no fold of a pair, and the counts the histogram route
-    # recorded for these radii.
-    built, folds = [], []
-    scan, fold = counting._scan_slabs, counting._fold
+    # radius (block 2, x4 x5 x6, whose value bound is the smaller), folded
+    # once, the other block never read from a histogram, and the counts
+    # the histogram source recorded for these radii.  The fold is even, so
+    # at N = 0 a bulk point's reads g(-B) and g(B) are the one read
+    # g[|0 - B|] of weight 2.
+    built = []
+    scan = counting._scan_slabs
 
     def scan_spy(l, q, *args):
         built.append((l, q))
         return scan(l, q, *args)
 
-    def fold_spy(*args):
-        folds.append(args)
-        return fold(*args)
-
     monkeypatch.setattr(counting, "_scan_slabs", scan_spy)
-    monkeypatch.setattr(counting, "_fold", fold_spy)
+    folds = _spy(monkeypatch, "_cube_fold")
+    reads = _spy(monkeypatch, "_gather_dot")
+    scans = set()
+    window_read = counting._window_read
+
+    def read_spy(g, even, k, sign, *args):
+        scans.add((even, k, sign))
+        return window_read(g, even, k, sign, *args)
+
+    monkeypatch.setattr(counting, "_window_read", read_spy)
     value_histogram.cache_clear()
     try:
         got = []
@@ -962,17 +1024,17 @@ def test_single_target_builds_one_histogram(monkeypatch, f_fac1):
         value_histogram.cache_clear()
     assert got == [4036716489, 20182289729, 64434539621]
     assert {(tuple(l), tuple(q)) for l, q in built} == {(f_fac1.l2, f_fac1.q2)}
-    assert folds == []
+    assert len(folds) == 3 and reads == []
+    assert scans == {(True, 0, -1)}
 
 
 def test_histogram_route_kept(monkeypatch, f_star, f_fac1):
     # Identical blocks (f_star: the second histogram is a cache hit) and any
-    # call with two or more targets keep the histogram route: the scan
-    # route is never asked, and one pair of histograms is folded.
-    asked, folds = [], []
-    scan, fold = counting._scan_count, counting._fold
-    monkeypatch.setattr(counting, "_scan_count", lambda *a: asked.append(a) or scan(*a))
-    monkeypatch.setattr(counting, "_fold", lambda *a: folds.append(a) or fold(*a))
+    # call with two or more targets read the other block from its
+    # histogram: no block is scanned for a count, and one histogram is
+    # folded per call.
+    scans = _spy(monkeypatch, "_window_read")
+    folds = _spy(monkeypatch, "_cube_fold")
     value_histogram.cache_clear()
     try:
         zeros = count_zeros(f_star, 6)
@@ -986,34 +1048,47 @@ def test_histogram_route_kept(monkeypatch, f_star, f_fac1):
                 assert len(folds) == 1
     finally:
         value_histogram.cache_clear()
-    assert asked == []
+    assert scans == []
 
 
 def test_single_target_scan_declines(monkeypatch, f_fac1):
-    # The scan route declines where _fold would (a big-int histogram, the
-    # 2^63 certificate, a fold window above _DENSE_CAP) and where the
-    # scanned block's value bound reaches 2^62; the histogram route then
-    # counts (test_big_int_counts_vs_brute, the sparse-path tests).
+    # One target on distinct blocks reads the other block from its
+    # histogram where that block's value bound reaches 2^62, so that every
+    # scanned index is int64, and takes the sparse sums where the fold
+    # declines (a big-int histogram, the 2^63 certificate, a fold window
+    # above _DENSE_CAP); test_big_int_counts_vs_brute and the sparse-path
+    # tests check those counts against enumeration.
+    scans = _spy(monkeypatch, "_window_read")
+    sparse = _spy(monkeypatch, "_pair_count_sparse")
     c, P = COEFF_CAP, 62
     mixed = CubicForm((c, c, c, 1, 0, 0, 3), (c,) * 6, (0, 1, 0, 0, 0, 0), "pos")
     assert counting._value_bound(mixed.l1, mixed.q1, "pos", P) >= _INT64_SAFE
-    assert counting._scan_count(mixed, 0, P) is None
+    N = mixed.value([1] * 7)
+    assert count_representations(mixed, N, P) == representation_counts(mixed, [N, 0], P)[0] > 0
+    assert not scans and sparse
     wide = CubicForm((c, 1 - c, c - 2, c - 1, c, 3 - c, c - 5),
                      (c, c - 1, 1 - c, c - 3, -c, c), (1 - c, c, c - 2, c, c - 1, -c))
-    assert counting._scan_count(wide, 0, 1) is None
-    # f_fac1's folded block at P = 1, faked, against its scanned 27 cells.
+    sparse.clear()
+    assert count_representations(wide, 0, 1) == representation_counts_brute(wide, 1).get(0, 0)
+    assert not scans and sparse
+    # f_fac1's folded block at P = 1, faked, against its scanned 27 cells;
+    # the fake stands for both blocks once the sparse sums need the other.
     big = BlockHistogram(np.array([2 ** 70], dtype=object), np.array([1]))
-    for h in (big, _point_histogram(5, 2 ** 63 // 27 + 1)):
-        monkeypatch.setattr(counting, "value_histogram", lambda l, q, box, P, h=h: h)
-        assert counting._scan_count(f_fac1, 0, 1) is None
-    # At one count less the certificate holds, and the route answers; its
-    # fold is not even, so a bulk point reads g(N - B) and g(N + B) apart.
     m = 2 ** 63 // 27
+    for h, N, want in ((big, 2 ** 71, 1), (_point_histogram(5, m + 1), 10, (m + 1) ** 2)):
+        monkeypatch.setattr(counting, "value_histogram", lambda l, q, box, P, h=h: h)
+        sparse.clear()
+        assert count_representations(f_fac1, N, 1) == want
+        assert not scans and sparse
+    # At one count less the certificate holds, and the scan answers; its
+    # fold is not even, so a bulk point reads g(N - B) and g(N + B) apart.
     monkeypatch.setattr(counting, "value_histogram", lambda l, q, box, P: _point_histogram(5, m))
+    sparse.clear()
     values = block_values_brute(f_fac1.l1, f_fac1.q1, "sym", 1)
     for N in range(-1, 10):
         want = m * sum(n for v, n in values.items() for t in (-1, 0, 1) if v + 5 + t ** 3 == N)
-        assert counting._scan_count(f_fac1, N, 1) == want
+        assert count_representations(f_fac1, N, 1) == want
+    assert scans and not sparse
 
 
 @settings(max_examples=40, deadline=None)
