@@ -29,13 +29,14 @@ smaller a priori value bound, g = h * {a7 t^3}, by 2P+1 dense slice adds
 from one dense copy of h's stored arrays, its half when h is stored by its
 half; when the cubes are symmetric too (the sym box), g is even, and only
 its half w >= 0 is added up and stored.  Each N then reads the other
-block's values v against g, g(N - v) for a value and g(N - v) + g(N + v)
-for a pair +-v, from one of two sources: its histogram, whose sorted
-arrays every target of a call and identical blocks share, or, for one
-target on distinct blocks, a scan of its fundamental domain through the
-planes and slabs that the histogram scan fills (_plane_slabs, one loop
-with two consumers), so that block is never histogrammed.  An entry of g
-is at most the folded total (v and w fix t), so g is int32 below 2^31, and
+block's values v against g, g(N - v) for a value and g(N - v) + g(-N - v)
+for a pair +-v, which only the sym box stores and so only beside an even
+g, from one of two sources: its histogram, whose sorted arrays every
+target of a call and identical blocks share, or, for one target on
+distinct blocks, a scan of its fundamental domain through the planes and
+slabs that the histogram scan fills (_plane_slabs, one loop with two
+consumers), so that block is never histogrammed.  An entry of g is at
+most the folded total (v and w fix t), so g is int32 below 2^31, and
 every partial sum of a count is at most total1 * total2 <= _GRID_CAP^2 <
 2^63.  Big-int histograms, a failed 2^63 bound or a fold window above
 _DENSE_CAP fall back to sparse pair sums per cube target, accumulated in
@@ -383,9 +384,9 @@ def _cube_fold(h: BlockHistogram, cubes):
     return (None if even else vmin + cmin), g
 
 
-def _gather_dot(vals, cnts, g, even: bool, k: int, sign: int) -> int:
-    """Sum of cnts[i] * g[k + sign * vals[i]] over the sorted vals, or of
-    g[|k + sign * vals[i]|] when g is even; an index outside g reads 0.
+def _gather_dot(vals, cnts, g, even: bool, k: int) -> int:
+    """Sum of cnts[i] * g[k - vals[i]] over the sorted vals, or of
+    g[|k - vals[i]|] when g is even; an index outside g reads 0.
     Each view of g is read over the window of vals that indexes it, found
     by search: g itself, and for an even g, at indices w < 0, its reversed
     view g[:0:-1], whose entry w + len(g) - 1 is g[-w]."""
@@ -393,13 +394,11 @@ def _gather_dot(vals, cnts, g, even: bool, k: int, sign: int) -> int:
         return 0
     total = 0
     for view, c in ((g, k), (g[:0:-1], k + len(g) - 1))[: 1 + even]:
-        lo, hi = sorted((-c * sign, (len(view) - 1 - c) * sign))
-        lo, hi = max(lo, int(vals[0])), min(hi, int(vals[-1]))
+        lo, hi = max(c - len(view) + 1, int(vals[0])), min(c, int(vals[-1]))
         if lo <= hi:
             i0 = int(np.searchsorted(vals, lo, side="left"))
             i1 = int(np.searchsorted(vals, hi, side="right"))
-            v = vals[i0:i1]
-            total += int(np.dot(cnts[i0:i1], view[c - v] if sign < 0 else view[c + v]))
+            total += int(np.dot(cnts[i0:i1], view[c - vals[i0:i1]]))
     return total
 
 
@@ -425,19 +424,16 @@ def _pair_count_sparse(h1: BlockHistogram, h2: BlockHistogram, t: int) -> int:
     return sum(a * b for a, b in zip(c1, c2))
 
 
-def _window_read(g, even: bool, k: int, sign: int, v, bound: int) -> int:
-    """Sum of g[k + sign * v] over the slab v, whose values lie in
-    [-bound, bound], or of g[|k + sign * v|] when g is even; an index
-    outside g reads 0, and g is neither copied nor padded."""
+def _window_read(g, even: bool, k: int, v, bound: int) -> int:
+    """Sum of g[k - v] over the slab v, whose values lie in [-bound, bound],
+    or of g[|k - v|] when g is even; an index outside g reads 0, and g is
+    neither copied nor padded."""
     n = len(g)
-    lo, hi = (1 - n, n - 1) if even else (0, n - 1)
-    # k + sign * v lies in [lo, hi] exactly when v lies in [vlo, vhi].
-    vlo, vhi = sorted(((lo - k) * sign, (hi - k) * sign))
-    vlo, vhi = max(vlo, -bound), min(vhi, bound)
+    # k - v indexes g exactly when v lies in [vlo, vhi].
+    vlo, vhi = max(k - n + 1, -bound), min(k + n - 1 if even else k, bound)
     if vlo > vhi:
         return 0
     masked = vlo > -bound or vhi < bound
-    add = np.add if sign > 0 else np.subtract
     total = 0
     # Tiles of _FOLD_TILE values: the int64 indices that np.take reads
     # without a copy, and its gather, stay in cache, not slab-sized.
@@ -445,25 +441,11 @@ def _window_read(g, even: bool, k: int, sign: int, v, bound: int) -> int:
         t = v[s : s + _FOLD_TILE]
         if masked:
             t = t[(t >= vlo) & (t <= vhi)]
-        i = add(k, t, dtype=np.int64)
+        i = np.subtract(k, t, dtype=np.int64)
         if even:
             np.abs(i, out=i)
         total += int(np.take(g, i).sum(dtype=np.int64))
     return total
-
-
-def _reads(N: int, gmin: int | None):
-    """(single, pair): the reads of g(N - v) and of g(N - v) + g(N + v),
-    as {(c, sign): weight}.  A read (c, sign) adds g[c + sign * v] at each
-    value v, or g[|c + sign * v|] when g is even (gmin None).  With
-    k = N - gmin, or N when g is even, g(N - v) is the read (k, -1) and
-    g(N + v) the read (k, 1), or (-k, -1) when g is even: an even g's pair
-    at N = 0 is one read of weight 2."""
-    k = N if gmin is None else N - gmin
-    single = {(k, -1): 1}
-    pair = collections.Counter(single)
-    pair[(-k, -1) if gmin is None else (k, 1)] += 1
-    return single, pair
 
 
 def representation_counts(form: CubicForm, Ns, P: int) -> list[int]:
@@ -472,14 +454,15 @@ def representation_counts(form: CubicForm, Ns, P: int) -> list[int]:
     The block of the smaller a priori value bound, block 2 on a tie, is
     folded with the cubes: the one rule that can run before either
     histogram exists.  Several targets and identical blocks read the other
-    block from its histogram, an even one's u = 0 once and each u > 0 as
-    the pair +-u.  One target on distinct blocks scans the other block's
-    fundamental domain (_sign_group, _sign_pieces) instead, where its value
-    bound is below 2^62, so that every index is int64: a bulk point of a
-    group holding -I stands for |G|/2 points of value B and as many of -B,
-    any other point for itself.  Where the fold declines (a big-int
-    histogram, the 2^63 certificate, a window refused by _cube_fold), each
-    N sums sparse pair counts over its 2P+1 cube targets in Python ints.
+    block from its histogram, an even one's u = 0 once and each u > 0 as the
+    pair +-u, against the fold, which is even on the sym box too.  One
+    target on distinct blocks scans the other block's fundamental domain
+    (_sign_group, _sign_pieces) instead, where its value bound is below
+    2^62, so that every index is int64: a bulk point of a group holding -I
+    stands for |G|/2 points of value B and as many of -B, any other point
+    for itself.  Where the fold declines (a big-int histogram, the 2^63
+    certificate, a window refused by _cube_fold), each N sums sparse pair
+    counts over its 2P+1 cube targets in Python ints.
     """
     box, blocks = form.box, form.blocks()
     # The grid guards of both blocks, in block order, before any scan.
@@ -508,22 +491,29 @@ def representation_counts(form: CubicForm, Ns, P: int) -> list[int]:
         return [sum(_pair_count_sparse(h1, h2, N - c) for c in cubes) for N in Ns]
     gmin, g = folded
     even = gmin is None
-    if scan:
-        single, pair = _reads(Ns[0], gmin)
-        group = _sign_group(l, q, r)
-        (bulk, weight), *zeros = _sign_pieces(r, group)
-        pieces = [(bulk, pair, weight // 2) if len(group) > 1 else (bulk, single, weight)]
-        pieces += [(axes, single, w) for axes, w in zeros]
-        return [sum(m * w * _window_read(g, even, c, sign, v, bound)
-                    for axes, reads, m in pieces for v in _plane_slabs(l, q, axes)
-                    for (c, sign), w in reads.items())]
-    u, n = other._vals, other._cnts
+    # A read c adds g[c - v] at each value v, or g[|c - v|] for an even g,
+    # and a value's reads are {c: weight}.  A single value reads
+    # c = N - gmin, or N for an even g.  A pair +-v is read only against an
+    # even fold, as the sym box, the one box whose values come in pairs,
+    # always folds one: g(N - v) + g(N + v) = g(N - v) + g(-N - v) is the
+    # reads N and -N, one read of weight 2 at N = 0.
     counts = []
     for N in Ns:
-        single, pair = _reads(N, gmin)
-        parts = [(u[:1], n[:1], single), (u[1:], n[1:], pair)] if other._even else [(u, n, single)]
-        counts.append(sum(w * _gather_dot(vals, cnts, g, even, c, sign)
-                          for vals, cnts, reads in parts for (c, sign), w in reads.items()))
+        single, pair = {N if even else N - gmin: 1}, collections.Counter((N, -N))
+        if scan:
+            group = _sign_group(l, q, r)
+            (bulk, weight), *zeros = _sign_pieces(r, group)
+            pieces = [(bulk, pair, weight // 2) if len(group) > 1 else (bulk, single, weight)]
+            pieces += [(axes, single, w) for axes, w in zeros]
+            counts.append(sum(m * w * _window_read(g, even, c, v, bound)
+                              for axes, reads, m in pieces for v in _plane_slabs(l, q, axes)
+                              for c, w in reads.items()))
+        else:
+            u, n = other._vals, other._cnts
+            parts = ([(u[:1], n[:1], single), (u[1:], n[1:], pair)] if other._even
+                     else [(u, n, single)])
+            counts.append(sum(w * _gather_dot(vals, cnts, g, even, c)
+                              for vals, cnts, reads in parts for c, w in reads.items()))
     return counts
 
 

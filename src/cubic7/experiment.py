@@ -97,8 +97,9 @@ def predict_representations(form: CubicForm, Ns, qmax: int = 400,
     # Refuse the integral's and the series' arguments before the counts.
     _check_pass(thetas, _rungs(eps0), samples, threads)
     _check_qmax(qmax)
-    # One cube fold and one pair of block zero counts per natural radius
-    # serve every N at that radius.
+    # One cube fold per natural radius serves every N at that radius, and
+    # one pair of block zero counts every N there with chi(N) = 1: the
+    # lattice term chi(N) N1 N2 of any other N is 0.
     by_radius: dict[int, list[int]] = {}
     for N, P in zip(Ns, Ps):
         by_radius.setdefault(P, []).append(N)
@@ -106,7 +107,8 @@ def predict_representations(form: CubicForm, Ns, qmax: int = 400,
     zeros = {}
     for P, group in by_radius.items():
         actuals.update(zip(group, representation_counts(form, group, P)))
-        zeros[P] = block_zero_counts(form, P)
+        if any(chi(N, form.a7, form.box, P) for N in group):
+            zeros[P] = block_zero_counts(form, P)
     # One sampling pass serves every theta = N / P^3.
     integrals = density_ladders(form, thetas, eps0, samples, seed, threads,
                                 target="n")
@@ -114,7 +116,7 @@ def predict_representations(form: CubicForm, Ns, qmax: int = 400,
     for N, P, integ in zip(Ns, Ps, integrals):
         actual = actuals[N]
         ch = chi(N, form.a7, form.box, P)
-        n1, n2 = zeros[P]
+        n1, n2 = zeros[P] if ch else (0, 0)
         latt = ch * n1 * n2
         series = singular_series(form, N, qmax)
         circle = N ** (4.0 / 3.0) * series.value * integ.value

@@ -706,8 +706,9 @@ def test_sym_cube_fold_is_the_full_fold(monkeypatch, a7, f_star, f_fac1, f_iii):
     # On the sym box the fold is even: the half window holds the full
     # fold's entries for w >= 0, entry for entry, and a count that reads
     # g[|w|] is the count over the full window, on both sides of N = 0 and
-    # just outside the window, in all four layouts: an even or a full g,
-    # read against the other histogram stored by its half or in full.
+    # just outside the window, in the three layouts that read no pair +-u
+    # against a full g: the even g against the other histogram stored by
+    # its half or in full, and the full g against the full other.
     rng = random.Random(a7)
     for form in (f_star, f_fac1, f_iii):
         form_a = CubicForm(form.a[:6] + (a7,), form.q1, form.q2)
@@ -734,8 +735,7 @@ def test_sym_cube_fold_is_the_full_fold(monkeypatch, a7, f_star, f_fac1, f_iii):
                       rng.randint(1, n_hi), n_hi, n_hi + 1]
                 other_full = BlockHistogram(other.vals, other.cnts)
                 counts = _counts_with(monkeypatch, form_a, Ns, P, other, (None, half))
-                for read, fold in ((other_full, (None, half)), (other, (gmin, g)),
-                                   (other_full, (gmin, g))):
+                for read, fold in ((other_full, (None, half)), (other_full, (gmin, g))):
                     assert _counts_with(monkeypatch, form_a, Ns, P, read, fold) == counts
                 assert counts[0] == counts[-1] == 0 and counts[1] > 0 and counts[-2] > 0
     # The pos and nonneg boxes keep the full fold, and their counts are
@@ -1008,9 +1008,9 @@ def test_single_target_builds_one_histogram(monkeypatch, f_fac1):
     scans = set()
     window_read = counting._window_read
 
-    def read_spy(g, even, k, sign, *args):
-        scans.add((even, k, sign))
-        return window_read(g, even, k, sign, *args)
+    def read_spy(g, even, k, *args):
+        scans.add((even, k))
+        return window_read(g, even, k, *args)
 
     monkeypatch.setattr(counting, "_window_read", read_spy)
     value_histogram.cache_clear()
@@ -1025,7 +1025,7 @@ def test_single_target_builds_one_histogram(monkeypatch, f_fac1):
     assert got == [4036716489, 20182289729, 64434539621]
     assert {(tuple(l), tuple(q)) for l, q in built} == {(f_fac1.l2, f_fac1.q2)}
     assert len(folds) == 3 and reads == []
-    assert scans == {(True, 0, -1)}
+    assert scans == {(True, 0)}
 
 
 def test_histogram_route_kept(monkeypatch, f_star, f_fac1):
@@ -1073,20 +1073,30 @@ def test_single_target_scan_declines(monkeypatch, f_fac1):
     assert not scans and sparse
     # f_fac1's folded block at P = 1, faked, against its scanned 27 cells;
     # the fake stands for both blocks once the sparse sums need the other.
+    # The fake with a fold is stored by its half, as every histogram on
+    # the sym box is: u = 0 and the pair +-5, m + 1 points in all.
     big = BlockHistogram(np.array([2 ** 70], dtype=object), np.array([1]))
     m = 2 ** 63 // 27
-    for h, N, want in ((big, 2 ** 71, 1), (_point_histogram(5, m + 1), 10, (m + 1) ** 2)):
+
+    def half(total):
+        return BlockHistogram(np.array([0, 5]), np.array([total - 2, 1]), even=True)
+
+    assert half(m + 1).total() == m + 1 and (m + 1) * 27 >= 2 ** 63
+    for h, N, want in ((big, 2 ** 71, 1), (half(m + 1), 0, (m - 1) ** 2 + 2)):
         monkeypatch.setattr(counting, "value_histogram", lambda l, q, box, P, h=h: h)
         sparse.clear()
         assert count_representations(f_fac1, N, 1) == want
         assert not scans and sparse
     # At one count less the certificate holds, and the scan answers; its
-    # fold is not even, so a bulk point reads g(N - B) and g(N + B) apart.
-    monkeypatch.setattr(counting, "value_histogram", lambda l, q, box, P: _point_histogram(5, m))
+    # fold is even, so a bulk point of value B reads g[|N - B|] and
+    # g[|N + B|], one read of weight 2 at N = 0.
+    monkeypatch.setattr(counting, "value_histogram", lambda l, q, box, P: half(m))
     sparse.clear()
     values = block_values_brute(f_fac1.l1, f_fac1.q1, "sym", 1)
-    for N in range(-1, 10):
-        want = m * sum(n for v, n in values.items() for t in (-1, 0, 1) if v + 5 + t ** 3 == N)
+    fake = dict(half(m).items())
+    for N in range(-9, 10):
+        want = sum(n * c for v, n in values.items() for u, c in fake.items()
+                   for t in (-1, 0, 1) if v + u + t ** 3 == N)
         assert count_representations(f_fac1, N, 1) == want
     assert scans and not sparse
 
@@ -1126,6 +1136,30 @@ def test_count_representations_other_boxes(f_star):
         table = representation_counts_brute(form, 2)
         for N in (0, 1, 2, 5, 12):
             assert count_representations(form, N, 2) == table.get(N, 0)
+
+
+@pytest.mark.parametrize("box", BOX_KINDS)
+def test_zero_quadratic_block_counts(monkeypatch, box):
+    # A block with Q = 0 has L*Q = 0 at every point: on the sym box its
+    # half-stored histogram is u = 0 alone, and read against the fold it
+    # has no pair u > 0 to read.  Q2 = 0 (folded, the smaller bound), Q1 = 0
+    # read against block 2's fold (l1 wide enough to have the larger bound),
+    # and Q1 = Q2 = 0 with equal and with distinct L: every count, with one
+    # target and with several, is the enumerated one.
+    reads = _spy(monkeypatch, "_gather_dot")
+    zero = (0,) * 6
+    forms = [CubicForm((1, 0, 0, 1, 0, 0, 1), (0, 0, 1, 0, 0, 1), zero, box),
+             CubicForm((5, 5, 5, 1, 0, 0, -2), zero, (0, 0, 0, 1, 0, 0), box),
+             CubicForm((1, 0, 0, 1, 0, 0, 1), zero, zero, box),
+             CubicForm((1, 2, 0, 0, 1, -1, 3), zero, zero, box)]
+    for form in forms:
+        for P in (1, 2):
+            table = representation_counts_brute(form, P)
+            Ns = sorted(set(range(-6, 7)) | set(table) | {min(table) - 1, max(table) + 1})
+            assert representation_counts(form, Ns, P) == [table.get(N, 0) for N in Ns]
+            assert [count_representations(form, N, P) for N in Ns] == [table.get(N, 0) for N in Ns]
+    # The sym box reads an empty pair part of a Q = 0 block's histogram.
+    assert any(not len(args[0]) for args, _ in reads) == (box == "sym")
 
 
 def test_fixed_counts(f_star):

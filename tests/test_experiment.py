@@ -155,6 +155,26 @@ def test_predict_representations_zero_counts_per_radius(f_fac1):
         assert r["lattice"] == chi(r["N"], f_fac1.a7, f_fac1.box, r["P"]) * n1 * n2
 
 
+def test_predict_representations_zero_counts_only_for_cubes(f_fac1):
+    # The lattice term chi(N) N1 N2 needs the block zero counts only at a
+    # radius with a cube target.  One target on f_fac1's distinct blocks
+    # folds one block and scans the other, so 900001 (P = 96, chi = 0)
+    # builds one histogram; 884736 = 96^3 (chi = 1) builds both and keeps
+    # its lattice term.
+    try:
+        for N, misses in ((900_001, 1), (96 ** 3, 2)):
+            value_histogram.cache_clear()
+            (row,) = predict_representations(f_fac1, (N,), qmax=20, samples=20_000).rows
+            assert value_histogram.cache_info().misses == misses
+            assert row["P"] == 96 and row["chi"] == misses - 1
+            n1, n2 = block_zero_counts(f_fac1, 96)
+            assert row["lattice"] == row["chi"] * n1 * n2
+            assert row["actual"] == count_representations(f_fac1, N, 96)
+        assert row["lattice"] > 0
+    finally:
+        value_histogram.cache_clear()
+
+
 def test_predict_dispatch(f_star):
     rep = predict(f_star, "zeros", (2,), qmax=20, samples=20_000)
     assert rep.mode == "zeros"
