@@ -28,19 +28,19 @@ The cube term is folded once into the histogram of the block of the
 smaller a priori value bound, g = h * {a7 t^3}, by 2P+1 dense slice adds
 from one dense copy of h's stored arrays, its half when h is stored by its
 half; when the cubes are symmetric too (the sym box), g is even, and only
-its half w >= 0 is added up and stored.  Each N then reads the other
-block's values v against g, g(N - v) for a value and g(N - v) + g(-N - v)
-for a pair +-v, which only the sym box stores and so only beside an even
-g, from one of two sources: its histogram, whose sorted arrays every
-target of a call and identical blocks share, or, for one target on
-distinct blocks, a scan of its fundamental domain through the planes and
-slabs that the histogram scan fills (_plane_slabs, one loop with two
-consumers), so that block is never histogrammed.  An entry of g is at
-most the folded total (v and w fix t), so g is int32 below 2^31, and
-every partial sum of a count is at most total1 * total2 <= _GRID_CAP^2 <
-2^63.  Big-int histograms, a failed 2^63 bound or a fold window above
-_DENSE_CAP fall back to sparse pair sums per cube target, accumulated in
-Python ints.
+its half w >= 0 is added up and stored.  g has a zero entry past each end
+of its window, past the top only when even, so each N reads the other
+block's values v through one clipped gather (_read_fold) that needs no
+mask: g(N - v) for a value and g(N - v) + g(-N - v) for a pair +-v, which
+only the sym box stores and so only beside an even g.  The values come
+from the other block's histogram, which every target of a call and
+identical blocks share, or, for one target on distinct blocks, from a scan
+of its fundamental domain through _plane_slabs, the histogram scan's own
+loop, so that block is never histogrammed.  An entry of g is at most the
+folded total (v and w fix t), so g is int32 below 2^31, and every partial
+sum of a count is at most total1 * total2 <= _GRID_CAP^2 < 2^63.  Big-int
+histograms, a failed 2^63 bound or a fold window above _DENSE_CAP fall
+back to sparse pair sums per cube target, accumulated in Python ints.
 """
 
 from __future__ import annotations
@@ -328,16 +328,17 @@ def value_histogram(l, q, box: str, P: int) -> BlockHistogram:
 def _cube_fold(h: BlockHistogram, cubes):
     """(gmin, g) with g[w - gmin] = #{(v, t) : v + a7 t^3 = w}, v counted
     with its multiplicity in h and a7 t^3 running over the list `cubes`;
-    None when the fold window is wider than _DENSE_CAP.
+    None when the fold window is wider than _DENSE_CAP.  g[0] and g[-1] are
+    zero ends just past the window, so gmin is one below its least w.
 
     Given w and v, the cube a7 t^3 = w - v fixes t, so no entry of g
-    exceeds h.total(): g is int32 below 2^31 and int64 otherwise.  The
-    dense copy spreads the stored arrays from a base, dense[v - base] =
-    h(v) for base <= v <= vmax: base = vmin for a full histogram, and
-    base = 0 for one stored by its half, whose slice adds read v < 0 at
-    |v|.  When h is stored by its half and the cubes are symmetric too
-    (the sym box), g is even: only its half w >= 0 is added up and
-    stored, gmin is None, and g(w) = g[|w|].
+    exceeds h.total(): g is int32 below 2^31 and int64 otherwise.  The dense
+    copy spreads the stored arrays from a base, dense[v - base] = h(v) for
+    base <= v <= vmax: base = vmin for a full histogram, and base = 0 for
+    one stored by its half, whose slice adds read v < 0 at |v|.  When h is
+    stored by its half and the cubes are symmetric too (the sym box), g is
+    even: only its half w >= 0 is added up and stored, with a zero end past
+    its top only, gmin is None, and g(w) = g[|w|].
     """
     vmin, vmax = h._range()
     width = vmax - vmin + 1
@@ -352,7 +353,8 @@ def _cube_fold(h: BlockHistogram, cubes):
     mid = (width + span) // 2 if even else 0
     # g before the temporary dense copy: the returned g then takes a free
     # block of the heap, and dense, freed on return, sits at its top.
-    g = np.zeros(width + span - mid, dtype=dtype)
+    g = np.zeros(width + span - mid + 2 - even, dtype=dtype)
+    window = g[1 - even : -1]
     dense = np.zeros(vmax - base + 1, dtype=dtype)
     # A half is indexed by its own values: a shifted copy of u would cost
     # 8 MB at P = 128.
@@ -369,7 +371,7 @@ def _cube_fold(h: BlockHistogram, cubes):
     offsets = [c - cmin - vmin + base for c in cubes]
     for s in range(mid, width + span, _FOLD_TILE):
         e = min(s + _FOLD_TILE, width + span)
-        tile = g[s - mid : e - mid]
+        tile = window[s - mid : e - mid]
         if back is not None:
             back[: e - s] = 0
         for o in offsets:
@@ -381,24 +383,32 @@ def _cube_fold(h: BlockHistogram, cubes):
                 back[e - q : e - a] += dense[o - q + 1 : o - a + 1]
         if back is not None:
             tile += back[: e - s][::-1]
-    return (None if even else vmin + cmin), g
+    return (None if even else vmin + cmin - 1), g
 
 
-def _gather_dot(vals, cnts, g, even: bool, k: int) -> int:
-    """Sum of cnts[i] * g[k - vals[i]] over the sorted vals, or of
-    g[|k - vals[i]|] when g is even; an index outside g reads 0.
-    Each view of g is read over the window of vals that indexes it, found
-    by search: g itself, and for an even g, at indices w < 0, its reversed
-    view g[:0:-1], whose entry w + len(g) - 1 is g[-w]."""
-    if not len(vals):
+def _read_fold(g, even: bool, k: int, v, w, bound: int) -> int:
+    """Sum of w[i] * g[k - v[i]], or of w[i] * g[|k - v[i]|] when g is
+    even, over the values v in [-bound, bound]; w is None for a scanned
+    slab, whose values weigh 1.  An index off g's window is clipped onto a
+    zero end of g, so it reads 0 with no mask."""
+    n = len(g)
+    # k - v indexes g only for v in [k - n + 1, k], or in [k - n + 1,
+    # k + n - 1] when g is even; missing [-bound, bound] reads 0.
+    if k - n + 1 > bound or (k + n - 1 if even else k) < -bound:
         return 0
+    # |k| < bound + n, so k - v leaves int64 only with bound near 2^62, and
+    # v clipped into [k - n, k + n] reads the same zero ends.
+    wide = abs(k) + bound >= _INT64_LIMIT
     total = 0
-    for view, c in ((g, k), (g[:0:-1], k + len(g) - 1))[: 1 + even]:
-        lo, hi = max(c - len(view) + 1, int(vals[0])), min(c, int(vals[-1]))
-        if lo <= hi:
-            i0 = int(np.searchsorted(vals, lo, side="left"))
-            i1 = int(np.searchsorted(vals, hi, side="right"))
-            total += int(np.dot(cnts[i0:i1], view[c - vals[i0:i1]]))
+    # Tiles of _FOLD_TILE values keep the indices and the gather in cache;
+    # the gathered tile, left unbound, is freed before the next.
+    for s in range(0, len(v), _FOLD_TILE):
+        t = np.clip(v[s : s + _FOLD_TILE], k - n, k + n) if wide else v[s : s + _FOLD_TILE]
+        i = np.subtract(k, t, dtype=np.int64)
+        if even:
+            np.abs(i, out=i)
+        total += int(np.take(g, i, mode="clip").sum(dtype=np.int64) if w is None
+                     else np.dot(w[s : s + _FOLD_TILE], np.take(g, i, mode="clip")))
     return total
 
 
@@ -424,45 +434,21 @@ def _pair_count_sparse(h1: BlockHistogram, h2: BlockHistogram, t: int) -> int:
     return sum(a * b for a, b in zip(c1, c2))
 
 
-def _window_read(g, even: bool, k: int, v, bound: int) -> int:
-    """Sum of g[k - v] over the slab v, whose values lie in [-bound, bound],
-    or of g[|k - v|] when g is even; an index outside g reads 0, and g is
-    neither copied nor padded."""
-    n = len(g)
-    # k - v indexes g exactly when v lies in [vlo, vhi].
-    vlo, vhi = max(k - n + 1, -bound), min(k + n - 1 if even else k, bound)
-    if vlo > vhi:
-        return 0
-    masked = vlo > -bound or vhi < bound
-    total = 0
-    # Tiles of _FOLD_TILE values: the int64 indices that np.take reads
-    # without a copy, and its gather, stay in cache, not slab-sized.
-    for s in range(0, len(v), _FOLD_TILE):
-        t = v[s : s + _FOLD_TILE]
-        if masked:
-            t = t[(t >= vlo) & (t <= vhi)]
-        i = np.subtract(k, t, dtype=np.int64)
-        if even:
-            np.abs(i, out=i)
-        total += int(np.take(g, i).sum(dtype=np.int64))
-    return total
-
-
 def representation_counts(form: CubicForm, Ns, P: int) -> list[int]:
     """Exact number of box points with f(x) = N, for each N in Ns.
 
     The block of the smaller a priori value bound, block 2 on a tie, is
     folded with the cubes: the one rule that can run before either
-    histogram exists.  Several targets and identical blocks read the other
-    block from its histogram, an even one's u = 0 once and each u > 0 as the
-    pair +-u, against the fold, which is even on the sym box too.  One
-    target on distinct blocks scans the other block's fundamental domain
-    (_sign_group, _sign_pieces) instead, where its value bound is below
-    2^62, so that every index is int64: a bulk point of a group holding -I
-    stands for |G|/2 points of value B and as many of -B, any other point
-    for itself.  Where the fold declines (a big-int histogram, the 2^63
-    certificate, a window refused by _cube_fold), each N sums sparse pair
-    counts over its 2P+1 cube targets in Python ints.
+    histogram exists.  The other block's values are read against the fold
+    by _read_fold, from one list of sources for every N: its histogram
+    (several targets, identical blocks), an even one's u = 0 once and each
+    u > 0 as the pair +-u, or for one target on distinct blocks the slabs
+    of its fundamental domain (_sign_group, _sign_pieces), where its value
+    bound is below 2^62: a bulk point of a group holding -I stands for
+    |G|/2 points of value B and as many of -B, any other point for itself.
+    Where the fold declines (a big-int histogram, the 2^63 certificate, a
+    window refused by _cube_fold), each N sums sparse pair counts over its
+    2P+1 cube targets in Python ints.
     """
     box, blocks = form.box, form.blocks()
     # The grid guards of both blocks, in block order, before any scan.
@@ -491,30 +477,27 @@ def representation_counts(form: CubicForm, Ns, P: int) -> list[int]:
         return [sum(_pair_count_sparse(h1, h2, N - c) for c in cubes) for N in Ns]
     gmin, g = folded
     even = gmin is None
-    # A read c adds g[c - v] at each value v, or g[|c - v|] for an even g,
-    # and a value's reads are {c: weight}.  A single value reads
-    # c = N - gmin, or N for an even g.  A pair +-v is read only against an
-    # even fold, as the sym box, the one box whose values come in pairs,
-    # always folds one: g(N - v) + g(N + v) = g(N - v) + g(-N - v) is the
-    # reads N and -N, one read of weight 2 at N = 0.
-    counts = []
-    for N in Ns:
-        single, pair = {N if even else N - gmin: 1}, collections.Counter((N, -N))
-        if scan:
-            group = _sign_group(l, q, r)
-            (bulk, weight), *zeros = _sign_pieces(r, group)
-            pieces = [(bulk, pair, weight // 2) if len(group) > 1 else (bulk, single, weight)]
-            pieces += [(axes, single, w) for axes, w in zeros]
-            counts.append(sum(m * w * _window_read(g, even, c, v, bound)
-                              for axes, reads, m in pieces for v in _plane_slabs(l, q, axes)
-                              for c, w in reads.items()))
-        else:
-            u, n = other._vals, other._cnts
-            parts = ([(u[:1], n[:1], single), (u[1:], n[1:], pair)] if other._even
-                     else [(u, n, single)])
-            counts.append(sum(w * _gather_dot(vals, cnts, g, even, c)
-                              for vals, cnts, reads in parts for c, w in reads.items()))
-    return counts
+    # A source (v, w, m, pair) is values v of counts w (None: 1) times m,
+    # with reads {k: weight}: a single value reads k = N - gmin, or N for
+    # an even g.  A pair +-v is read only against an even fold, as the sym
+    # box, the one box whose values come in pairs, always folds one:
+    # g(N - v) + g(-N - v) is the reads N and -N, one of weight 2 at N = 0.
+    if scan:
+        group = _sign_group(l, q, r)
+        (bulk, weight), *zeros = _sign_pieces(r, group)
+        pieces = [(bulk, weight // 2, True) if len(group) > 1 else (bulk, weight, False)]
+        pieces += [(axes, m, False) for axes, m in zeros]
+        # Views of one reused buffer, so read once: a scan serves one target.
+        sources = ((v, None, m, pair) for axes, m, pair in pieces
+                   for v in _plane_slabs(l, q, axes))
+    else:
+        u, n = other._vals, other._cnts
+        bound = max(map(abs, other._range()))
+        sources = ([(u[:1], n[:1], 1, False), (u[1:], n[1:], 1, True)] if other._even
+                   else [(u, n, 1, False)])
+    reads = [({N if even else N - gmin: 1}, collections.Counter((N, -N))) for N in Ns]
+    return [sum(m * c * _read_fold(g, even, k, v, w, bound)
+                for v, w, m, pair in sources for k, c in rs[pair].items()) for rs in reads]
 
 
 def count_representations(form: CubicForm, N: int, P: int) -> int:

@@ -77,6 +77,14 @@ def block_sum_brute(l, q, modulus: int, mult: int) -> complex:
     return total
 
 
+def projective_zeros_brute(l, q, p: int) -> int:
+    """M_p: the points of the projective plane over F_p where L*Q vanishes,
+    counted over the representatives (1, y, z), (0, 1, z) and (0, 0, 1)."""
+    points = [(1, y, z) for y in range(p) for z in range(p)]
+    points += [(0, 1, z) for z in range(p)] + [(0, 0, 1)]
+    return sum(_block(l, q, *x) % p == 0 for x in points)
+
+
 def cube_sum_brute(a7: int, modulus: int, mult: int) -> complex:
     total = 0j
     w = 2j * cmath.pi / modulus

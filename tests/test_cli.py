@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cubic7 import checks, counting, expsums
+from cubic7 import checks, counting, expsums, oracles
 from cubic7.cli import DEFAULT_FORM, _export_histogram, main
 from cubic7.counting import BlockHistogram, count_representations
 from cubic7.forms import CubicForm, form_to_dict
@@ -230,6 +230,36 @@ def test_verify_convolution_checks_one_target(monkeypatch, f_fac1):
     assert counting.representation_counts(f_fac1, Ns, 2) == [table.get(N, 0) for N in Ns]
     (row,) = checks.verify(f_fac1)
     assert not row.passed and row.detail.startswith("N=-6: ")
+
+
+def test_verify_prime_law_by_point_count(monkeypatch, f_star, f_fac1, f_fac2, f_iii,
+                                         f_content2):
+    # S(p, a) = p (M_p - p - 1), M_p the projective zeros of L*Q over F_p:
+    # the row holds on every fixture form and a pos-box form, though
+    # f_fac1's x4 x5 x6 (three lines, M_p = 3p) has S(3, 1) = 15, not p^2.
+    # Off by 2p (the mutant p (M_p - p + 1)) it fails on each, and so it
+    # does with S(13, 2) moved off its cube class {2, 3, 10, 11}.
+    kept = ("block-sum-prime-law",)
+    monkeypatch.setattr(checks, "_CHECKS", tuple(c for c in checks._CHECKS if c[0] in kept))
+    pos = CubicForm((1, 2, -1, 2, 1, 1, 3), (1, -1, 2, 0, 1, 3), (2, 1, 0, -1, 1, 1), "pos")
+    forms = (f_star, f_fac1, f_fac2, f_iii, f_content2, pos)
+    assert [oracles.projective_zeros_brute(f_fac1.l2, f_fac1.q2, p) for p in (3, 5, 7)] == [
+        9, 15, 21]
+    for form in forms:
+        (row,) = checks.verify(form)
+        assert row.passed, (form, row.detail)
+    zeros = checks.projective_zeros_brute
+    monkeypatch.setattr(checks, "projective_zeros_brute", lambda l, q, p: zeros(l, q, p) + 2)
+    for form in forms:
+        (row,) = checks.verify(form)
+        assert not row.passed and row.detail.startswith("p=3: mean ")
+    monkeypatch.setattr(checks, "projective_zeros_brute", zeros)
+    s_block = checks.s_block
+    monkeypatch.setattr(checks, "s_block",
+                        lambda l, q, p, a: s_block(l, q, p, a) + ((p, a) == (13, 2)))
+    for form in forms:
+        (row,) = checks.verify(form)
+        assert not row.passed and row.detail.startswith("p=13: S(p, 2) = ")
 
 
 def test_histogram_check_reads_the_enumeration(monkeypatch, f_star):

@@ -634,11 +634,13 @@ def test_count_memory(f_fac1):
 
 def test_fold_vs_sparse(monkeypatch, f_star, f_fac1, f_iii):
     # Targets at both edges of the value-sum window and just outside it,
-    # and Ns at both edges of the fold's own range and just outside it; the
-    # non-sym boxes make the histograms asymmetric, so a slip in an offset
-    # cannot cancel out.  The fold is the route's, of the block of the
-    # smaller value bound, read from the other block's histogram (several
-    # targets) and from its scan (one target, f_fac1's distinct blocks).
+    # Ns at both edges of the fold's own range and just outside it, where a
+    # read at the other block's extreme lands on a zero end of g, and
+    # +-10^30; the non-sym boxes make the histograms asymmetric, so a slip
+    # in an offset cannot cancel out.  The fold is the route's, of the
+    # block of the smaller value bound, read from the other block's
+    # histogram (several targets) and from its scan (one target, f_fac1's
+    # distinct blocks).
     folds = _spy(monkeypatch, "_cube_fold")
     rng = random.Random(5)
     for form in (f_star, f_fac1, f_iii):
@@ -657,21 +659,24 @@ def test_fold_vs_sparse(monkeypatch, f_star, f_fac1, f_iii):
                 n_hi = int(other.vals[-1]) + int(narrow.vals[-1]) + cubes[-1]
                 Ns = [e_lo + cubes[0], e_lo + cubes[-1], e_hi + cubes[0],
                       e_hi + cubes[-1], rng.randint(e_lo, e_hi),
-                      n_lo - 1, n_lo, n_hi, n_hi + 1]
+                      n_lo - 1, n_lo, n_hi, n_hi + 1, 10 ** 30, -10 ** 30]
                 folds.clear()
                 counts = representation_counts(form_b, Ns, P)
                 (((folded, fold_cubes), fold),) = folds
                 assert folded is narrow and fold_cubes == cubes
                 gmin, g = fold
-                # Only the sym box gives an even fold, stored for w >= 0;
-                # the checks below read it over its whole window.
+                # Only the sym box gives an even fold, stored for w >= 0
+                # with a zero end past its top; the checks below read it
+                # over its whole window and both zero ends.
                 assert (gmin is None) == (box == "sym")
+                assert g[-1] == 0 and (gmin is None or g[0] == 0)
                 if gmin is None:
                     gmin, g = 1 - len(g), np.concatenate((g[:0:-1], g))
                 assert g.dtype == np.int32
                 gmax = gmin + len(g) - 1
-                assert (n_lo, n_hi) == (int(other.vals[0]) + gmin, int(other.vals[-1]) + gmax)
-                assert g[0] > 0 and g[-1] > 0
+                assert (n_lo, n_hi) == (int(other.vals[0]) + gmin + 1,
+                                        int(other.vals[-1]) + gmax - 1)
+                assert g[0] == g[-1] == 0 and g[1] > 0 and g[-2] > 0
                 for w in [gmin, gmin + 1, gmax - 1, gmax] + [
                         rng.randint(gmin, gmax) for _ in range(5)]:
                     assert g[w - gmin] == sum(narrow.count_of(w - c) for c in cubes)
@@ -690,6 +695,7 @@ def test_fold_vs_sparse(monkeypatch, f_star, f_fac1, f_iii):
                             seen.add(t)
                 assert seen == {"out", e_lo, e_hi}
                 assert counts[5] == counts[8] == 0 and counts[6] > 0 and counts[7] > 0
+                assert counts[9:] == [0, 0]
 
 
 def _counts_with(monkeypatch, form, Ns, P, other, fold):
@@ -701,21 +707,30 @@ def _counts_with(monkeypatch, form, Ns, P, other, fold):
         return representation_counts(form, Ns, P)
 
 
+@pytest.fixture(scope="module")
+def sym_histograms(f_star, f_fac1, f_iii):
+    """{(form, P): (h1, h2)}: the sym box block histograms of f_star,
+    f_fac1 and f_iii at P = 1, 2, 5 and 64, built once for every a7."""
+    return {(form, P): tuple(value_histogram(l, q, "sym", P) for l, q in form.blocks())
+            for form in (f_star, f_fac1, f_iii) for P in (1, 2, 5, 64)}
+
+
 @pytest.mark.parametrize("a7", [1, -1, 2, -7])
-def test_sym_cube_fold_is_the_full_fold(monkeypatch, a7, f_star, f_fac1, f_iii):
+def test_sym_cube_fold_is_the_full_fold(monkeypatch, a7, sym_histograms, f_star, f_fac1, f_iii):
     # On the sym box the fold is even: the half window holds the full
-    # fold's entries for w >= 0, entry for entry, and a count that reads
-    # g[|w|] is the count over the full window, on both sides of N = 0 and
-    # just outside the window, in the three layouts that read no pair +-u
-    # against a full g: the even g against the other histogram stored by
-    # its half or in full, and the full g against the full other.
+    # fold's entries for w >= 0, entry for entry, and its zero end past the
+    # top is the full fold's, and a count that reads g[|w|] is the count
+    # over the full window, on both sides of N = 0 and just outside the
+    # window, in the three layouts that read no pair +-u against a full g:
+    # the even g against the other histogram stored by its half or in
+    # full, and the full g against the full other.
     rng = random.Random(a7)
-    for form in (f_star, f_fac1, f_iii):
+    for (form, P), (h1, h2) in sym_histograms.items():
         form_a = CubicForm(form.a[:6] + (a7,), form.q1, form.q2)
-        for P in (1, 2, 5, 64):
-            cubes = [a7 * t ** 3 for t in box_range("sym", P)]
-            h1, h2 = (value_histogram(l, q, "sym", P) for l, q in form.blocks())
-            for h, other in ((h1, h2), (h2, h1)):
+        cubes = [a7 * t ** 3 for t in box_range("sym", P)]
+        folds = {}  # identical blocks (f_star, f_iii) are folded once
+        for h, other in ((h1, h2), (h2, h1)):
+            if h not in folds:
                 # The same histogram stored full is even only by its
                 # values, so it folds to the full window: the reference.
                 full = BlockHistogram(h.vals, h.cnts)
@@ -724,20 +739,22 @@ def test_sym_cube_fold_is_the_full_fold(monkeypatch, a7, f_star, f_fac1, f_iii):
                 assert gmin == -(len(g) // 2) and np.array_equal(g, g[::-1])
                 half_gmin, half = _cube_fold(h, cubes)
                 assert half_gmin is None and half.dtype == g.dtype
-                assert np.array_equal(half, g[-gmin:])
+                assert np.array_equal(half, g[-gmin:]) and g[0] == half[-1] == 0
                 # Without the cube t = -P the half dense copy still fills
                 # the full window.
                 cut_gmin, cut = _cube_fold(h, cubes[1:])
                 full_gmin, ref = _cube_fold(full, cubes[1:])
                 assert cut_gmin == full_gmin and np.array_equal(cut, ref)
-                n_lo, n_hi = int(other.vals[0]) + gmin, int(other.vals[-1]) - gmin
-                Ns = [n_lo - 1, n_lo, rng.randint(n_lo, -1), 0,
-                      rng.randint(1, n_hi), n_hi, n_hi + 1]
-                other_full = BlockHistogram(other.vals, other.cnts)
-                counts = _counts_with(monkeypatch, form_a, Ns, P, other, (None, half))
-                for read, fold in ((other_full, (None, half)), (other_full, (gmin, g))):
-                    assert _counts_with(monkeypatch, form_a, Ns, P, read, fold) == counts
-                assert counts[0] == counts[-1] == 0 and counts[1] > 0 and counts[-2] > 0
+                folds[h] = gmin, g, half
+            gmin, g, half = folds[h]
+            n_lo, n_hi = int(other.vals[0]) + gmin + 1, int(other.vals[-1]) - gmin - 1
+            Ns = [n_lo - 1, n_lo, rng.randint(n_lo, -1), 0,
+                  rng.randint(1, n_hi), n_hi, n_hi + 1]
+            other_full = BlockHistogram(other.vals, other.cnts)
+            counts = _counts_with(monkeypatch, form_a, Ns, P, other, (None, half))
+            for read, fold in ((other_full, (None, half)), (other_full, (gmin, g))):
+                assert _counts_with(monkeypatch, form_a, Ns, P, read, fold) == counts
+            assert counts[0] == counts[-1] == 0 and counts[1] > 0 and counts[-2] > 0
     # The pos and nonneg boxes keep the full fold, and their counts are
     # still the enumerated ones.
     for form in (f_star, f_fac1, f_iii):
@@ -751,7 +768,9 @@ def test_sym_cube_fold_is_the_full_fold(monkeypatch, a7, f_star, f_fac1, f_iii):
 def test_cube_fold_half_window_needs_symmetry():
     # The half window needs a histogram stored by its half and symmetric
     # cubes; a full histogram keeps the full window, symmetric or not.
-    # Either way every entry over the whole window is the direct sum.
+    # Either way every entry over the whole window is the direct sum, and
+    # the zero ends just past it, one past the top of a half window and
+    # one past each end of a full one, hold 0.
     cases = [([-1, 1], [1, 1], [-1, 0, 1], False, False),
              ([-1, 2], [1, 1], [-1, 0, 1], False, False),
              ([-1, 1], [1, 2], [-1, 0, 1], False, False),
@@ -765,10 +784,11 @@ def test_cube_fold_half_window_needs_symmetry():
                            even=stored_half)
         gmin, g = _cube_fold(h, cubes)
         assert (gmin is None) == even
+        assert g[-1] == 0 and (even or g[0] == 0)
         if even:
             gmin, g = 1 - len(g), np.concatenate((g[:0:-1], g))
         vmin, vmax = h._range()
-        assert gmin == vmin + min(cubes) and len(g) == vmax + max(cubes) - gmin + 1
+        assert gmin == vmin + min(cubes) - 1 and len(g) == vmax + max(cubes) - gmin + 2
         assert g.tolist() == [sum(h.count_of(w - c) for c in cubes)
                               for w in range(gmin, gmin + len(g))]
 
@@ -791,6 +811,21 @@ def _spy(monkeypatch, name):
 
     monkeypatch.setattr(counting, name, spy)
     return calls
+
+
+def _spy_reads(monkeypatch):
+    """The list of (scanned, even, k, len(v)) of counting._read_fold's
+    calls: scanned when w is None, a slab of the other block's scan, not
+    its histogram."""
+    reads = []
+    read = counting._read_fold
+
+    def spy(g, even, k, v, w, bound):
+        reads.append((w is None, even, k, len(v)))
+        return read(g, even, k, v, w, bound)
+
+    monkeypatch.setattr(counting, "_read_fold", spy)
+    return reads
 
 
 def test_int64_certificate(monkeypatch, f_fac1):
@@ -946,8 +981,7 @@ def test_single_target_scan_vs_brute(monkeypatch, a7):
     # +-10^30, equals the enumeration, on every box, and the scan answers
     # each of them: the other block's histogram is never read and no
     # sparse sum is taken.
-    scans = _spy(monkeypatch, "_window_read")
-    reads = _spy(monkeypatch, "_gather_dot")
+    reads = _spy_reads(monkeypatch)
     sparse = _spy(monkeypatch, "_pair_count_sparse")
     rng = random.Random(a7)
     for box in BOX_KINDS:
@@ -959,7 +993,7 @@ def test_single_target_scan_vs_brute(monkeypatch, a7):
                 assert min(table) - 1 in Ns and max(table) + 1 in Ns
                 for N in Ns:
                     assert count_representations(form, N, P) == table.get(N, 0), (form, P, N)
-    assert scans and not reads and not sparse
+    assert {scanned for scanned, *_ in reads} == {True} and not sparse
 
 
 @pytest.mark.parametrize("box", BOX_KINDS)
@@ -1004,15 +1038,7 @@ def test_single_target_builds_one_histogram(monkeypatch, f_fac1):
 
     monkeypatch.setattr(counting, "_scan_slabs", scan_spy)
     folds = _spy(monkeypatch, "_cube_fold")
-    reads = _spy(monkeypatch, "_gather_dot")
-    scans = set()
-    window_read = counting._window_read
-
-    def read_spy(g, even, k, *args):
-        scans.add((even, k))
-        return window_read(g, even, k, *args)
-
-    monkeypatch.setattr(counting, "_window_read", read_spy)
+    reads = _spy_reads(monkeypatch)
     value_histogram.cache_clear()
     try:
         got = []
@@ -1024,8 +1050,8 @@ def test_single_target_builds_one_histogram(monkeypatch, f_fac1):
         value_histogram.cache_clear()
     assert got == [4036716489, 20182289729, 64434539621]
     assert {(tuple(l), tuple(q)) for l, q in built} == {(f_fac1.l2, f_fac1.q2)}
-    assert len(folds) == 3 and reads == []
-    assert scans == {(True, 0)}
+    assert len(folds) == 3
+    assert {(scanned, even, k) for scanned, even, k, _ in reads} == {(True, True, 0)}
 
 
 def test_histogram_route_kept(monkeypatch, f_star, f_fac1):
@@ -1033,7 +1059,7 @@ def test_histogram_route_kept(monkeypatch, f_star, f_fac1):
     # call with two or more targets read the other block from its
     # histogram: no block is scanned for a count, and one histogram is
     # folded per call.
-    scans = _spy(monkeypatch, "_window_read")
+    reads = _spy_reads(monkeypatch)
     folds = _spy(monkeypatch, "_cube_fold")
     value_histogram.cache_clear()
     try:
@@ -1048,7 +1074,7 @@ def test_histogram_route_kept(monkeypatch, f_star, f_fac1):
                 assert len(folds) == 1
     finally:
         value_histogram.cache_clear()
-    assert scans == []
+    assert {scanned for scanned, *_ in reads} == {False}
 
 
 def test_single_target_scan_declines(monkeypatch, f_fac1):
@@ -1058,19 +1084,19 @@ def test_single_target_scan_declines(monkeypatch, f_fac1):
     # declines (a big-int histogram, the 2^63 certificate, a fold window
     # above _DENSE_CAP); test_big_int_counts_vs_brute and the sparse-path
     # tests check those counts against enumeration.
-    scans = _spy(monkeypatch, "_window_read")
+    reads = _spy_reads(monkeypatch)
     sparse = _spy(monkeypatch, "_pair_count_sparse")
     c, P = COEFF_CAP, 62
     mixed = CubicForm((c, c, c, 1, 0, 0, 3), (c,) * 6, (0, 1, 0, 0, 0, 0), "pos")
     assert counting._value_bound(mixed.l1, mixed.q1, "pos", P) >= _INT64_SAFE
     N = mixed.value([1] * 7)
     assert count_representations(mixed, N, P) == representation_counts(mixed, [N, 0], P)[0] > 0
-    assert not scans and sparse
+    assert not reads and sparse
     wide = CubicForm((c, 1 - c, c - 2, c - 1, c, 3 - c, c - 5),
                      (c, c - 1, 1 - c, c - 3, -c, c), (1 - c, c, c - 2, c, c - 1, -c))
     sparse.clear()
     assert count_representations(wide, 0, 1) == representation_counts_brute(wide, 1).get(0, 0)
-    assert not scans and sparse
+    assert not reads and sparse
     # f_fac1's folded block at P = 1, faked, against its scanned 27 cells;
     # the fake stands for both blocks once the sparse sums need the other.
     # The fake with a fold is stored by its half, as every histogram on
@@ -1086,7 +1112,7 @@ def test_single_target_scan_declines(monkeypatch, f_fac1):
         monkeypatch.setattr(counting, "value_histogram", lambda l, q, box, P, h=h: h)
         sparse.clear()
         assert count_representations(f_fac1, N, 1) == want
-        assert not scans and sparse
+        assert not reads and sparse
     # At one count less the certificate holds, and the scan answers; its
     # fold is even, so a bulk point of value B reads g[|N - B|] and
     # g[|N + B|], one read of weight 2 at N = 0.
@@ -1098,7 +1124,34 @@ def test_single_target_scan_declines(monkeypatch, f_fac1):
         want = sum(n * c for v, n in values.items() for u, c in fake.items()
                    for t in (-1, 0, 1) if v + u + t ** 3 == N)
         assert count_representations(f_fac1, N, 1) == want
-    assert scans and not sparse
+    assert {scanned for scanned, *_ in reads} == {True} and not sparse
+
+
+def test_reads_at_the_int64_edge(monkeypatch):
+    # Block 1's values reach +-B, B = 2^62 - 9192496, its a priori bound
+    # (every coefficient is positive, so the corners attain it): one target
+    # scans it and several read its histogram, each against the even fold
+    # of x4 x5 x6 with 100 t^3, about 2.4e7 entries.  At N = 2^63 - B the
+    # read -N of the pair +-B has the index |-N - B| = 2^63, which int64
+    # cannot hold (unclipped, it read g(0) and gave 50965), and at the
+    # attained N = B + 101 P^3 the index -N - B leaves int64 too.  Every
+    # count is the sparse sums' in Python ints.
+    c, P = COEFF_CAP, 62
+    l1, q1 = (c, c, 3125754 - 2 * c), (c, c, c, c, c, 6190559 - 5 * c)
+    form = CubicForm(l1 + (1, 0, 0, 100), q1, (0, 0, 0, 1, 0, 0))
+    B = counting._value_bound(l1, q1, "sym", P)
+    assert _INT64_SAFE - B == 9192496
+    h1, h2 = (value_histogram(l, q, "sym", P) for l, q in form.blocks())
+    assert h1._range() == (-B, B) and not h1.is_big
+    cubes = [100 * t ** 3 for t in box_range("sym", P)]
+    big = [BlockHistogram(h.vals.astype(object), h.cnts) for h in (h1, h2)]
+    Ns = [2 ** 63 - B + e for e in (-1, 0, 1)] + [B - 2 ** 63, B + 101 * P ** 3]
+    want = [sum(_pair_count_sparse(*big, N - t) for t in cubes) for N in Ns]
+    assert want[-1] > 0
+    reads = _spy_reads(monkeypatch)
+    assert representation_counts(form, Ns, P) == want
+    assert [count_representations(form, N, P) for N in Ns] == want
+    assert {scanned for scanned, *_ in reads} == {False, True}
 
 
 @settings(max_examples=40, deadline=None)
@@ -1146,7 +1199,7 @@ def test_zero_quadratic_block_counts(monkeypatch, box):
     # read against block 2's fold (l1 wide enough to have the larger bound),
     # and Q1 = Q2 = 0 with equal and with distinct L: every count, with one
     # target and with several, is the enumerated one.
-    reads = _spy(monkeypatch, "_gather_dot")
+    reads = _spy_reads(monkeypatch)
     zero = (0,) * 6
     forms = [CubicForm((1, 0, 0, 1, 0, 0, 1), (0, 0, 1, 0, 0, 1), zero, box),
              CubicForm((5, 5, 5, 1, 0, 0, -2), zero, (0, 0, 0, 1, 0, 0), box),
@@ -1159,7 +1212,7 @@ def test_zero_quadratic_block_counts(monkeypatch, box):
             assert representation_counts(form, Ns, P) == [table.get(N, 0) for N in Ns]
             assert [count_representations(form, N, P) for N in Ns] == [table.get(N, 0) for N in Ns]
     # The sym box reads an empty pair part of a Q = 0 block's histogram.
-    assert any(not len(args[0]) for args, _ in reads) == (box == "sym")
+    assert any(not scanned and not n for scanned, _, _, n in reads) == (box == "sym")
 
 
 def test_fixed_counts(f_star):
