@@ -29,18 +29,19 @@ smaller a priori value bound, g = h * {a7 t^3}, by 2P+1 dense slice adds
 from one dense copy of h's stored arrays, its half when h is stored by its
 half; when the cubes are symmetric too (the sym box), g is even, and only
 its half w >= 0 is added up and stored.  g has a zero entry past each end
-of its window, past the top only when even, so each N reads the other
-block's values v through one clipped gather (_read_fold) that needs no
-mask: g(N - v) for a value and g(N - v) + g(-N - v) for a pair +-v, which
-only the sym box stores and so only beside an even g.  The values come
-from the other block's histogram, which every target of a call and
-identical blocks share, or, for one target on distinct blocks, from a scan
-of its fundamental domain through _plane_slabs, the histogram scan's own
-loop, so that block is never histogrammed.  An entry of g is at most the
-folded total (v and w fix t), so g is int32 below 2^31, and every partial
-sum of a count is at most total1 * total2 <= _GRID_CAP^2 < 2^63.  Big-int
-histograms, a failed 2^63 bound or a fold window above _DENSE_CAP fall
-back to sparse pair sums per cube target, accumulated in Python ints.
+of its window, past the top only when even.  Each N reads the other
+block's values v in one gather with no mask (_read_fold): g(N - v) for a
+value and g(N - v) + g(-N - v) for a pair +-v, which only the sym box
+stores and so only beside an even g.  The values are those of its sorted
+histogram in the target's window, found by search, for every target of a
+call and for identical blocks, or, for one target on distinct blocks, the
+slabs of a scan of its fundamental domain (_plane_slabs), whose indices
+are clipped onto g's zero ends, so that block is never histogrammed.  An
+entry of g is at most the folded total (v and w fix t), so g is int32
+below 2^31, and every partial sum of a count is at most total1 * total2 <=
+_GRID_CAP^2 < 2^63.  Big-int histograms, a failed 2^63 bound or a fold
+window above _DENSE_CAP fall back to sparse pair sums per cube target,
+accumulated in Python ints.
 """
 
 from __future__ import annotations
@@ -388,20 +389,22 @@ def _cube_fold(h: BlockHistogram, cubes):
 
 def _read_fold(g, even: bool, k: int, v, w, bound: int) -> int:
     """Sum of w[i] * g[k - v[i]], or of w[i] * g[|k - v[i]|] when g is
-    even, over the values v in [-bound, bound]; w is None for a scanned
-    slab, whose values weigh 1.  An index off g's window is clipped onto a
-    zero end of g, so it reads 0 with no mask."""
+    even, over values v in [-bound, bound]: a sorted histogram's, of counts
+    w, or a scanned slab's, w None and each of weight 1.  Only v in [lo, hi]
+    index g; a histogram gathers those alone, found by search, and a slab's
+    others are clipped onto a zero end of g, so they read 0 with no mask."""
     n = len(g)
-    # k - v indexes g only for v in [k - n + 1, k], or in [k - n + 1,
-    # k + n - 1] when g is even; missing [-bound, bound] reads 0.
-    if k - n + 1 > bound or (k + n - 1 if even else k) < -bound:
+    lo, hi = k - n + 1, k + n - 1 if even else k
+    if lo > bound or hi < -bound:
         return 0
-    # |k| < bound + n, so k - v leaves int64 only with bound near 2^62, and
-    # v clipped into [k - n, k + n] reads the same zero ends.
-    wide = abs(k) + bound >= _INT64_LIMIT
+    if w is not None:
+        i0, i1 = np.searchsorted(v, lo), np.searchsorted(v, hi, side="right")
+        v, w = v[i0:i1], w[i0:i1]
+    # |k| < bound + n, so a slab's k - v leaves int64 only with bound near
+    # 2^62; v clipped into [k - n, k + n] reads the same zero ends.
+    wide = w is None and abs(k) + bound >= _INT64_LIMIT
     total = 0
-    # Tiles of _FOLD_TILE values keep the indices and the gather in cache;
-    # the gathered tile, left unbound, is freed before the next.
+    # Tiles keep the gather in cache; each gathered tile, left unbound, dies before the next.
     for s in range(0, len(v), _FOLD_TILE):
         t = np.clip(v[s : s + _FOLD_TILE], k - n, k + n) if wide else v[s : s + _FOLD_TILE]
         i = np.subtract(k, t, dtype=np.int64)
@@ -462,13 +465,10 @@ def representation_counts(form: CubicForm, Ns, P: int) -> list[int]:
     other = None if scan else value_histogram(l, q, box, P)
     # A scanned block's total is its cell count.
     total = len(r) ** 3 if scan else other.total()
-    folded = None
-    if not (h.is_big or other is not None and other.is_big
-            or h.total() * total >= _INT64_LIMIT):
-        folded = _cube_fold(h, cubes)
+    folded = None if (h.is_big or other is not None and other.is_big
+                      or h.total() * total >= _INT64_LIMIT) else _cube_fold(h, cubes)
     if folded is None:
-        if other is None:
-            other = value_histogram(l, q, box, P)
+        other = other or value_histogram(l, q, box, P)
         # The signed arrays once, not per cube target, with Python-int
         # values on both sides when either histogram is big.
         big = h.is_big or other.is_big
@@ -487,7 +487,6 @@ def representation_counts(form: CubicForm, Ns, P: int) -> list[int]:
         (bulk, weight), *zeros = _sign_pieces(r, group)
         pieces = [(bulk, weight // 2, True) if len(group) > 1 else (bulk, weight, False)]
         pieces += [(axes, m, False) for axes, m in zeros]
-        # Views of one reused buffer, so read once: a scan serves one target.
         sources = ((v, None, m, pair) for axes, m, pair in pieces
                    for v in _plane_slabs(l, q, axes))
     else:
@@ -496,8 +495,11 @@ def representation_counts(form: CubicForm, Ns, P: int) -> list[int]:
         sources = ([(u[:1], n[:1], 1, False), (u[1:], n[1:], 1, True)] if other._even
                    else [(u, n, 1, False)])
     reads = [({N if even else N - gmin: 1}, collections.Counter((N, -N))) for N in Ns]
-    return [sum(m * c * _read_fold(g, even, k, v, w, bound)
-                for v, w, m, pair in sources for k, c in rs[pair].items()) for rs in reads]
+    # Every N reads a source before the next: a scanned slab is a view of
+    # a buffer that the next slab overwrites.
+    parts = [[m * sum(c * _read_fold(g, even, k, v, w, bound) for k, c in rs[pair].items())
+              for rs in reads] for v, w, m, pair in sources]
+    return [sum(col) for col in zip(*parts)]
 
 
 def count_representations(form: CubicForm, N: int, P: int) -> int:

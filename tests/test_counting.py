@@ -1077,6 +1077,35 @@ def test_histogram_route_kept(monkeypatch, f_star, f_fac1):
     assert {scanned for scanned, *_ in reads} == {False}
 
 
+@pytest.mark.parametrize("box", BOX_KINDS)
+def test_histogram_reads_gather_only_the_window(monkeypatch, box):
+    # Several targets read the other block's sorted histogram only over
+    # each target's window, found by search: a block at the coefficient
+    # cap beside a narrow folded block is never gathered whole, so every
+    # gathered index lies in g and none is clipped onto a zero end.  On
+    # the distinct-block forms the counts at g's window edges, just outside
+    # them, at 0 and +-10^30 equal the enumeration, whichever block folds.
+    rng = random.Random(41)
+    cases = []
+    for form in _distinct_block_forms(1, box):
+        for P in (1, 2):
+            Ns = _window_edge_targets(form, P, rng) + [0, 10 ** 30, -10 ** 30]
+            cases.append((form, P, Ns, representation_counts_brute(form, P)))
+    gathers = []
+    take = np.take
+
+    def spy(a, i, **kw):
+        gathers.append((len(a), int(i.min()), int(i.max())))
+        return take(a, i, **kw)
+
+    monkeypatch.setattr(np, "take", spy)
+    reads = _spy_reads(monkeypatch)
+    for form, P, Ns, table in cases:
+        assert representation_counts(form, Ns, P) == [table.get(N, 0) for N in Ns], (form, P)
+    assert {scanned for scanned, *_ in reads} == {False}
+    assert gathers and all(0 <= lo and hi < n for n, lo, hi in gathers)
+
+
 def test_single_target_scan_declines(monkeypatch, f_fac1):
     # One target on distinct blocks reads the other block from its
     # histogram where that block's value bound reaches 2^62, so that every
