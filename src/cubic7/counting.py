@@ -26,22 +26,22 @@ linear in the output.  Both grid caps still apply to the full box.
 
 The cube term is folded once into the histogram of the block of the
 smaller a priori value bound, g = h * {a7 t^3}, by 2P+1 dense slice adds
-from one dense copy of h's stored arrays, its half when h is stored by its
-half; when the cubes are symmetric too (the sym box), g is even, and only
-its half w >= 0 is added up and stored.  g has a zero entry past each end
+from one dense copy of h's stored arrays.  When h is stored by its half
+(the sym box, whose cubes are symmetric too), g is even, and only its
+half w >= 0 is added up and stored.  g has a zero entry past each end
 of its window, past the top only when even.  Each N reads the other
 block's values v in one gather with no mask (_read_fold): g(N - v) for a
 value and g(N - v) + g(-N - v) for a pair +-v, which only the sym box
 stores and so only beside an even g.  The values are those of its sorted
 histogram in the target's window, found by search, for every target of a
-call and for identical blocks, or, for one target on distinct blocks, the
-slabs of a scan of its fundamental domain (_plane_slabs), whose indices
-are clipped onto g's zero ends, so that block is never histogrammed.  An
-entry of g is at most the folded total (v and w fix t), so g is int32
-below 2^31, and every partial sum of a count is at most total1 * total2 <=
-_GRID_CAP^2 < 2^63.  Big-int histograms, a failed 2^63 bound or a fold
-window above _DENSE_CAP fall back to sparse pair sums per cube target,
-accumulated in Python ints.
+call and for identical blocks, or, for one target on distinct blocks
+whose every index fits int64, the slabs of a scan of its fundamental
+domain (_plane_slabs), whose indices are clipped onto g's zero ends, so
+that block is never histogrammed.  An entry of g is at most the folded
+total (v and w fix t), so g is int32 below 2^31, and every partial sum of
+a count is at most total1 * total2 <= _GRID_CAP^2 < 2^63.  Big-int
+histograms, a failed 2^63 bound or a fold window above _DENSE_CAP fall
+back to sparse pair sums per cube target, accumulated in Python ints.
 """
 
 from __future__ import annotations
@@ -193,26 +193,6 @@ def _plane_slabs(l, q, axes):
         yield vbuf[: len(xb)].ravel()
 
 
-def _scan_slabs(l, q, axes, weight: int, absolute: bool):
-    """Sorted (vals, cnts) of L*Q over the grid axes[0] x axes[1] x axes[2]
-    in the dtype of the axes, or of |L*Q| with absolute, each count times
-    weight.  Each slab of _plane_slabs is sorted in place and its runs are
-    merged into the running histogram.  Object slabs sort stably: timsort
-    finds their runs."""
-    kind = "stable" if axes[0].dtype == object else None
-    hist = None
-    for v in _plane_slabs(l, q, axes):
-        if absolute:
-            np.abs(v, out=v)
-        v.sort(kind=kind)
-        starts = _runs(v)
-        cnts = np.diff(starts, append=len(v))
-        cnts *= weight
-        runs = v[starts], cnts
-        hist = runs if hist is None else _merge_unique(hist, runs)
-    return hist
-
-
 def _sign_group(l, q, r) -> list[tuple[int, int, int]]:
     """G: the sign changes s in {+-1}^3, identity first, that map the grid
     r^3 onto itself and L*Q to +-L*Q.  When r is symmetric, s is in G
@@ -269,7 +249,7 @@ def _histogram_scan(l, q, box: str, P: int):
     that refuse the histogram before anything is allocated: P >= 1, the
     grid cap, and the big-integer grid cap when the value bound reaches
     2^62.  r is in the narrowest of int32, int64 and object (Python ints)
-    that holds every intermediate of block_value on _scan_slabs' planes."""
+    that holds every intermediate of block_value on _plane_slabs' planes."""
     if P < 1:
         raise DomainError("P must be at least 1")
     lo, hi = box_interval(box, P)
@@ -299,9 +279,10 @@ def _histogram_scan(l, q, box: str, P: int):
 def value_histogram(l, q, box: str, P: int) -> BlockHistogram:
     """Histogram of L*Q over the box of radius P (exact multiplicities).
 
-    One scan over the pieces of _sign_pieces, a fundamental domain of the
-    sign group G of _sign_group, gives H(u), the count of |L*Q| = u over
-    the box: |G| times the bulk piece's count plus the zero pieces' counts.
+    One loop over the slabs of the pieces of _sign_pieces, a fundamental
+    domain of the sign group G of _sign_group, gives H(u), the count of
+    |L*Q| = u over the box: |G| times the bulk piece's count plus the zero
+    pieces' counts.
     Off the sym box G = {I}, the bulk is the box and L*Q is counted signed.
     On the sym box G holds -I, since L*Q is odd, so the histogram is even,
     h(-u) = h(u), and it is stored by its half u >= 0: u[0] = 0, since the
@@ -316,10 +297,20 @@ def value_histogram(l, q, box: str, P: int) -> BlockHistogram:
     r = _histogram_scan(l, q, box, P)
     group = _sign_group(l, q, r)
     even = len(group) > 1
-    bulk, *zeros = _sign_pieces(r, group)
-    vals, cnts = _scan_slabs(l, q, *bulk, even)
-    for axes, weight in zeros:
-        vals, cnts = _merge_unique((vals, cnts), _scan_slabs(l, q, axes, weight, even))
+    # Object slabs sort stably: timsort finds their runs.
+    kind = "stable" if r.dtype == object else None
+    hist = None
+    for axes, weight in _sign_pieces(r, group):
+        for v in _plane_slabs(l, q, axes):
+            if even:
+                np.abs(v, out=v)
+            v.sort(kind=kind)
+            starts = _runs(v)
+            cnts = np.diff(starts, append=len(v))
+            cnts *= weight
+            runs = v[starts], cnts
+            hist = runs if hist is None else _merge_unique(hist, runs)
+    vals, cnts = hist
     if even:
         cnts[1:] //= 2
     fits = -_INT64_SAFE < int(vals[0]) and int(vals[-1]) < _INT64_SAFE
@@ -336,10 +327,11 @@ def _cube_fold(h: BlockHistogram, cubes):
     exceeds h.total(): g is int32 below 2^31 and int64 otherwise.  The dense
     copy spreads the stored arrays from a base, dense[v - base] = h(v) for
     base <= v <= vmax: base = vmin for a full histogram, and base = 0 for
-    one stored by its half, whose slice adds read v < 0 at |v|.  When h is
-    stored by its half and the cubes are symmetric too (the sym box), g is
-    even: only its half w >= 0 is added up and stored, with a zero end past
-    its top only, gmin is None, and g(w) = g[|w|].
+    one stored by its half, whose slice adds read v < 0 at |v|.  A half is
+    stored only on the sym box, whose cubes are symmetric too, and the fold
+    requires them to be: then g is even, only its half w >= 0 is added up
+    and stored, with a zero end past its top only, gmin is None, and
+    g(w) = g[|w|].
     """
     vmin, vmax = h._range()
     width = vmax - vmin + 1
@@ -348,8 +340,8 @@ def _cube_fold(h: BlockHistogram, cubes):
     if width + span > _DENSE_CAP:
         return None
     dtype = np.int32 if h.total() < _INT32_LIMIT else np.int64
-    even = h._even and cubes == [-c for c in reversed(cubes)]
-    base = 0 if h._even else vmin
+    even = h._even
+    base = 0 if even else vmin
     # w = 0 sits at the middle of an even fold's odd-length window.
     mid = (width + span) // 2 if even else 0
     # g before the temporary dense copy: the returned g then takes a free
@@ -364,7 +356,7 @@ def _cube_fold(h: BlockHistogram, cubes):
     # the tile reversed, back[e - 1 - i] for window index i, and back is
     # added to the tile once: an add from a reversed view of 2^17 int32
     # entries costs about 3.7 forward ones.
-    back = np.empty(_FOLD_TILE, dtype=dtype) if h._even else None
+    back = np.empty(_FOLD_TILE, dtype=dtype) if even else None
     # The same 2P+1 slice adds, tiled so each tile of g stays in cache.
     # Window index i holds w = i + vmin + cmin; the add at offset o reads
     # v - base = i - o over a <= i < b, forward for i >= o and through
@@ -392,7 +384,9 @@ def _read_fold(g, even: bool, k: int, v, w, bound: int) -> int:
     even, over values v in [-bound, bound]: a sorted histogram's, of counts
     w, or a scanned slab's, w None and each of weight 1.  Only v in [lo, hi]
     index g; a histogram gathers those alone, found by search, and a slab's
-    others are clipped onto a zero end of g, so they read 0 with no mask."""
+    others are clipped onto a zero end of g, so they read 0 with no mask.
+    A slab's every k - v must fit int64, which representation_counts
+    ensures by its choice of the scan."""
     n = len(g)
     lo, hi = k - n + 1, k + n - 1 if even else k
     if lo > bound or hi < -bound:
@@ -400,14 +394,10 @@ def _read_fold(g, even: bool, k: int, v, w, bound: int) -> int:
     if w is not None:
         i0, i1 = np.searchsorted(v, lo), np.searchsorted(v, hi, side="right")
         v, w = v[i0:i1], w[i0:i1]
-    # |k| < bound + n, so a slab's k - v leaves int64 only with bound near
-    # 2^62; v clipped into [k - n, k + n] reads the same zero ends.
-    wide = w is None and abs(k) + bound >= _INT64_LIMIT
     total = 0
     # Tiles keep the gather in cache; each gathered tile, left unbound, dies before the next.
     for s in range(0, len(v), _FOLD_TILE):
-        t = np.clip(v[s : s + _FOLD_TILE], k - n, k + n) if wide else v[s : s + _FOLD_TILE]
-        i = np.subtract(k, t, dtype=np.int64)
+        i = np.subtract(k, v[s : s + _FOLD_TILE], dtype=np.int64)
         if even:
             np.abs(i, out=i)
         total += int(np.take(g, i, mode="clip").sum(dtype=np.int64) if w is None
@@ -446,8 +436,8 @@ def representation_counts(form: CubicForm, Ns, P: int) -> list[int]:
     by _read_fold, from one list of sources for every N: its histogram
     (several targets, identical blocks), an even one's u = 0 once and each
     u > 0 as the pair +-u, or for one target on distinct blocks the slabs
-    of its fundamental domain (_sign_group, _sign_pieces), where its value
-    bound is below 2^62: a bulk point of a group holding -I stands for
+    of its fundamental domain (_sign_group, _sign_pieces), where every
+    index of the scan fits int64: a bulk point of a group holding -I stands for
     |G|/2 points of value B and as many of -B, any other point for itself.
     Where the fold declines (a big-int histogram, the 2^63 certificate, a
     window refused by _cube_fold), each N sums sparse pair counts over its
@@ -461,7 +451,10 @@ def representation_counts(form: CubicForm, Ns, P: int) -> list[int]:
     (l, q), r, bound = blocks[o], grids[o], bounds[o]
     h = value_histogram(*blocks[f], box, P)
     cubes = [form.a7 * t ** 3 for t in box_range(box, P)]
-    scan = len(Ns) == 1 and blocks[0] != blocks[1] and bound < _INT64_SAFE
+    # A read that passes _read_fold's window test has |k| <= bound + len(g)
+    # and len(g) <= _DENSE_CAP + 2, so every scanned index |k - v| <=
+    # 2 bound + len(g) fits int64 below this bound.
+    scan = len(Ns) == 1 and blocks[0] != blocks[1] and bound < _INT64_SAFE - _DENSE_CAP
     other = None if scan else value_histogram(l, q, box, P)
     # A scanned block's total is its cell count.
     total = len(r) ** 3 if scan else other.total()

@@ -52,7 +52,7 @@ def box_range(box: str, P: int) -> range:
 
 
 # Grid cells per row chunk of expsums, and at most per slab of
-# counting._scan_slabs, which splits each piece of a sign-group scan into
+# counting._plane_slabs, which splits each piece of a sign-group scan into
 # the fewest slabs of equal plane count that fit.
 _SLAB = 1 << 22
 
@@ -105,7 +105,7 @@ def block_value(l, q, x, y, z):
     the sign of an exact zero.  Only kept terms broadcast, so the result can
     be smaller than the arguments' broadcast.  Callers: CubicForm.value (ints,
     and the Monte Carlo density's float columns), transform_block's check,
-    and the planes of counting._scan_slabs, local._block_reach and
+    and the planes of counting._plane_slabs, local._block_reach and
     expsums._frame_histogram (arrays).
     """
     lin, quad = _block_factors(l, q, x, y, z)

@@ -272,12 +272,7 @@ def test_histogram_check_reads_the_enumeration(monkeypatch, f_star):
     assert checks._check_histogram(f_star) == (
         True, "block mass = 13^3 and sym parity hold at P = 6")
     build = counting.value_histogram.__wrapped__
-    scan = counting._scan_slabs
-
-    def no_zero_pieces(l, q, axes, weight, absolute):
-        if weight == 1:
-            return axes[0][:0], np.empty(0, dtype=np.int64)
-        return scan(l, q, axes, weight, absolute)
+    pieces = counting._sign_pieces
 
     def doubled(l, q, box, P):
         h = build(l, q, box, P)
@@ -293,7 +288,7 @@ def test_histogram_check_reads_the_enumeration(monkeypatch, f_star):
 
     monkeypatch.setattr(checks, "value_histogram", build)
     with monkeypatch.context() as m:
-        m.setattr(counting, "_scan_slabs", no_zero_pieces)
+        m.setattr(counting, "_sign_pieces", lambda r, group: pieces(r, group)[:1])
         assert checks._check_histogram(f_star)[1] == "mass 1872 != 2197"
     monkeypatch.setattr(checks, "value_histogram", doubled)
     assert not checks._check_histogram(f_star)[0]

@@ -740,11 +740,6 @@ def test_sym_cube_fold_is_the_full_fold(monkeypatch, a7, sym_histograms, f_star,
                 half_gmin, half = _cube_fold(h, cubes)
                 assert half_gmin is None and half.dtype == g.dtype
                 assert np.array_equal(half, g[-gmin:]) and g[0] == half[-1] == 0
-                # Without the cube t = -P the half dense copy still fills
-                # the full window.
-                cut_gmin, cut = _cube_fold(h, cubes[1:])
-                full_gmin, ref = _cube_fold(full, cubes[1:])
-                assert cut_gmin == full_gmin and np.array_equal(cut, ref)
                 folds[h] = gmin, g, half
             gmin, g, half = folds[h]
             n_lo, n_hi = int(other.vals[0]) + gmin + 1, int(other.vals[-1]) - gmin - 1
@@ -766,19 +761,17 @@ def test_sym_cube_fold_is_the_full_fold(monkeypatch, a7, sym_histograms, f_star,
 
 
 def test_cube_fold_half_window_needs_symmetry():
-    # The half window needs a histogram stored by its half and symmetric
-    # cubes; a full histogram keeps the full window, symmetric or not.
-    # Either way every entry over the whole window is the direct sum, and
-    # the zero ends just past it, one past the top of a half window and
-    # one past each end of a full one, hold 0.
+    # A histogram stored by its half, always beside symmetric cubes (the
+    # sym box), folds to the half window; a full histogram keeps the full
+    # window, symmetric or not.  Either way every entry over the whole
+    # window is the direct sum, and the zero ends just past it, one past
+    # the top of a half window and one past each end of a full one, hold 0.
     cases = [([-1, 1], [1, 1], [-1, 0, 1], False, False),
              ([-1, 2], [1, 1], [-1, 0, 1], False, False),
              ([-1, 1], [1, 2], [-1, 0, 1], False, False),
              ([-1, 1], [1, 1], [-1, 0, 2], False, False),
              ([0, 1], [0, 1], [-1, 0, 1], True, True),
-             ([0, 2, 3], [3, 1, 2], [-8, -1, 0, 1, 8], True, True),
-             ([0, 1], [0, 1], [-1, 0, 2], True, False),
-             ([0, 2, 3], [3, 1, 2], [-8, -1, 1, 8, 27], True, False)]
+             ([0, 2, 3], [3, 1, 2], [-8, -1, 0, 1, 8], True, True)]
     for vals, cnts, cubes, stored_half, even in cases:
         h = BlockHistogram(np.array(vals, dtype=np.int64), np.array(cnts, dtype=np.int64),
                            even=stored_half)
@@ -1026,30 +1019,32 @@ def test_single_target_builds_one_histogram(monkeypatch, f_fac1):
     # count-lattice's form at one target, P = 64, 96, 128: one histogram per
     # radius (block 2, x4 x5 x6, whose value bound is the smaller), folded
     # once, the other block never read from a histogram, and the counts
-    # the histogram source recorded for these radii.  The fold is even, so
-    # at N = 0 a bulk point's reads g(-B) and g(B) are the one read
-    # g[|0 - B|] of weight 2.
-    built = []
-    scan = counting._scan_slabs
-
-    def scan_spy(l, q, *args):
-        built.append((l, q))
-        return scan(l, q, *args)
-
-    monkeypatch.setattr(counting, "_scan_slabs", scan_spy)
+    # the histogram source recorded for these radii.  After each count
+    # block 2 at that radius is a cache hit and block 1 a miss, found
+    # without building it: a miss runs the build, whose first step is
+    # stubbed to raise.  The fold is even, so at N = 0 a bulk point's reads
+    # g(-B) and g(B) are the one read g[|0 - B|] of weight 2.
     folds = _spy(monkeypatch, "_cube_fold")
     reads = _spy_reads(monkeypatch)
+    info = value_histogram.cache_info
     value_histogram.cache_clear()
     try:
         got = []
         for P in (64, 96, 128):
-            misses = value_histogram.cache_info().misses
+            misses = info().misses
             got.append(count_zeros(f_fac1, P))
-            assert value_histogram.cache_info().misses == misses + 1
+            assert info().misses == misses + 1
+            hits = info().hits
+            value_histogram(f_fac1.l2, f_fac1.q2, "sym", P)
+            assert (info().hits, info().misses) == (hits + 1, misses + 1)
+            with monkeypatch.context() as m:
+                m.setattr(counting, "_histogram_scan", mock.Mock(side_effect=LookupError))
+                with pytest.raises(LookupError):
+                    value_histogram(f_fac1.l1, f_fac1.q1, "sym", P)
+            assert (info().hits, info().misses) == (hits + 1, misses + 2)
     finally:
         value_histogram.cache_clear()
     assert got == [4036716489, 20182289729, 64434539621]
-    assert {(tuple(l), tuple(q)) for l, q in built} == {(f_fac1.l2, f_fac1.q2)}
     assert len(folds) == 3
     assert {(scanned, even, k) for scanned, even, k, _ in reads} == {(True, True, 0)}
 
@@ -1157,30 +1152,40 @@ def test_single_target_scan_declines(monkeypatch, f_fac1):
 
 
 def test_reads_at_the_int64_edge(monkeypatch):
-    # Block 1's values reach +-B, B = 2^62 - 9192496, its a priori bound
-    # (every coefficient is positive, so the corners attain it): one target
-    # scans it and several read its histogram, each against the even fold
-    # of x4 x5 x6 with 100 t^3, about 2.4e7 entries.  At N = 2^63 - B the
-    # read -N of the pair +-B has the index |-N - B| = 2^63, which int64
-    # cannot hold (unclipped, it read g(0) and gave 50965), and at the
-    # attained N = B + 101 P^3 the index -N - B leaves int64 too.  Every
-    # count is the sparse sums' in Python ints.
+    # Block 1's values reach +-B, its a priori bound (every coefficient is
+    # positive, so the corners attain it), each read against the even fold
+    # of x4 x5 x6 with 100 t^3, about 2.4e7 entries.  At B = 2^62 - 9192496
+    # one target reads block 1's histogram, as several targets do: at
+    # N = 2^63 - B the read -N of the pair +-B would have the index
+    # |-N - B| = 2^63, which int64 cannot hold (a scan without a clip read
+    # g(0) there and gave 50965), and at the attained N = B + 101 P^3 the
+    # index -N - B leaves int64 too.  At B just below _INT64_SAFE -
+    # _DENSE_CAP one target scans block 1, and its largest index,
+    # 2 B + 101 P^3 at N = -B - 101 P^3, still fits int64.  Every count is
+    # the sparse sums' in Python ints.
     c, P = COEFF_CAP, 62
-    l1, q1 = (c, c, 3125754 - 2 * c), (c, c, c, c, c, 6190559 - 5 * c)
-    form = CubicForm(l1 + (1, 0, 0, 100), q1, (0, 0, 0, 1, 0, 0))
-    B = counting._value_bound(l1, q1, "sym", P)
-    assert _INT64_SAFE - B == 9192496
-    h1, h2 = (value_histogram(l, q, "sym", P) for l, q in form.blocks())
-    assert h1._range() == (-B, B) and not h1.is_big
     cubes = [100 * t ** 3 for t in box_range("sym", P)]
-    big = [BlockHistogram(h.vals.astype(object), h.cnts) for h in (h1, h2)]
-    Ns = [2 ** 63 - B + e for e in (-1, 0, 1)] + [B - 2 ** 63, B + 101 * P ** 3]
-    want = [sum(_pair_count_sparse(*big, N - t) for t in cubes) for N in Ns]
-    assert want[-1] > 0
     reads = _spy_reads(monkeypatch)
-    assert representation_counts(form, Ns, P) == want
-    assert [count_representations(form, N, P) for N in Ns] == want
-    assert {scanned for scanned, *_ in reads} == {False, True}
+    cases = [((c, c, 3125754 - 2 * c), (c, c, c, c, c, 6190559 - 5 * c),
+              _INT64_SAFE - 9192496, False),
+             ((c, c, 3144896 - 2 * c), (c, c, c, c, c, 6152879 - 5 * c),
+              _INT64_SAFE - _DENSE_CAP - 24164352, True)]
+    for l1, q1, B, scan in cases:
+        form = CubicForm(l1 + (1, 0, 0, 100), q1, (0, 0, 0, 1, 0, 0))
+        assert counting._value_bound(l1, q1, "sym", P) == B
+        h1, h2 = (value_histogram(l, q, "sym", P) for l, q in form.blocks())
+        assert h1._range() == (-B, B) and not h1.is_big
+        big = [BlockHistogram(h.vals.astype(object), h.cnts) for h in (h1, h2)]
+        top = B + 101 * P ** 3
+        Ns = [2 ** 63 - B + e for e in (-1, 0, 1)] + [B - 2 ** 63, top, -top, top + 1]
+        want = [sum(_pair_count_sparse(*big, N - t) for t in cubes) for N in Ns]
+        assert want[4] == want[5] > 0 == want[6]
+        reads.clear()
+        assert representation_counts(form, Ns, P) == want
+        assert {scanned for scanned, *_ in reads} == {False}
+        reads.clear()
+        assert [count_representations(form, N, P) for N in Ns] == want
+        assert {scanned for scanned, *_ in reads} == {scan}
 
 
 @settings(max_examples=40, deadline=None)

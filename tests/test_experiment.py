@@ -198,3 +198,20 @@ def test_invariant_suite_passes(f_star):
     assert len(results) >= 20
     names = [r.name for r in results]
     assert len(names) == len(set(names))
+
+
+@pytest.mark.parametrize("name, box, failing", [
+    ("f_fac1", "sym", set()),
+    ("f_fac2", "sym", set()),
+    ("f_iii", "sym", set()),
+    # Its series tails at N = 0 past q = 25, 50, 100 (0.045, 0.099,
+    # 0.076) fit a decay of 0.378 > -0.2.
+    ("f_content2", "sym", {"series-tail-decay"}),
+    ("f_fac1", "pos", set()),
+    ("f_fac1", "nonneg", set()),
+], ids=["f_fac1", "f_fac2", "f_iii", "f_content2", "f_fac1-pos", "f_fac1-nonneg"])
+def test_invariant_suite_on_fixture_forms(request, name, box, failing):
+    form = request.getfixturevalue(name)
+    results = verify(CubicForm(form.a, form.q1, form.q2, box))
+    assert {r.name for r in results if not r.passed} == failing, [
+        f"{r.name}: {r.detail}" for r in results if not r.passed]
