@@ -37,11 +37,12 @@ histogram in the target's window, found by search, for every target of a
 call and for identical blocks, or, for one target on distinct blocks
 whose every index fits int64, the slabs of a scan of its fundamental
 domain (_plane_slabs), whose indices are clipped onto g's zero ends, so
-that block is never histogrammed.  An entry of g is at most the folded
-total (v and w fix t), so g is int32 below 2^31, and every partial sum of
-a count is at most total1 * total2 <= _GRID_CAP^2 < 2^63.  Big-int
-histograms, a failed 2^63 bound or a fold window above _DENSE_CAP fall
-back to sparse pair sums per cube target, accumulated in Python ints.
+that block is never histogrammed.  Every total is a cell count within
+_GRID_CAP < 2^31, and an entry of g is at most the folded total (v and w
+fix t), so g is int32 and every partial sum of a count is at most
+total1 * total2 <= _GRID_CAP^2 < 2^63.  A big-int histogram to read, or
+a fold window above _DENSE_CAP, which every big-int histogram has, falls
+back to sparse pair sums per cube target, one int64 dot each.
 """
 
 from __future__ import annotations
@@ -67,8 +68,8 @@ _GRID_CAP_BIG = 2_000_000  # same, when the value bound reaches _INT64_SAFE
 _DENSE_CAP = 200_000_000  # cube-fold window width
 _FOLD_TILE = 1 << 17  # fold entries, or gathered values, per cache tile
 _INT64_SAFE = 1 << 62  # stored values strictly inside +-this are int64
-_INT32_LIMIT = 1 << 31  # slab bounds and fold entries below this are int32
-_INT64_LIMIT = 1 << 63  # slab bounds and counts below this are exact int64
+_INT32_LIMIT = 1 << 31  # slab value bounds below this are int32
+_INT64_LIMIT = 1 << 63  # slab value bounds below this are int64
 
 
 class BlockHistogram:
@@ -324,7 +325,7 @@ def _cube_fold(h: BlockHistogram, cubes):
     zero ends just past the window, so gmin is one below its least w.
 
     Given w and v, the cube a7 t^3 = w - v fixes t, so no entry of g
-    exceeds h.total(): g is int32 below 2^31 and int64 otherwise.  The dense
+    exceeds h.total() <= _GRID_CAP < 2^31: g is int32.  The dense
     copy spreads the stored arrays from a base, dense[v - base] = h(v) for
     base <= v <= vmax: base = vmin for a full histogram, and base = 0 for
     one stored by its half, whose slice adds read v < 0 at |v|.  A half is
@@ -339,16 +340,15 @@ def _cube_fold(h: BlockHistogram, cubes):
     span = max(cubes) - cmin
     if width + span > _DENSE_CAP:
         return None
-    dtype = np.int32 if h.total() < _INT32_LIMIT else np.int64
     even = h._even
     base = 0 if even else vmin
     # w = 0 sits at the middle of an even fold's odd-length window.
     mid = (width + span) // 2 if even else 0
     # g before the temporary dense copy: the returned g then takes a free
     # block of the heap, and dense, freed on return, sits at its top.
-    g = np.zeros(width + span - mid + 2 - even, dtype=dtype)
+    g = np.zeros(width + span - mid + 2 - even, dtype=np.int32)
     window = g[1 - even : -1]
-    dense = np.zeros(vmax - base + 1, dtype=dtype)
+    dense = np.zeros(vmax - base + 1, dtype=np.int32)
     # A half is indexed by its own values: a shifted copy of u would cost
     # 8 MB at P = 128.
     dense[h._vals - base if base else h._vals] = h._cnts
@@ -356,7 +356,7 @@ def _cube_fold(h: BlockHistogram, cubes):
     # the tile reversed, back[e - 1 - i] for window index i, and back is
     # added to the tile once: an add from a reversed view of 2^17 int32
     # entries costs about 3.7 forward ones.
-    back = np.empty(_FOLD_TILE, dtype=dtype) if even else None
+    back = np.empty(_FOLD_TILE, dtype=np.int32) if even else None
     # The same 2P+1 slice adds, tiled so each tile of g stays in cache.
     # Window index i holds w = i + vmin + cmin; the add at offset o reads
     # v - base = i - o over a <= i < b, forward for i >= o and through
@@ -420,11 +420,9 @@ def _pair_count_sparse(h1: BlockHistogram, h2: BlockHistogram, t: int) -> int:
     w = t - h1.vals[i0:i1]
     idx = np.searchsorted(h2.vals, w)
     mask = h2.vals[idx] == w
-    # Python-int accumulation: this path runs exactly when the int64 fold
-    # is refused.
-    c1 = h1.cnts[i0:i1][mask].tolist()
-    c2 = h2.cnts[idx[mask]].tolist()
-    return sum(a * b for a, b in zip(c1, c2))
+    # Counts are int64 for every value dtype, and the sum is at most
+    # total1 * total2 <= _GRID_CAP^2 < 2^63.
+    return int(h1.cnts[i0:i1][mask] @ h2.cnts[idx[mask]])
 
 
 def representation_counts(form: CubicForm, Ns, P: int) -> list[int]:
@@ -439,9 +437,9 @@ def representation_counts(form: CubicForm, Ns, P: int) -> list[int]:
     of its fundamental domain (_sign_group, _sign_pieces), where every
     index of the scan fits int64: a bulk point of a group holding -I stands for
     |G|/2 points of value B and as many of -B, any other point for itself.
-    Where the fold declines (a big-int histogram, the 2^63 certificate, a
-    window refused by _cube_fold), each N sums sparse pair counts over its
-    2P+1 cube targets in Python ints.
+    Where the fold declines (a big-int histogram to read, a window refused
+    by _cube_fold), each N sums sparse pair counts over its 2P+1 cube
+    targets.
     """
     box, blocks = form.box, form.blocks()
     # The grid guards of both blocks, in block order, before any scan.
@@ -456,10 +454,9 @@ def representation_counts(form: CubicForm, Ns, P: int) -> list[int]:
     # 2 bound + len(g) fits int64 below this bound.
     scan = len(Ns) == 1 and blocks[0] != blocks[1] and bound < _INT64_SAFE - _DENSE_CAP
     other = None if scan else value_histogram(l, q, box, P)
-    # A scanned block's total is its cell count.
-    total = len(r) ** 3 if scan else other.total()
-    folded = None if (h.is_big or other is not None and other.is_big
-                      or h.total() * total >= _INT64_LIMIT) else _cube_fold(h, cubes)
+    # _cube_fold refuses a big-int h: every box holds the origin or (1, 1, 1),
+    # where |L*Q| < 2^45, so h's window is wider than _DENSE_CAP.
+    folded = None if other is not None and other.is_big else _cube_fold(h, cubes)
     if folded is None:
         other = other or value_histogram(l, q, box, P)
         # The signed arrays once, not per cube target, with Python-int

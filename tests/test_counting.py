@@ -65,7 +65,7 @@ def test_value_histogram_vs_brute(f_star):
             assert h.total() == sum(brute.values())
             assert h.count_of(0) == brute.get(0, 0)
     # Blocks whose block_value is a scalar, a column (x, y only), a row
-    # (x, z only) or zero on each x-plane: _scan_slabs broadcasts it.
+    # (x, z only) or zero on each x-plane: _plane_slabs broadcasts it.
     planes = [((2, 0, 0), (3, 0, 0, 0, 0, 0)), ((1, 0, 0), (0, 1, 0, 0, 0, 0)),
               ((0, 0, 1), (0, 0, 0, 0, 1, 0)), ((0, 1, 0), (0,) * 6)]
     for box in ("sym", "pos", "nonneg"):
@@ -393,7 +393,7 @@ def test_sym_histogram_half_scan(monkeypatch, f_fac1):
             h = value_histogram.__wrapped__(l, q, "sym", P)
             assert not h.is_big
             _assert_hist(h, *_sorted_arrays(block_values_brute(l, q, "sym", P)))
-    # Several slabs of _scan_slabs, of equal plane count, at P = 128.
+    # Several slabs of _plane_slabs, of equal plane count, at P = 128.
     dense = (tuple(rng.choice((-1, 1)) for _ in range(3)),
              tuple(rng.choice((-1, 1)) for _ in range(6)))
     for P in (64, 128):
@@ -822,44 +822,36 @@ def _spy_reads(monkeypatch):
 
 
 def test_int64_certificate(monkeypatch, f_fac1):
-    # Block histograms within the grid cap always give an int32 fold and an
-    # exact int64 dot.  Several targets read the other block's histogram,
-    # so the certificate is total1 * total2 < 2^63 (for one target, which
-    # scans the other block, see test_single_target_scan_declines).
-    sparse = _spy(monkeypatch, "_pair_count_sparse")
-    folds = _spy(monkeypatch, "_cube_fold")
+    # Every histogram total is a cell count within the grid cap, so the
+    # fold is int32 and every count, at most total1 * total2, is an exact
+    # int64 dot, against the fold and in the sparse sums alike.
     assert _GRID_CAP < 2 ** 31
     assert _GRID_CAP ** 2 < 2 ** 63
-    cases = [
-        (7 ** 2 * 73 * 127 * 337, 92737 * 649657, True),  # product 2^63 - 1
-        (2 ** 32, 2 ** 31, False),  # product 2^63
-        (2 ** 32 + 1, 2 ** 31 + 1, False),  # odd product above 2^63
-    ]
-    for c1, c2, fold in cases:
+    # Both values of a histogram of total _GRID_CAP add up at w = 0.
+    h = BlockHistogram(np.array([0, 1]), np.array([_GRID_CAP - 1, 1]))
+    g = _cube_fold(h, [-1, 0, 1])[1]
+    assert g.dtype == np.int32 and int(g.max()) == _GRID_CAP
+    sparse = _spy(monkeypatch, "_pair_count_sparse")
+    folds = _spy(monkeypatch, "_cube_fold")
+    gap = _DENSE_CAP + 1
+    for c1, c2 in ((_GRID_CAP, _GRID_CAP), (_GRID_CAP - 1, _GRID_CAP), (1, _GRID_CAP)):
         h1 = _point_histogram(5, c1)
-        h2 = _point_histogram(-3, c2)
-        # Drive the public path with these histograms (the blocks of f_fac1
-        # differ, so each gets its own).
-        monkeypatch.setattr(counting, "value_histogram",
-                            lambda l, q, box, P: h1 if q == f_fac1.q1 else h2)
-        sparse.clear()
-        folds.clear()
-        got = representation_counts(f_fac1, [1, 2, 3, 4, -2], 1)
-        assert got == [c1 * c2] * 3 + [0, 0]
-        assert bool(sparse) != fold and bool(folds) == fold
-        assert all(type(c) is int for c in got)
-        if fold:
-            # The first case folds its second histogram, whose total needs
-            # int64.
-            (((folded, _), (_, g)),) = folds
-            assert folded is h2 and g.dtype == np.int64
-    cubes = [-1, 0, 1]
-    # A folded total of 2^31 needs int64; one below it fits int32.
-    assert _cube_fold(_point_histogram(0, 2 ** 31), cubes)[1].dtype == np.int64
-    assert _cube_fold(_point_histogram(0, 2 ** 31 - 1), cubes)[1].dtype == np.int32
-    # The int64 dot of the last pair would wrap.
-    c1, c2, _ = cases[-1]
-    assert int(np.dot(np.array([c1]), np.array([c2]))) != c1 * c2
+        # The second histogram is folded (the blocks of f_fac1 differ, so
+        # each gets its own); a value gap wider than _DENSE_CAP makes
+        # _cube_fold refuse it, and the sparse sums count.
+        wide = BlockHistogram(np.array([-3, gap - 3]), np.array([c2 - 1, 1]))
+        for h2, want in ((_point_histogram(-3, c2), [c1 * c2] * 3 + [0, 0]),
+                         (wide, [c1 * (c2 - 1)] * 3 + [0, c1])):
+            monkeypatch.setattr(counting, "value_histogram",
+                                lambda l, q, box, P, h1=h1, h2=h2: h1 if q == f_fac1.q1 else h2)
+            sparse.clear()
+            folds.clear()
+            got = representation_counts(f_fac1, [1, 2, 3, 4, 2 + gap], 1)
+            assert got == want and all(type(c) is int for c in got)
+            (((folded, _), result),) = folds
+            assert folded is h2 and bool(sparse) == (result is None)
+            if h2 is not wide:
+                assert result[1].dtype == np.int32 and int(result[1].max()) == c2
 
 
 def test_count_representations_sparse_path(monkeypatch):
@@ -1105,8 +1097,8 @@ def test_single_target_scan_declines(monkeypatch, f_fac1):
     # One target on distinct blocks reads the other block from its
     # histogram where that block's value bound reaches 2^62, so that every
     # scanned index is int64, and takes the sparse sums where the fold
-    # declines (a big-int histogram, the 2^63 certificate, a fold window
-    # above _DENSE_CAP); test_big_int_counts_vs_brute and the sparse-path
+    # declines (a big-int histogram to read, a fold window above
+    # _DENSE_CAP); test_big_int_counts_vs_brute and the sparse-path
     # tests check those counts against enumeration.
     reads = _spy_reads(monkeypatch)
     sparse = _spy(monkeypatch, "_pair_count_sparse")
@@ -1123,27 +1115,23 @@ def test_single_target_scan_declines(monkeypatch, f_fac1):
     assert not reads and sparse
     # f_fac1's folded block at P = 1, faked, against its scanned 27 cells;
     # the fake stands for both blocks once the sparse sums need the other.
-    # The fake with a fold is stored by its half, as every histogram on
-    # the sym box is: u = 0 and the pair +-5, m + 1 points in all.
-    big = BlockHistogram(np.array([2 ** 70], dtype=object), np.array([1]))
-    m = 2 ** 63 // 27
-
-    def half(total):
-        return BlockHistogram(np.array([0, 5]), np.array([total - 2, 1]), even=True)
-
-    assert half(m + 1).total() == m + 1 and (m + 1) * 27 >= 2 ** 63
-    for h, N, want in ((big, 2 ** 71, 1), (half(m + 1), 0, (m - 1) ** 2 + 2)):
-        monkeypatch.setattr(counting, "value_histogram", lambda l, q, box, P, h=h: h)
-        sparse.clear()
-        assert count_representations(f_fac1, N, 1) == want
-        assert not reads and sparse
-    # At one count less the certificate holds, and the scan answers; its
-    # fold is even, so a bulk point of value B reads g[|N - B|] and
-    # g[|N + B|], one read of weight 2 at N = 0.
-    monkeypatch.setattr(counting, "value_histogram", lambda l, q, box, P: half(m))
+    # A big-int fake holds a value at the origin, as every box does, so
+    # _cube_fold refuses its window.
+    big = BlockHistogram(np.array([0, 2 ** 70], dtype=object), np.array([1, 1]))
+    monkeypatch.setattr(counting, "value_histogram", lambda l, q, box, P: big)
+    sparse.clear()
+    assert count_representations(f_fac1, 2 ** 71, 1) == 1
+    assert not reads and sparse
+    # A fake of total _GRID_CAP, stored by its half, as every histogram on
+    # the sym box is: u = 0 and the pair +-5.  The scan answers; its fold
+    # is even, so a bulk point of value B reads g[|N - B|] and g[|N + B|],
+    # one read of weight 2 at N = 0.
+    half = BlockHistogram(np.array([0, 5]), np.array([_GRID_CAP - 2, 1]), even=True)
+    assert half.total() == _GRID_CAP
+    monkeypatch.setattr(counting, "value_histogram", lambda l, q, box, P: half)
     sparse.clear()
     values = block_values_brute(f_fac1.l1, f_fac1.q1, "sym", 1)
-    fake = dict(half(m).items())
+    fake = dict(half.items())
     for N in range(-9, 10):
         want = sum(n * c for v, n in values.items() for u, c in fake.items()
                    for t in (-1, 0, 1) if v + u + t ** 3 == N)

@@ -410,6 +410,20 @@ def test_singular_term_vs_brute(f_star, f_iii):
                 assert abs(got - want) < 1e-9
 
 
+def test_singular_term_vanishes_at_p_2_mod_3(f_star, f_fac1, f_iii):
+    # At a prime p = 2 mod 3 prime to a7, cubing permutes F_p, so the cube
+    # sum S3 vanishes at every unit and S(p; N) = 0 for every N.
+    rng = random.Random(43)
+    a = [rng.randint(-3, 3) or 1 for _ in range(7)]
+    seeded = CubicForm(a, [rng.randint(-3, 3) for _ in range(6)],
+                       [rng.randint(-3, 3) for _ in range(6)])
+    for form in (f_star, f_fac1, f_iii, seeded):
+        for p in primes_up_to(399):
+            if p % 3 == 2 and form.a7 % p:
+                for N in (0, 1, 2, 5, 96 ** 3):
+                    assert abs(singular_term(form, p, N)) < 1e-12, (form, p, N)
+
+
 def test_singular_term_multiplicative(f_star):
     for q1m, q2m in ((3, 4), (4, 5), (5, 9), (7, 8)):
         for N in (0, 1, 2):
