@@ -225,17 +225,13 @@ def delta(l, q) -> int:
     return sum(l[i] * m[i][j] * l[j] for i in range(3) for j in range(3))
 
 
-def _pivot_order(l, pivot: int) -> tuple[int, int, int]:
-    return (pivot,) + tuple(i for i in range(3) if i != pivot)
-
-
 def _permute_block(l, q, pivot: int):
     """Relabel block variables so the pivot plays the first role.
 
     The B coefficients are indexed by the omitted variable, so they permute
     by the same index map as the A coefficients.
     """
-    order = _pivot_order(l, pivot)
+    order = (pivot,) + tuple(i for i in range(3) if i != pivot)
     a = tuple(l[i] for i in order)
     A = tuple(q[i] for i in order)
     B = tuple(q[3 + i] for i in order)

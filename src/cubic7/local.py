@@ -20,8 +20,9 @@ the valuations of the content multipliers (c1, c2, c3).  The product
 M  = c * prod p^gamma(p)   controls the congruence test f = N (mod M);
 M' = c * prod p^gamma'(p)  is the sufficiency modulus: M' | N forces
 solvability.  Congruence decisions are exact: exhaustive residue search
-for small moduli, Newton lifting for large prime powers, and an honest
-resource error when neither can decide.
+for small moduli (one witness table per block, read as one (x7, r1)
+table), Newton lifting for large prime powers, and an honest resource
+error when neither can decide.
 
 The residue searches build numpy arrays and import numpy on first use, so
 the block analysis and the local modulus run without it.
@@ -189,7 +190,9 @@ def gammas(form: CubicForm) -> dict[int, tuple[int, int]]:
 
 @functools.lru_cache(maxsize=64)
 def _block_reach(l, q, m: int):
-    """(achievable bool array, witness flat index) for L*Q mod m."""
+    """Witness table of L*Q mod m: wit[r] is the least flat index
+    (x * m + y) * m + z of a residue point with L*Q = r, and m^3 where
+    no point reaches r."""
     import numpy as np
 
     # Reduced l, q and residues: |L*Q| <= 18 (m - 1)^5 < 2^63 for m <= 360.
@@ -198,36 +201,30 @@ def _block_reach(l, q, m: int):
     r = np.arange(m, dtype=np.int64)
     idx = np.arange(m * m)
     wit = np.full(m, m ** 3, dtype=np.int64)
-    # Residue (x, y, z) has flat index (x * m + y) * m + z.
     for x in range(m):
         v = np.broadcast_to(block_value(l, q, x, r[:, None], r) % m, (m, m))
         np.minimum.at(wit, v.ravel(), x * m * m + idx)
-    return wit < m ** 3, wit
-
-
-def _decode(idx: int, m: int) -> tuple[int, int, int]:
-    return (int(idx) // (m * m), (int(idx) // m) % m, int(idx) % m)
+    return wit
 
 
 def _exhaustive_points(form: CubicForm, N: int, m: int, limit: int):
-    """Up to `limit` solutions of f = N (mod m), in (x7, block-1 residue) order."""
+    """Up to `limit` solutions of f = N (mod m), in (x7, block-1 residue) order.
+
+    One (x7, r1) table: block 1 must reach r1 and block 2 the rest
+    N - a7 x7^3 - r1; its row-major hits are that order.
+    """
     import numpy as np
 
-    can1, wit1 = _block_reach(form.l1, form.q1, m)
-    can2, wit2 = _block_reach(form.l2, form.q2, m)
-    cube = cube_residues(form.a7, m)
-    nm = N % m
-    out = []
-    for x7 in range(m):
-        s = int((nm - cube[x7]) % m)
-        # both[r1]: block 1 reaches r1 and block 2 reaches s - r1.
-        both = can1 & np.roll(can2[::-1], (s + 1) % m)
-        for r1 in np.flatnonzero(both)[: limit - len(out)].tolist():
-            r2 = (s - r1) % m
-            out.append((*_decode(wit1[r1], m), *_decode(wit2[r2], m), x7))
-        if len(out) >= limit:
-            break
-    return out
+    wit1 = _block_reach(form.l1, form.q1, m)
+    wit2 = _block_reach(form.l2, form.q2, m)
+    # N is reduced first: it may be far beyond int64.
+    r2 = (N % m - cube_residues(form.a7, m)[:, None] - np.arange(m)) % m
+    hits = np.flatnonzero((wit1 < m ** 3) & (wit2[r2] < m ** 3))[:limit]
+    x7, r1 = np.divmod(hits, m)
+    w1 = np.unravel_index(wit1[r1], (m, m, m))
+    w2 = np.unravel_index(wit2[r2[x7, r1]], (m, m, m))
+    # Python ints: witnesses reach payloads and exact big-int checks.
+    return list(zip(*(c.tolist() for c in (*w1, *w2, x7))))
 
 
 def _f_mod_p_batch(form: CubicForm, xs: np.ndarray, p: int) -> np.ndarray:

@@ -8,6 +8,8 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 from cubic7 import cli
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -33,9 +35,11 @@ def test_per_layer_names_resolve():
     assert checked == 19
 
 
-def test_workload_outputs_match_records(monkeypatch, capsys):
-    # The benchmark's own jobs (P up to 128, qmax 400) at input set 0, run
-    # in process and checked against bench/refs/ by the runner's own rule.
+@pytest.mark.parametrize("index", [0, 7])
+def test_workload_outputs_match_records(index, monkeypatch, capsys):
+    # The benchmark's own jobs (P up to 128, qmax 400) at input set 0 and at
+    # the held-out set 7, run in process and checked against bench/refs/ by
+    # the runner's own rule.
     spec = importlib.util.spec_from_file_location("bench_run", ROOT / "bench" / "run.py")
     run = importlib.util.module_from_spec(spec)
     # run.py defines dataclasses, which look their module up by name.
@@ -43,8 +47,8 @@ def test_workload_outputs_match_records(monkeypatch, capsys):
     spec.loader.exec_module(run)
     monkeypatch.chdir(ROOT)
     for name in run.WORKLOADS:
-        refs = json.loads(run.refs_path(name).read_text(encoding="utf-8"))["0"]
-        assert [r["args"] for r in refs] == run.workload_inputs(name, 0)[2], name
+        refs = json.loads(run.refs_path(name).read_text(encoding="utf-8"))[str(index)]
+        assert [r["args"] for r in refs] == run.workload_inputs(name, index)[2], name
         for ref in refs:
             assert cli.main(ref["args"]) == 0, ref["args"]
             assert run.matches(ref["payload"], json.loads(capsys.readouterr().out)), ref["args"]

@@ -424,6 +424,44 @@ def test_singular_term_vanishes_at_p_2_mod_3(f_star, f_fac1, f_iii):
                     assert abs(singular_term(form, p, N)) < 1e-12, (form, p, N)
 
 
+def test_singular_term_delta_zero_at_n_zero(f_star):
+    # f_star's blocks have Delta = 0 and every odd prime is good for them:
+    # S(p^k; 0) is 0 at k = 1 mod 3, (p - 1)/p^(4 + 2j) at k = 3j + 2 and
+    # (p - 1)/p^(5 + 2j) at k = 3j + 3.  p = 2 keeps its own terms.
+    for p in primes_up_to(61)[1:]:
+        k = 1
+        while p ** k <= 1024:
+            j, r = divmod(k - 2, 3)
+            got = singular_term(f_star, p ** k, 0)
+            if k % 3 == 1:
+                assert abs(got) < 1e-15, (p, k)
+            else:
+                want = (p - 1) / p ** (4 + 2 * j + r)
+                assert abs(got - want) < 1e-12 * want, (p, k)
+            k += 1
+    want = (0, 2 ** -4, 2 ** -5, 0, 2 ** -6, 2 ** -7, 0, 2 ** -8, 2 ** -9, 0, 2 ** -12)
+    for k, w in enumerate(want, 1):
+        assert abs(singular_term(f_star, 2 ** k, 0) - w) < 1e-15, k
+
+
+def test_singular_term_prime_and_square_at_units(f_star):
+    # For p odd and prime to N: S(p; N) = (n_p(N) - 1)/p^2, with n_p(N) the
+    # number of cube roots of N mod p, and S(p^2; N) = 0 once p >= 5: the
+    # units = 1 mod p are cubes, so each unit's term depends on it mod p
+    # only.  Mod 9, 4 and 7 are no cubes, and S(9; N) is 2/81 or -1/81.
+    Ns = (1, 2, 5, 7, 96 ** 3 + 1)
+    for p in primes_up_to(399)[1:]:
+        for N in Ns:
+            if N % p:
+                roots = sum((t ** 3 - N) % p == 0 for t in range(p))
+                got = singular_term(f_star, p, N)
+                assert abs(got - (roots - 1) / p ** 2) < 1e-15, (p, N)
+                if 5 <= p <= 31:
+                    assert abs(singular_term(f_star, p * p, N)) < 1e-15, (p, N)
+    for N, w in zip(Ns, (2, -1, -1, -1, 2)):
+        assert abs(singular_term(f_star, 9, N) - w / 81) < 1e-15, N
+
+
 def test_singular_term_multiplicative(f_star):
     for q1m, q2m in ((3, 4), (4, 5), (5, 9), (7, 8)):
         for N in (0, 1, 2):

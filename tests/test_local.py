@@ -9,7 +9,7 @@ from cubic7.expsums import mod_histogram
 from cubic7.forms import COEFF_CAP, CubicForm, block_value
 from cubic7.local import (
     _block_reach,
-    _decode,
+    _exhaustive_points,
     block_local_case,
     congruence_solvable,
     gamma_report,
@@ -199,8 +199,8 @@ def test_block_reach_vs_residue_scan():
             first = {}
             for i, x in enumerate(itertools.product(range(m), repeat=3)):
                 first.setdefault(_block(l, q, *x) % m, i)
-            reach, wit = _block_reach(l, q, m)
-            assert set(np.flatnonzero(reach).tolist()) == set(first)
+            wit = _block_reach(l, q, m)
+            assert set(np.flatnonzero(wit < m ** 3).tolist()) == set(first)
             assert all(wit[r] == i for r, i in first.items())
 
 
@@ -213,10 +213,43 @@ def test_block_reach_large_moduli():
                   for _ in range(3))
         q = tuple(rng.choice((1, -1)) * (COEFF_CAP - rng.randint(0, 40))
                   for _ in range(6))
-        reach, wit = _block_reach(l, q, m)
+        wit = _block_reach(l, q, m)
+        reach = wit < m ** 3
         assert (reach == (mod_histogram(l, q, m) > 0)).all()
         for r in np.flatnonzero(reach).tolist():
-            assert _block(l, q, *_decode(wit[r], m)) % m == r
+            x = map(int, np.unravel_index(wit[r], (m, m, m)))
+            assert _block(l, q, *x) % m == r
+
+
+def test_exhaustive_points_order_and_witnesses(f_star, f_fac1, f_iii, f_content2):
+    # Which solutions the search returns, and in what order, against a plain
+    # scan: x7 ascending, then block 1's residue r1 ascending, each block's
+    # witness the first residue point in product order, cut at the limit.
+    rng = random.Random(44)
+    forms = [f_star, f_fac1, f_iii, f_content2]
+    while len(forms) < 7:
+        try:
+            forms.append(CubicForm(*(tuple(rng.randint(-COEFF_CAP, COEFF_CAP)
+                                           for _ in range(n)) for n in (7, 6, 6))))
+        except DomainError:
+            continue
+    for form in forms:
+        for m in (*range(1, 10), 12):
+            first = []
+            for l, q in form.blocks():
+                hit = {}
+                for x in itertools.product(range(m), repeat=3):
+                    hit.setdefault(_block(l, q, *x) % m, x)
+                first.append(hit)
+            for N in (0, 1, -7, 10 ** 30 + 3):
+                want = [(*first[0][r1], *first[1][s], x7)
+                        for x7 in range(m) for r1 in range(m)
+                        if r1 in first[0]
+                        and (s := (N - form.a7 * x7 ** 3 - r1) % m) in first[1]]
+                for limit in (1, 7, 500):
+                    got = _exhaustive_points(form, N, m, limit)
+                    assert got == want[:limit], (form, m, N, limit)
+                    assert all(type(c) is int for x in got for c in x)
 
 
 def test_congruence_witness_mod_nine(f_star):
